@@ -1,21 +1,17 @@
-"""In-process sharded group-by engine.
+"""Group-by and release stages.
 
-The map phase routes records to shard accumulators by a stable hash of the
-grouping key. Accumulators keep per-key value multisets rather than running
-sums; the final sums come from math.fsum, whose exactly-rounded result makes
-merged tables bit-identical for any shard or thread count.
+One pass fills an accumulator that keeps per-key value multisets rather than
+running sums; the final sums come from math.fsum, whose exactly-rounded
+result makes them bit-identical for any order of the input records.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .dp import (
-    OTHER_KEY,
     BudgetAccountant,
     CellRng,
     CensoringMode,
@@ -23,7 +19,7 @@ from .dp import (
     censor_threshold,
     release_sums,
 )
-from .model import AggregateTable, PrivacyConfig, ProbabilityTriple, Record
+from .model import OTHER_KEY, AggregateTable, PrivacyConfig, ProbabilityTriple, Record
 
 QUERY_JOINT = "joint"
 QUERY_FEATURE = "feature_marginal"
@@ -35,13 +31,8 @@ CONTAINMENT_MARGIN = 1e-12
 
 
 @dataclass
-class ShardAccumulator:
-    """Per-shard grouped observations at the three aggregation levels.
-
-    merge() concatenates the underlying multisets, so it is associative and
-    commutative up to the finalized sums regardless of how records were
-    split across shards.
-    """
+class Accumulator:
+    """Grouped observations at the three aggregation levels."""
 
     partial_joint: dict[tuple[str, str], list[float]] = field(default_factory=dict)
     partial_feature: dict[str, list[float]] = field(default_factory=dict)
@@ -55,23 +46,6 @@ class ShardAccumulator:
         self.partial_partition.setdefault(record.partition, []).append(obs)
         self.row_count += 1
 
-    def merge(self, other: "ShardAccumulator") -> "ShardAccumulator":
-        """Combine two accumulators into a new one; neither input is mutated."""
-        merged = ShardAccumulator(row_count=0)
-        merged._absorb(self)
-        merged._absorb(other)
-        return merged
-
-    def _absorb(self, other: "ShardAccumulator") -> None:
-        for mine, theirs in (
-            (self.partial_joint, other.partial_joint),
-            (self.partial_feature, other.partial_feature),
-            (self.partial_partition, other.partial_partition),
-        ):
-            for key, values in theirs.items():
-                mine.setdefault(key, []).extend(values)
-        self.row_count += other.row_count
-
     def joint_sums(self) -> dict[tuple[str, str], float]:
         return {key: math.fsum(vals) for key, vals in sorted(self.partial_joint.items())}
 
@@ -82,44 +56,19 @@ class ShardAccumulator:
         return {key: math.fsum(vals) for key, vals in sorted(self.partial_partition.items())}
 
 
-def _shard_of(feature: str, partition: str, shards: int) -> int:
-    return zlib.crc32(f"{feature}\x1f{partition}".encode("utf-8")) % shards
+def accumulate(records: Iterable[Record]) -> Accumulator:
+    """Group records in one pass.
 
-
-def accumulate(records: Iterable[Record], shards: int = 1, threads: int = 1) -> ShardAccumulator:
-    """Group records into ``shards`` accumulators by key hash, then merge.
-
-    Records must already be contribution-bounded and clamped. The merged
-    result is identical for every shards/threads combination.
+    Records must already be contribution-bounded and clamped.
     """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    buckets: list[list[Record]] = [[] for _ in range(shards)]
-    if shards == 1:
-        buckets[0] = list(records)
-    else:
-        for rec in records:
-            buckets[_shard_of(rec.feature, rec.partition, shards)].append(rec)
-
-    def _fill(batch: list[Record]) -> ShardAccumulator:
-        acc = ShardAccumulator()
-        for rec in batch:
-            acc.add(rec)
-        return acc
-
-    if threads > 1 and shards > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shard_accs = list(pool.map(_fill, buckets))
-    else:
-        shard_accs = [_fill(batch) for batch in buckets]
-    merged = ShardAccumulator()
-    for acc in shard_accs:
-        merged._absorb(acc)
-    return merged
+    acc = Accumulator()
+    for rec in records:
+        acc.add(rec)
+    return acc
 
 
 def release_aggregate_table(
-    acc: ShardAccumulator,
+    acc: Accumulator,
     privacy: PrivacyConfig,
     accountant: BudgetAccountant | None = None,
     *,
@@ -129,49 +78,30 @@ def release_aggregate_table(
 ) -> AggregateTable:
     """Run the three releases (joint, feature, partition) and assemble the table.
 
-    Each query is charged its budget_split share before release and gets its
-    own censoring threshold. The grand total is derived from the released
-    partition marginals, so it consumes no extra budget. Joint cells whose
-    feature or partition marginal did not survive are removed here, keeping
-    the table internally consistent. When ``manifest`` is given, one dict per
-    query is appended describing epsilon, threshold, and censoring counts.
+    With privacy enabled, each query is charged its budget_split share before
+    release and gets its own censoring threshold. With privacy disabled each
+    query spends epsilon 0, has no threshold, and keeps the positive exact
+    sums. The grand total is derived from the released partition marginals,
+    so it consumes no extra budget. Joint cells whose feature or partition
+    marginal did not survive are removed here, keeping the table internally
+    consistent. When ``manifest`` is given, one dict per query is appended
+    describing epsilon, threshold, and censoring counts.
     """
-    joint = acc.joint_sums()
-    feats = acc.feature_sums()
-    parts = acc.partition_sums()
-
-    if not privacy.dp_enabled:
-        tables = []
-        for label, exact in ((QUERY_JOINT, joint), (QUERY_FEATURE, feats), (QUERY_PARTITION, parts)):
-            released = {key: value for key, value in exact.items() if value > 0}
-            tables.append(released)
-            if manifest is not None:
-                manifest.append(
-                    {
-                        "query": label_prefix + label,
-                        "epsilon": 0.0,
-                        "threshold": None,
-                        "cells_exact": len(exact),
-                        "cells_released": len(released),
-                        "cells_censored": len(exact) - len(released),
-                    }
-                )
-        released_joint, released_feats, released_parts = tables
-        spent = 0.0
-    else:
-        sens = privacy.sensitivity
-        mode = CensoringMode.OTHER_BUCKET if privacy.other_bucket else CensoringMode.DROP
-        shares = [w * privacy.epsilon for w in privacy.budget_split]
-        queries = (
-            (QUERY_JOINT, joint, shares[0], lambda key: (OTHER_KEY, key[1])),
-            (QUERY_FEATURE, feats, shares[1], None),
-            (QUERY_PARTITION, parts, shares[2], None),
-        )
-        if accountant is not None:
-            for label, _, eps_q, _ in queries:
-                accountant.charge(label_prefix + label, eps_q)
-        tables = []
-        for label, exact, eps_q, bucket in queries:
+    dp = privacy.dp_enabled
+    shares = [w * privacy.epsilon if dp else 0.0 for w in privacy.budget_split]
+    queries = (
+        (QUERY_JOINT, acc.joint_sums(), shares[0], lambda key: (OTHER_KEY, key[1])),
+        (QUERY_FEATURE, acc.feature_sums(), shares[1], None),
+        (QUERY_PARTITION, acc.partition_sums(), shares[2], None),
+    )
+    if dp and accountant is not None:
+        for label, _, eps_q, _ in queries:
+            accountant.charge(label_prefix + label, eps_q)
+    sens = privacy.sensitivity
+    mode = CensoringMode.OTHER_BUCKET if privacy.other_bucket else CensoringMode.DROP
+    tables = []
+    for label, exact, eps_q, bucket in queries:
+        if dp:
             tau = (
                 threshold_override
                 if threshold_override is not None
@@ -180,21 +110,23 @@ def release_aggregate_table(
             policy = CensoringPolicy(threshold=tau, mode=mode)
             rng = CellRng(privacy.seed, label_prefix + label)
             released = release_sums(exact, sens, eps_q, policy, rng, bucket_key=bucket)
-            tables.append(released)
-            if manifest is not None:
-                survivors = sum(1 for key in exact if key in released)
-                manifest.append(
-                    {
-                        "query": label_prefix + label,
-                        "epsilon": eps_q,
-                        "threshold": tau,
-                        "cells_exact": len(exact),
-                        "cells_released": len(released),
-                        "cells_censored": len(exact) - survivors,
-                    }
-                )
-        released_joint, released_feats, released_parts = tables
-        spent = math.fsum(shares)
+        else:
+            tau = None
+            released = {key: value for key, value in exact.items() if value > 0}
+        tables.append(released)
+        if manifest is not None:
+            survivors = sum(1 for key in exact if key in released)
+            manifest.append(
+                {
+                    "query": label_prefix + label,
+                    "epsilon": eps_q,
+                    "threshold": tau,
+                    "cells_exact": len(exact),
+                    "cells_released": len(released),
+                    "cells_censored": len(exact) - survivors,
+                }
+            )
+    released_joint, released_feats, released_parts = tables
 
     released_joint = {
         (f, p): value
@@ -209,7 +141,7 @@ def release_aggregate_table(
         feature_marginals=released_feats,
         partition_marginals=released_parts,
         total=total,
-        epsilon_spent=spent,
+        epsilon_spent=math.fsum(shares),
     )
 
 

@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .aggregate import accumulate, build_probability_tables, release_aggregate_table
 from .dp import BudgetAccountant, prepare_records
@@ -29,7 +29,7 @@ from .evaluation import (
     write_stability_tsv,
     write_sweep_tsv,
 )
-from .mi import FoldSpec, MiParams, flip, nfold, rank, rank_records
+from .mi import FoldSpec, flip, nfold, rank, rank_records
 from .model import AggregateTable, PrivacyConfig, Record, Rejection, validate_record
 
 logger = logging.getLogger(__name__)
@@ -45,14 +45,12 @@ class RunConfig:
     input_format: str  # "delimited" | "jsonl"
     columns: tuple[str, str, str, str]
     privacy: PrivacyConfig
-    params: MiParams
+    tol: float
     output: str
     output_format: str  # "tsv" | "jsonl"
-    threads: int = 1
     top_k: int | None = None
     swap: bool = False
     threshold_override: float | None = None
-    options: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-16, help="probability floor for MI cells")
     common.add_argument("--top-k", type=int, default=None)
     common.add_argument("--seed", type=int, default=None, help="required unless --no-dp")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored; every run is single-threaded")
     common.add_argument("--output", required=True)
     common.add_argument("--output-format", choices=("tsv", "jsonl"), default="tsv")
 
@@ -332,10 +331,9 @@ def _config_from_args(args) -> RunConfig:
         input_format=args.format,
         columns=args.columns,
         privacy=privacy,
-        params=MiParams(tol=args.tol),
+        tol=args.tol,
         output=args.output,
         output_format=args.output_format,
-        threads=max(1, args.threads),
         top_k=args.top_k,
         swap=bool(getattr(args, "swap", False) or getattr(args, "swap_forced", False)),
         threshold_override=args.threshold,
@@ -356,7 +354,7 @@ def cmd_aggregate(args) -> int:
     config = _config_from_args(args)
     records, rejects, rows_read = _read_single_input(config)
     prepared = prepare_records(records, config.privacy)
-    acc = accumulate(prepared, shards=config.threads, threads=config.threads)
+    acc = accumulate(prepared)
     accountant = BudgetAccountant(config.privacy.epsilon) if config.privacy.dp_enabled else None
     release_events: list = []
     table = release_aggregate_table(
@@ -397,7 +395,7 @@ def cmd_rank(args) -> int:
     if aggregate_path:
         table = read_aggregate_file(aggregate_path)
         tables = build_probability_tables(table)
-        results = flip(tables, config.params) if config.swap else rank(tables, config.params)
+        results = flip(tables, config.tol) if config.swap else rank(tables, config.tol)
         if config.top_k is not None:
             results = results[: config.top_k]
     else:
@@ -407,10 +405,9 @@ def cmd_rank(args) -> int:
         results = rank_records(
             records,
             config.privacy,
-            config.params,
+            config.tol,
             swap=config.swap,
             top_k=config.top_k,
-            threads=config.threads,
             threshold_override=config.threshold_override,
         )
     write_results(results, config.output, config.output_format)
@@ -444,7 +441,7 @@ def cmd_fold(args) -> int:
             )
         )
     accountant = BudgetAccountant(config.privacy.epsilon) if config.privacy.dp_enabled else None
-    fold_results = nfold(folds, config.privacy, config.params, accountant, threads=config.threads)
+    fold_results = nfold(folds, config.privacy, config.tol, accountant)
     events = []
     for fr in fold_results:
         suffix = "tsv" if config.output_format == "tsv" else "jsonl"
@@ -494,7 +491,7 @@ def cmd_eval(args) -> int:
         records, _, _ = _read_single_input(config)
     os.makedirs(config.output, exist_ok=True)
     if args.runtime:
-        rt = runtime_compare(records, config.params, threads=config.threads)
+        rt = runtime_compare(records, config.tol)
         write_runtime_tsv(rt, os.path.join(config.output, "runtime.tsv"))
         logger.info("runtime ratio %.2f over %d partitions", rt.ratio, rt.partitions)
         return 0
@@ -502,22 +499,20 @@ def cmd_eval(args) -> int:
     sweep_rows = epsilon_sweep(
         records,
         config.privacy,
-        config.params,
+        config.tol,
         epsilons=args.epsilons,
         trials=args.trials,
         top_k=top_k,
-        threads=config.threads,
         threshold_override=config.threshold_override,
     )
     write_sweep_tsv(sweep_rows, os.path.join(config.output, "sweep.tsv"))
     stability_rows = head_tail_stability(
         records,
         config.privacy,
-        config.params,
+        config.tol,
         epsilon=args.stability_epsilon,
         trials=args.trials,
         top_k=min(top_k, 100),
-        threads=config.threads,
         threshold_override=config.threshold_override,
     )
     write_stability_tsv(stability_rows, os.path.join(config.output, "stability.tsv"))

@@ -2,8 +2,8 @@
 noise, noisy-threshold censoring, and additive budget accounting.
 
 All randomness derives from a 64-bit seed through a counter-based keyed hash,
-so a released table depends only on (seed, query label, cell key) and never on
-iteration order, shard count, or thread count.
+so the noise on a released sum depends only on (seed, query label, cell key)
+and never on the order the cells are visited in.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
-from .model import PrivacyConfig, Record
-
-OTHER_KEY = "__other__"
+from .model import OTHER_KEY, PrivacyConfig, Record
 
 # Headroom so charges that exactly split the budget are not rejected by
 # floating-point rounding.
@@ -151,7 +149,8 @@ def bound_contributions(records: Iterable[Record], limit: int, seed: int) -> lis
     """Cap each user id at ``limit`` records via seeded per-user reservoir sampling.
 
     The reservoir for a user is keyed by (seed, id), so its survivors do not
-    depend on how other users' records interleave. Output is sorted by
+    depend on how other users' records interleave; they do depend on the
+    order of the user's own records. Output is sorted by
     (id, feature, partition, observation) so downstream stages see a
     reproducible order.
     """
@@ -194,7 +193,6 @@ def release_sums(
     policy: CensoringPolicy,
     rng: CellRng,
     *,
-    dp_enabled: bool = True,
     bucket_key: Callable | None = None,
 ) -> dict:
     """Release a table of sums under Laplace(sensitivity / epsilon_q) noise.
@@ -202,13 +200,10 @@ def release_sums(
     Keys whose noisy sum falls below policy.threshold are censored: dropped,
     or pooled under bucket_key(key) when the policy mode is OTHER_BUCKET
     (pooled buckets are kept only while positive). Survivors keep their noisy
-    values. epsilon_q must already be charged to the budget accountant. With
-    dp_enabled False this is the identity on positive sums.
+    values. epsilon_q must already be charged to the budget accountant.
     """
     if not exact:
         return {}
-    if not dp_enabled:
-        return {key: value for key, value in sorted(exact.items()) if value > 0}
     if epsilon_q <= 0:
         raise ValueError(f"epsilon_q must be > 0, got {epsilon_q}")
     if sensitivity <= 0:

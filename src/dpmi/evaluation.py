@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mi import MiParams, binary_rank, rank_records
+from .mi import binary_rank, rank_records
 from .model import PrivacyConfig, RankedResult, Record
 
 PERCENTILES = (10, 25, 50, 75, 90)
@@ -88,7 +88,7 @@ class SweepRow:
 def epsilon_sweep(
     records: Sequence[Record],
     privacy: PrivacyConfig,
-    params: MiParams = MiParams(),
+    tol: float = 1e-16,
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
     trials: int = 5,
     top_k: int = 10000,
@@ -100,13 +100,13 @@ def epsilon_sweep(
     Every (epsilon, trial) cell reruns the private pipeline with a
     trial-derived seed (seed + trial); percentiles and drop counts are
     averaged across trials. An infinite epsilon runs with privacy disabled
-    and yields an all-zero row.
+    and yields an all-zero row. ``threads`` is accepted and ignored.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if any(e <= 0 for e in epsilons):
         raise ValueError("all epsilons must be positive")
-    baseline = rank_records(records, replace(privacy, dp_enabled=False), params, threads=threads)
+    baseline = rank_records(records, replace(privacy, dp_enabled=False), tol)
     rows: list[SweepRow] = []
     for eps in epsilons:
         cells: list[RankComparison] = []
@@ -115,9 +115,7 @@ def epsilon_sweep(
                 private = baseline
             else:
                 cfg = replace(privacy, epsilon=eps, dp_enabled=True, seed=privacy.seed + trial)
-                private = rank_records(
-                    records, cfg, params, threads=threads, threshold_override=threshold_override
-                )
+                private = rank_records(records, cfg, tol, threshold_override=threshold_override)
             cells.append(compare_rankings(baseline, private, top_k))
         rows.append(
             SweepRow(
@@ -138,7 +136,7 @@ class StabilityRow:
 def head_tail_stability(
     records: Sequence[Record],
     privacy: PrivacyConfig,
-    params: MiParams = MiParams(),
+    tol: float = 1e-16,
     epsilon: float = 1.0,
     trials: int = 5,
     top_k: int = 100,
@@ -151,8 +149,9 @@ def head_tail_stability(
     The baseline top_k is split into ``buckets`` contiguous rank ranges;
     each bucket's median error is averaged over trials. Pairs censored out
     of a private run are skipped; a bucket empty in every trial reports NaN.
+    ``threads`` is accepted and ignored.
     """
-    baseline = rank_records(records, replace(privacy, dp_enabled=False), params, threads=threads)
+    baseline = rank_records(records, replace(privacy, dp_enabled=False), tol)
     head = baseline[:top_k]
     if len(head) < buckets:
         raise ValueError(f"need at least {buckets} baseline pairs, got {len(head)}")
@@ -160,9 +159,7 @@ def head_tail_stability(
     per_bucket: list[list[float]] = [[] for _ in range(buckets)]
     for trial in range(trials):
         cfg = replace(privacy, epsilon=epsilon, dp_enabled=True, seed=privacy.seed + trial)
-        private = rank_records(
-            records, cfg, params, threads=threads, threshold_override=threshold_override
-        )
+        private = rank_records(records, cfg, tol, threshold_override=threshold_override)
         private_rank = {(r.partition, r.feature): r.rank for r in private}
         for b in range(buckets):
             errors = []
@@ -192,7 +189,7 @@ class RuntimeComparison:
 
 def runtime_compare(
     records: Sequence[Record],
-    params: MiParams = MiParams(),
+    tol: float = 1e-16,
     threads: int = 1,
 ) -> RuntimeComparison:
     """Wall-clock of one batched multi-partition ranking vs sequential
@@ -200,20 +197,20 @@ def runtime_compare(
 
     Privacy is disabled on both sides so only the compute paths differ. The
     per-partition result lists are kept so callers can check that both paths
-    agree on MI values.
+    agree on MI values. ``threads`` is accepted and ignored.
     """
     partitions = sorted({r.partition for r in records})
     if len(partitions) < 2:
         raise ValueError(f"need at least 2 partitions, got {len(partitions)}")
     nodp = PrivacyConfig(epsilon=1.0, dp_enabled=False)
     start = time.perf_counter()
-    batched = rank_records(records, nodp, params, threads=threads)
+    batched = rank_records(records, nodp, tol)
     batched_seconds = time.perf_counter() - start
     binary_results: dict[str, list[RankedResult]] = {}
     binary_seconds = 0.0
     for partition in partitions:
         start = time.perf_counter()
-        binary_results[partition] = binary_rank(records, partition, nodp, params, threads=threads)
+        binary_results[partition] = binary_rank(records, partition, nodp, tol)
         binary_seconds += time.perf_counter() - start
     return RuntimeComparison(
         rows=len(records),

@@ -27,17 +27,6 @@ REST_LABEL = "__rest__"
 CARDINALITY_WARNING = 1_000_000
 
 
-@dataclass(frozen=True)
-class MiParams:
-    """tol is the probability floor below which a joint cell contributes nothing."""
-
-    tol: float = 1e-16
-
-    def __post_init__(self) -> None:
-        if not 0 < self.tol < 1e-6:
-            raise ValueError(f"tol must lie in (0, 1e-6), got {self.tol}")
-
-
 def calc_single_mi(p_x: float, p_y: float, p_xy: float, tol: float = 1e-16) -> float:
     """One cell's contribution: p_xy * ln(p_xy / max(p_x * p_y, tol)).
 
@@ -87,14 +76,23 @@ def direction(p_x: float, p_y: float, p_xy: float) -> Direction:
 
 def rank(
     tables: Mapping[tuple[str, str], ProbabilityTriple],
-    params: MiParams = MiParams(),
+    tol: float = 1e-16,
 ) -> list[RankedResult]:
     """Score every pair and order globally by MI descending.
 
-    Ties break by (partition, feature) so repeated runs emit identical files.
-    Scores pushed below zero by noise artifacts are clamped to zero.
+    tol is the probability floor below which a joint cell contributes
+    nothing. Ties break by (partition, feature) so repeated runs emit
+    identical files. Scores pushed below zero by noise artifacts are clamped
+    to zero. A partition holding the whole total (p_y == 1) means no other
+    partition survived, so there is nothing to compare it against: the
+    result is empty and a warning is logged.
     """
+    if not 0 < tol < 1e-6:
+        raise ValueError(f"tol must lie in (0, 1e-6), got {tol}")
     if not tables:
+        return []
+    if any(t.p_y == 1.0 for t in tables.values()):
+        logger.warning("fewer than two partitions remain; one-vs-all ranking is empty")
         return []
     n_features = len({f for f, _ in tables})
     n_partitions = len({p for _, p in tables})
@@ -106,7 +104,7 @@ def rank(
         )
     scored = []
     for (feature, partition), t in sorted(tables.items()):
-        mi = calc_mi(t.p_x, t.p_y, t.p_xy, params.tol)
+        mi = calc_mi(t.p_x, t.p_y, t.p_xy, tol)
         scored.append((max(0.0, mi), direction(t.p_x, t.p_y, t.p_xy), partition, feature))
     scored.sort(key=lambda s: (-s[0], s[2], s[3]))
     return [
@@ -127,21 +125,20 @@ def transpose_tables(
 
 def flip(
     tables: Mapping[tuple[str, str], ProbabilityTriple],
-    params: MiParams = MiParams(),
+    tol: float = 1e-16,
 ) -> list[RankedResult]:
     """Rank partitions per feature, reusing MI symmetry on the transposed table."""
-    return rank(transpose_tables(tables), params)
+    return rank(transpose_tables(tables), tol)
 
 
 def rank_records(
     records: Iterable[Record],
     privacy: PrivacyConfig,
-    params: MiParams = MiParams(),
+    tol: float = 1e-16,
     accountant: BudgetAccountant | None = None,
     *,
     swap: bool = False,
     top_k: int | None = None,
-    threads: int = 1,
     threshold_override: float | None = None,
     label_prefix: str = "",
 ) -> list[RankedResult]:
@@ -157,7 +154,7 @@ def rank_records(
     if privacy.dp_enabled and accountant is None:
         accountant = BudgetAccountant(privacy.epsilon)
     prepared = prepare_records(records, privacy)
-    acc = accumulate(prepared, shards=max(threads, 1), threads=threads)
+    acc = accumulate(prepared)
     table = release_aggregate_table(
         acc,
         privacy,
@@ -166,7 +163,7 @@ def rank_records(
         label_prefix=label_prefix,
     )
     tables = build_probability_tables(table)
-    results = rank(tables, params)
+    results = rank(tables, tol)
     return results[:top_k] if top_k is not None else results
 
 
@@ -174,7 +171,7 @@ def binary_rank(
     records: Iterable[Record],
     partition: str,
     privacy: PrivacyConfig,
-    params: MiParams = MiParams(),
+    tol: float = 1e-16,
     **kwargs,
 ) -> list[RankedResult]:
     """One-vs-all ranking for a single partition label.
@@ -186,7 +183,7 @@ def binary_rank(
         r if r.partition == partition else Record(r.id, r.feature, REST_LABEL, r.observation)
         for r in records
     ]
-    return rank_records(relabeled, privacy, params, **kwargs)
+    return rank_records(relabeled, privacy, tol, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -222,9 +219,8 @@ def _match_cohort(records: Sequence[Record], seeds: tuple[str, ...]) -> set[str]
 def nfold(
     folds: Sequence[FoldSpec],
     privacy: PrivacyConfig,
-    params: MiParams = MiParams(),
+    tol: float = 1e-16,
     accountant: BudgetAccountant | None = None,
-    threads: int = 1,
 ) -> list[FoldResult]:
     """Run the cascade: each stage labels ids cohort-vs-rest and ranks binary MI.
 
@@ -272,14 +268,7 @@ def nfold(
             fold_privacy = replace(privacy, epsilon=fold.epsilon, seed=privacy.seed + (i - 1))
         else:
             fold_privacy = privacy
-        ranked = rank_records(
-            relabeled,
-            fold_privacy,
-            params,
-            accountant,
-            threads=threads,
-            label_prefix=f"fold{i}/",
-        )
+        ranked = rank_records(relabeled, fold_privacy, tol, accountant, label_prefix=f"fold{i}/")
         next_seeds = tuple(
             r.feature
             for r in ranked

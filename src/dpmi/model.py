@@ -12,6 +12,10 @@ INT64_MAX = 2**63 - 1
 
 _SPLIT_TOL = 1e-12
 
+# Key under which censored dimensions are pooled; reserved, so no input row
+# may use it as a feature or partition.
+OTHER_KEY = "__other__"
+
 
 class Direction(str, Enum):
     """Whether a feature distinguishes a partition by being present or absent there."""
@@ -34,7 +38,7 @@ class Record:
 class Rejection:
     """Why an input row was refused at validation."""
 
-    reason: str  # one of "fields", "empty_key", "parse", "negative", "non_finite"
+    reason: str  # one of "fields", "empty_key", "reserved", "parse", "negative", "non_finite"
     detail: str = ""
 
 
@@ -42,7 +46,8 @@ def validate_record(row: Sequence) -> Record | Rejection:
     """Parse a raw (id, feature, partition, observation) row.
 
     Returns a Record on success, otherwise a Rejection naming the first
-    problem found. Keys are treated as opaque strings; the observation must
+    problem found. Keys are treated as opaque strings, except that a feature
+    or partition may not be the reserved OTHER_KEY; the observation must
     parse as a finite number >= 0.
     """
     if len(row) != 4:
@@ -51,6 +56,8 @@ def validate_record(row: Sequence) -> Record | Rejection:
     rid, feature, partition = str(raw_id), str(raw_feature), str(raw_partition)
     if not rid or not feature or not partition:
         return Rejection("empty_key", "id, feature and partition must be non-empty")
+    if OTHER_KEY in (feature, partition):
+        return Rejection("reserved", f"{OTHER_KEY!r} is reserved for censored dimensions")
     try:
         obs = float(raw_obs)
     except (TypeError, ValueError):
@@ -103,8 +110,12 @@ class PrivacyConfig:
 
     @property
     def sensitivity(self) -> float:
-        """Worst-case change one user can induce in any released sum."""
-        return (self.clamp_hi - self.clamp_lo) * self.contribution_limit
+        """Worst-case change one user can induce in any released sum.
+
+        Adding or removing a user adds or removes up to contribution_limit
+        clamped values, each at most max(|clamp_lo|, |clamp_hi|) in size.
+        """
+        return max(abs(self.clamp_lo), abs(self.clamp_hi)) * self.contribution_limit
 
 
 @dataclass(frozen=True)

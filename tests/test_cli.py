@@ -115,6 +115,14 @@ class TestAggregateCommand:
         assert read == 2 and not rejects
         assert records[0].feature == "f1"
 
+    def test_reserved_key_rejected(self, tmp_path):
+        text = SAMPLE + "u9\t__other__\tp1\t1.0\nu10\tf1\t__other__\t1.0\n"
+        inp = _write(tmp_path / "in.tsv", text)
+        records, rejects, read = read_records(inp, "delimited", ("id", "feature", "partition", "observation"))
+        assert read == 6
+        assert rejects == {"reserved": 2}
+        assert all("__other__" not in (r.feature, r.partition) for r in records)
+
     def test_jsonl_input(self, tmp_path):
         rows = [
             {"id": "u1", "feature": "f1", "partition": "p1", "observation": 2.0},
@@ -194,6 +202,25 @@ class TestRankCommand:
         rows = [json.loads(line) for line in open(out)]
         assert rows[0]["rank"] == 1
         assert set(rows[0]) == {"partition", "feature", "mi", "direction", "rank"}
+
+    def test_single_surviving_partition_writes_header_only(self, tmp_path):
+        # the lone p1 row is censored from the partition marginal, leaving p0
+        lines = ["id\tfeature\tpartition\tobservation"]
+        lines += [f"u{i}\tf{i % 5}\tp0\t1.0" for i in range(2000)]
+        lines.append("u_solo\tf0\tp1\t1.0")
+        inp = _write(tmp_path / "in.tsv", "\n".join(lines) + "\n")
+        out = str(tmp_path / "r.tsv")
+        assert main(["rank", "--input", inp, "--output", out, "--seed", "3"]) == 0
+        assert open(out).read() == "partition\tfeature\tmi\tdirection\trank\n"
+
+    def test_out_of_range_tol_errors(self, tmp_path, capsys):
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        rc = main(["rank", "--input", inp, "--output", str(tmp_path / "r.tsv"), "--no-dp",
+                   "--tol", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "tol" in json.loads(err)["message"]
 
     def test_seed_required_with_dp(self, tmp_path, capsys):
         inp = _write(tmp_path / "toy.tsv", TOY)

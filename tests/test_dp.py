@@ -190,12 +190,6 @@ class TestBoundContributions:
 
 
 class TestReleaseSums:
-    def test_noiseless_passthrough(self):
-        exact = {"a": 2.0, "b": 0.0, "c": -1.0}
-        policy = CensoringPolicy(threshold=5.0)
-        out = release_sums(exact, 1.0, 1.0, policy, CellRng(0, "q"), dp_enabled=False)
-        assert out == {"a": 2.0}
-
     def test_empty_input_empty_output(self):
         policy = CensoringPolicy(threshold=5.0)
         assert release_sums({}, 1.0, 1.0, policy, CellRng(0, "q")) == {}

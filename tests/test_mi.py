@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpmi.dp import BudgetAccountant, BudgetExceededError
 from dpmi.mi import (
@@ -151,6 +153,37 @@ class TestRank:
         assert all(
             results[i].mi >= results[i + 1].mi for i in range(len(results) - 1)
         )
+
+
+class TestRankRecords:
+    def test_single_surviving_partition_is_empty(self, caplog):
+        # the lone p1 row is censored from the partition marginal, leaving p0
+        # as the whole total; one-vs-all has nothing to compare it against
+        records = [Record(f"u{i}", f"f{i % 5}", "p0", 1.0) for i in range(2000)]
+        records.append(Record("u_solo", "f0", "p1", 1.0))
+        privacy = PrivacyConfig(epsilon=1.0, delta=1e-6, seed=3)
+        with caplog.at_level("WARNING", logger="dpmi.mi"):
+            assert rank_records(records, privacy) == []
+        assert any("fewer than two partitions" in rec.message for rec in caplog.records)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_nodp_output_identical_under_permutation(self, data):
+        records = data.draw(
+            st.lists(
+                st.builds(
+                    Record,
+                    st.sampled_from(["u1", "u2", "u3"]),
+                    st.sampled_from(["f1", "f2", "f3", "f4"]),
+                    st.sampled_from(["p1", "p2", "p3"]),
+                    st.floats(min_value=1e-3, max_value=1e6),
+                ),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        shuffled = data.draw(st.permutations(records))
+        assert rank_records(shuffled, NO_DP) == rank_records(records, NO_DP)
 
 
 class TestFlip:

@@ -85,6 +85,13 @@ class TestPrivacyConfig:
         cfg = PrivacyConfig(epsilon=1.0, seed=1, clamp_lo=0.0, clamp_hi=2.0, contribution_limit=3)
         assert cfg.sensitivity == 6.0
 
+    def test_sensitivity_with_positive_lower_clamp(self):
+        # removing one user drops up to clamp_hi per row, not clamp_hi - clamp_lo
+        cfg = PrivacyConfig(epsilon=1.0, seed=1, clamp_lo=0.5, clamp_hi=1.0)
+        assert cfg.sensitivity == 1.0
+        cfg = PrivacyConfig(epsilon=1.0, seed=1, clamp_lo=0.5, clamp_hi=1.0, contribution_limit=2)
+        assert cfg.sensitivity == 2.0
+
 
 class TestProbabilityTriple:
     def test_accepts_valid(self):

@@ -75,6 +75,7 @@ def release_aggregate_table(
     threshold_override: float | None = None,
     label_prefix: str = "",
     manifest: list | None = None,
+    memo: dict | None = None,
 ) -> AggregateTable:
     """Run the three releases (joint, feature, partition) and assemble the table.
 
@@ -86,13 +87,19 @@ def release_aggregate_table(
     marginal did not survive are removed here, keeping the table internally
     consistent. When ``manifest`` is given, one dict per query is appended
     describing epsilon, threshold, and censoring counts.
+
+    ``memo`` is a dict the caller keeps across releases of this same ``acc``
+    (at several epsilons, say): each query's exact sums are then finalised,
+    and each cell's keyed uniform drawn, once for all of them. The released
+    table is the same with or without it.
     """
     dp = privacy.dp_enabled
+    memo = {} if memo is None else memo
     shares = [w * privacy.epsilon if dp else 0.0 for w in privacy.budget_split]
     queries = (
-        (QUERY_JOINT, acc.joint_sums(), shares[0], lambda key: (OTHER_KEY, key[1])),
-        (QUERY_FEATURE, acc.feature_sums(), shares[1], None),
-        (QUERY_PARTITION, acc.partition_sums(), shares[2], None),
+        (QUERY_JOINT, acc.joint_sums, shares[0], lambda key: (OTHER_KEY, key[1])),
+        (QUERY_FEATURE, acc.feature_sums, shares[1], None),
+        (QUERY_PARTITION, acc.partition_sums, shares[2], None),
     )
     if dp and accountant is not None:
         for label, _, eps_q, _ in queries:
@@ -100,7 +107,11 @@ def release_aggregate_table(
     sens = privacy.sensitivity
     mode = CensoringMode.OTHER_BUCKET if privacy.other_bucket else CensoringMode.DROP
     tables = []
-    for label, exact, eps_q, bucket in queries:
+    for label, sums, eps_q, bucket in queries:
+        name = label_prefix + label
+        if (privacy.seed, name) not in memo:
+            memo[privacy.seed, name] = (sums(), CellRng(privacy.seed, name))
+        exact, rng = memo[privacy.seed, name]
         if dp:
             tau = (
                 threshold_override
@@ -108,7 +119,6 @@ def release_aggregate_table(
                 else censor_threshold(eps_q, privacy.delta, sens)
             )
             policy = CensoringPolicy(threshold=tau, mode=mode)
-            rng = CellRng(privacy.seed, label_prefix + label)
             released = release_sums(exact, sens, eps_q, policy, rng, bucket_key=bucket)
         else:
             tau = None
@@ -118,7 +128,7 @@ def release_aggregate_table(
             survivors = sum(1 for key in exact if key in released)
             manifest.append(
                 {
-                    "query": label_prefix + label,
+                    "query": name,
                     "epsilon": eps_q,
                     "threshold": tau,
                     "cells_exact": len(exact),

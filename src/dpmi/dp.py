@@ -44,17 +44,23 @@ def keyed_uniform(seed: int, *parts) -> float:
 class CellRng:
     """Deterministic uniform source for one query label.
 
-    for_key() gives the cell-keyed draw used by table releases; uniform()
-    walks an internal counter for plain sequential sampling.
+    for_key() gives the cell-keyed draw used by table releases, memoised per
+    instance: the draw depends only on the key, so releasing the same cells
+    again from one instance (at another epsilon, say) hashes each cell once.
+    uniform() walks an internal counter for plain sequential sampling.
     """
 
     def __init__(self, seed: int, label: str = ""):
         self.seed = seed
         self.label = label
         self._counter = 0
+        self._draws: dict[tuple, float] = {}
 
     def for_key(self, *parts) -> float:
-        return keyed_uniform(self.seed, self.label, *parts)
+        u = self._draws.get(parts)
+        if u is None:
+            u = self._draws[parts] = keyed_uniform(self.seed, self.label, *parts)
+        return u
 
     def uniform(self) -> float:
         u = keyed_uniform(self.seed, self.label, self._counter)

@@ -9,11 +9,13 @@ import math
 import time
 from dataclasses import dataclass, replace
 from statistics import fmean
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .mi import binary_rank, rank_records
+from .aggregate import accumulate, build_probability_tables, release_aggregate_table
+from .dp import BudgetAccountant, prepare_records
+from .mi import binary_rank, rank, rank_records
 from .model import PrivacyConfig, RankedResult, Record
 
 PERCENTILES = (10, 25, 50, 75, 90)
@@ -85,6 +87,51 @@ class SweepRow:
     dropped: float  # mean over trials
 
 
+def _check_sweep_args(epsilons: Sequence[float], trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if any(e <= 0 for e in epsilons):
+        raise ValueError("all epsilons must be positive")
+
+
+def _private_rankings(
+    records: Sequence[Record],
+    privacy: PrivacyConfig,
+    tol: float,
+    epsilons: Sequence[float],
+    trials: int,
+    baseline: list[RankedResult],
+    threshold_override: float | None,
+) -> Iterator[tuple[int, float, list[RankedResult]]]:
+    """Yield (trial, epsilon, private ranking) for every trial and epsilon.
+
+    Trial t runs with seed + t. Bounding, clamping and the group-by depend on
+    the seed and not on epsilon, so each trial does them once, and its
+    releases share one memo: the exact sums are finalised, and each cell's
+    keyed uniform drawn, once per trial. Each finite epsilon then releases,
+    normalises and ranks; the result equals ``rank_records`` with that
+    epsilon and seed. An infinite epsilon yields the noiseless baseline.
+    """
+    for trial in range(trials):
+        acc = None
+        memo: dict = {}
+        for eps in epsilons:
+            if math.isinf(eps):
+                yield trial, eps, baseline
+                continue
+            cfg = replace(privacy, epsilon=eps, dp_enabled=True, seed=privacy.seed + trial)
+            if acc is None:
+                acc = accumulate(prepare_records(records, cfg))
+            table = release_aggregate_table(
+                acc,
+                cfg,
+                BudgetAccountant(eps),
+                threshold_override=threshold_override,
+                memo=memo,
+            )
+            yield trial, eps, rank(build_probability_tables(table), tol)
+
+
 def epsilon_sweep(
     records: Sequence[Record],
     privacy: PrivacyConfig,
@@ -97,34 +144,31 @@ def epsilon_sweep(
 ) -> list[SweepRow]:
     """Rank-error percentiles against the noiseless baseline for each epsilon.
 
-    Every (epsilon, trial) cell reruns the private pipeline with a
-    trial-derived seed (seed + trial); percentiles and drop counts are
-    averaged across trials. An infinite epsilon runs with privacy disabled
-    and yields an all-zero row. ``threads`` is accepted and ignored.
+    Trial t ranks privately with seed + t at every epsilon; percentiles and
+    drop counts are averaged across trials. Within a trial all epsilons
+    release the same bounded table from the same keyed uniforms, so each
+    epsilon's noise is a scaled copy of one draw per cell. An infinite
+    epsilon compares the baseline with itself and yields an all-zero row.
+    ``threads`` is accepted and ignored.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if any(e <= 0 for e in epsilons):
-        raise ValueError("all epsilons must be positive")
+    _check_sweep_args(epsilons, trials)
     baseline = rank_records(records, replace(privacy, dp_enabled=False), tol)
-    rows: list[SweepRow] = []
-    for eps in epsilons:
-        cells: list[RankComparison] = []
-        for trial in range(trials):
-            if math.isinf(eps):
-                private = baseline
-            else:
-                cfg = replace(privacy, epsilon=eps, dp_enabled=True, seed=privacy.seed + trial)
-                private = rank_records(records, cfg, tol, threshold_override=threshold_override)
-            cells.append(compare_rankings(baseline, private, top_k))
-        rows.append(
-            SweepRow(
-                epsilon=eps,
-                percentiles={p: fmean(c.percentiles[p] for c in cells) for p in PERCENTILES},
-                dropped=fmean(c.dropped for c in cells),
-            )
+    percentiles: dict[float, list[dict[int, float]]] = {eps: [] for eps in epsilons}
+    dropped: dict[float, list[int]] = {eps: [] for eps in epsilons}
+    for _, eps, private in _private_rankings(
+        records, privacy, tol, epsilons, trials, baseline, threshold_override
+    ):
+        cmp = compare_rankings(baseline, private, top_k)
+        percentiles[eps].append(cmp.percentiles)
+        dropped[eps].append(cmp.dropped)
+    return [
+        SweepRow(
+            epsilon=eps,
+            percentiles={p: fmean(c[p] for c in percentiles[eps]) for p in PERCENTILES},
+            dropped=fmean(dropped[eps]),
         )
-    return rows
+        for eps in epsilons
+    ]
 
 
 @dataclass
@@ -149,17 +193,21 @@ def head_tail_stability(
     The baseline top_k is split into ``buckets`` contiguous rank ranges;
     each bucket's median error is averaged over trials. Pairs censored out
     of a private run are skipped; a bucket empty in every trial reports NaN.
+    An infinite epsilon ranks with the baseline, so every bucket reports 0.
     ``threads`` is accepted and ignored.
     """
+    _check_sweep_args((epsilon,), trials)
+    if buckets < 1:
+        raise ValueError(f"buckets must be >= 1, got {buckets}")
     baseline = rank_records(records, replace(privacy, dp_enabled=False), tol)
     head = baseline[:top_k]
     if len(head) < buckets:
         raise ValueError(f"need at least {buckets} baseline pairs, got {len(head)}")
     edges = [round(j * len(head) / buckets) for j in range(buckets + 1)]
     per_bucket: list[list[float]] = [[] for _ in range(buckets)]
-    for trial in range(trials):
-        cfg = replace(privacy, epsilon=epsilon, dp_enabled=True, seed=privacy.seed + trial)
-        private = rank_records(records, cfg, tol, threshold_override=threshold_override)
+    for _, _, private in _private_rankings(
+        records, privacy, tol, (epsilon,), trials, baseline, threshold_override
+    ):
         private_rank = {(r.partition, r.feature): r.rank for r in private}
         for b in range(buckets):
             errors = []

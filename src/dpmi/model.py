@@ -74,7 +74,8 @@ class PrivacyConfig:
     """Knobs for the differentially private release path.
 
     budget_split gives the (joint, feature-marginal, partition-marginal)
-    shares of epsilon; the three tables are released as separate queries.
+    shares of epsilon; the three tables are released as separate queries, so
+    each share must be positive.
     delta drives only the censoring threshold, never the noise itself.
     """
 
@@ -101,8 +102,8 @@ class PrivacyConfig:
         if self.contribution_limit < 1:
             raise ValueError(f"contribution_limit must be >= 1, got {self.contribution_limit}")
         split = self.budget_split
-        if len(split) != 3 or any(w < 0 for w in split):
-            raise ValueError(f"budget_split needs three nonnegative weights, got {split!r}")
+        if len(split) != 3 or not all(w > 0 for w in split):
+            raise ValueError(f"budget_split needs three positive weights, got {split!r}")
         if abs(sum(split) - 1.0) > _SPLIT_TOL:
             raise ValueError(f"budget_split must sum to 1 within {_SPLIT_TOL}, got {sum(split)!r}")
         if not INT64_MIN <= self.seed <= INT64_MAX:

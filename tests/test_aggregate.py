@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from dpmi.aggregate import accumulate, build_probability_tables, release_aggregate_table
 from dpmi.dp import BudgetAccountant
-from dpmi.model import AggregateTable, PrivacyConfig, Record
+from dpmi.model import OTHER_KEY, AggregateTable, PrivacyConfig, Record
 
 
 def _random_records(n, n_users=500, n_features=40, n_partitions=6, seed=0):
@@ -210,3 +211,66 @@ class TestReleaseAggregateTable:
             assert entry["epsilon"] > 0
             assert entry["threshold"] > 0
             assert entry["cells_exact"] >= entry["cells_released"]
+
+    @settings(deadline=None)
+    @given(
+        epsilon=st.floats(min_value=1e-3, max_value=1e3),
+        weights=st.tuples(*[st.floats(min_value=1e-3, max_value=1.0)] * 3),
+    )
+    def test_ledger_total_equals_epsilon_spent(self, epsilon, weights):
+        split = tuple(w / math.fsum(weights) for w in weights)
+        # sums far above any threshold or noise these budgets give, so every
+        # cell survives and the table is always released
+        records = [Record(f"u{i}", f"f{i % 3}", f"p{i % 2}", 1e9) for i in range(12)]
+        accountant = BudgetAccountant(epsilon)
+        table = release_aggregate_table(
+            accumulate(records), self._config(epsilon=epsilon, budget_split=split), accountant
+        )
+        assert accountant.spent_epsilon == table.epsilon_spent
+        assert [label for label, _ in accountant.spent] == [
+            "joint", "feature_marginal", "partition_marginal"
+        ]
+
+    @settings(deadline=None)
+    @given(
+        records=st.lists(
+            st.builds(
+                Record,
+                st.sampled_from([f"u{i}" for i in range(8)]),
+                st.sampled_from(["f1", "f2", "f3", "f4"]),
+                st.sampled_from(["p1", "p2", "p3"]),
+                st.floats(min_value=0.0, max_value=20.0),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        epsilon=st.floats(min_value=0.05, max_value=20.0),
+        earlier_epsilon=st.floats(min_value=0.05, max_value=20.0),
+        other_bucket=st.booleans(),
+    )
+    def test_released_keys_come_from_the_exact_keys(
+        self, records, epsilon, earlier_epsilon, other_bucket
+    ):
+        acc = accumulate(records)
+        cfg = self._config(epsilon=epsilon, delta=0.1, clamp_hi=20.0, other_bucket=other_bucket)
+
+        def release(config, memo=None):
+            try:
+                return release_aggregate_table(acc, config, memo=memo)
+            except ValueError as exc:
+                assert "no partitions survived" in str(exc)
+                return None
+
+        table = release(cfg)
+        # a memo filled by a release at another epsilon changes nothing
+        memo = {}
+        release(replace(cfg, epsilon=earlier_epsilon), memo)
+        assert release(cfg, memo) == table
+        if table is None:
+            return
+        others = {OTHER_KEY} if other_bucket else set()
+        features, partitions = set(acc.feature_sums()), set(acc.partition_sums())
+        assert set(table.feature_marginals) <= features | others
+        assert set(table.partition_marginals) <= partitions | others
+        for f, p in set(table.joint) - set(acc.joint_sums()):
+            assert other_bucket and f == OTHER_KEY and p in partitions

@@ -1,11 +1,13 @@
 """Command-line surface: ingestion, outputs, manifests, determinism, errors."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import dpmi
 from dpmi.cli import main, read_aggregate_file, read_records
 
 from oracles import mi_2x2
@@ -333,6 +335,25 @@ class TestEvalCommand:
         ]) == 0
         assert len(open(f"{out}/sweep.tsv").read().splitlines()) == 7
 
+    def test_infinite_stability_epsilon(self, tmp_path):
+        out = str(tmp_path / "e")
+        assert main([
+            "eval", "--synth", "users=1000,features=40,partitions=4,strength=0.9",
+            "--epsilons", "1", "--trials", "1", "--top-k", "20", "--stability-epsilon", "inf",
+            "--delta", "0.2", "--seed", "17", "--epsilon", "1.0", "--output", out,
+        ]) == 0
+        rows = open(f"{out}/stability.tsv").read().splitlines()[1:]
+        assert [row.split("\t")[1] for row in rows] == ["0"] * 10
+
+    def test_zero_budget_share_is_a_config_error(self, tmp_path, capsys):
+        code = main([
+            "eval", "--synth", "users=1000,features=40,partitions=4,strength=0.9",
+            "--epsilons", "1", "--trials", "1", "--budget-split", "1,0,0",
+            "--seed", "17", "--epsilon", "1.0", "--output", str(tmp_path / "e"),
+        ])
+        assert code == 1
+        assert "budget_split" in json.loads(capsys.readouterr().err)["message"]
+
     def test_runtime_mode(self, tmp_path):
         out = str(tmp_path / "rt")
         assert main([
@@ -346,23 +367,26 @@ class TestEvalCommand:
         assert float(fields[4]) > 0
 
 
+def _run_cli(*argv):
+    """Run ``python -m dpmi.cli`` on the dpmi package these tests import."""
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(dpmi.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "dpmi.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
 class TestProcessLevel:
     def test_console_entry_and_error_stream(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "dpmi.cli", "rank", "--input", str(tmp_path / "missing.tsv"),
-             "--output", str(tmp_path / "o.tsv"), "--no-dp"],
-            capture_output=True, text=True,
-        )
+        result = _run_cli("rank", "--input", str(tmp_path / "missing.tsv"),
+                          "--output", str(tmp_path / "o.tsv"), "--no-dp")
         assert result.returncode == 1
         payload = json.loads(result.stderr.strip())
         assert payload["error"] == "FileNotFoundError"
 
     def test_exit_zero_on_success(self, tmp_path):
         inp = _write(tmp_path / "toy.tsv", TOY)
-        result = subprocess.run(
-            [sys.executable, "-m", "dpmi.cli", "rank", "--input", inp,
-             "--output", str(tmp_path / "o.tsv"), "--no-dp"],
-            capture_output=True, text=True,
-        )
+        result = _run_cli("rank", "--input", inp, "--output", str(tmp_path / "o.tsv"), "--no-dp")
         assert result.returncode == 0
         assert result.stderr == ""

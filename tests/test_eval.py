@@ -16,9 +16,27 @@ from dpmi.evaluation import (
 from dpmi.mi import rank_records
 from dpmi.model import Direction, PrivacyConfig, RankedResult, Record
 
-from oracles import percentile_nearest_rank
+from oracles import epsilon_sweep_oracle, head_tail_stability_oracle, percentile_nearest_rank
 
 NO_DP = PrivacyConfig(epsilon=1.0, seed=0, dp_enabled=False)
+
+
+def _multi_row_records(users=1500, features=30, partitions=4, seed=0):
+    """Users with one to six rows each and observations in [0, 3).
+
+    With contribution_limit 2 and clamp (0.25, 2), bounding drops rows and
+    clamping moves values at both ends, so bounding really depends on the
+    trial seed.
+    """
+    rng = random.Random(seed)
+    records = []
+    for u in range(users):
+        partition = rng.randrange(partitions)
+        for _ in range(rng.randint(1, 6)):
+            planted = rng.random() < 0.7
+            feature = partition + partitions * rng.randrange(3) if planted else rng.randrange(features)
+            records.append(Record(f"u{u}", f"f{feature}", f"p{partition}", rng.random() * 3.0))
+    return records
 
 
 def _ranked(pairs):
@@ -149,6 +167,46 @@ class TestEpsilonSweep:
             epsilon_sweep([], NO_DP, epsilons=(0.0,), trials=1)
 
 
+class TestSweepMatchesPerCellOracle:
+    """The trial-major loop equals one full private run per (epsilon, trial)."""
+
+    EPSILONS = (0.5, math.inf, 2.0, 0.5, 8.0)
+
+    def _privacy(self, other_bucket):
+        return PrivacyConfig(epsilon=1.0, delta=0.2, clamp_lo=0.25, clamp_hi=2.0,
+                             contribution_limit=2, seed=41, other_bucket=other_bucket)
+
+    def test_records_exercise_bounding_and_clamping(self):
+        records = _multi_row_records()
+        rows_per_user = {}
+        for r in records:
+            rows_per_user[r.id] = rows_per_user.get(r.id, 0) + 1
+        assert max(rows_per_user.values()) > 2
+        assert any(r.observation < 0.25 for r in records)
+        assert any(r.observation > 2.0 for r in records)
+
+    @pytest.mark.parametrize("other_bucket", [False, True])
+    @pytest.mark.parametrize("threshold", [None, 3.0])
+    def test_sweep_equals_oracle(self, other_bucket, threshold):
+        records = _multi_row_records()
+        privacy = self._privacy(other_bucket)
+        kwargs = dict(epsilons=self.EPSILONS, trials=3, top_k=60, threshold_override=threshold)
+        rows = epsilon_sweep(records, privacy, **kwargs)
+        assert rows == epsilon_sweep_oracle(records, privacy, **kwargs)
+        assert [r.epsilon for r in rows] == list(self.EPSILONS)
+        assert rows[1].percentiles[90] == 0.0 and rows[1].dropped == 0.0
+
+    @pytest.mark.parametrize("other_bucket", [False, True])
+    @pytest.mark.parametrize("threshold", [None, 3.0])
+    def test_stability_equals_oracle(self, other_bucket, threshold):
+        records = _multi_row_records()
+        privacy = self._privacy(other_bucket)
+        kwargs = dict(epsilon=2.0, trials=3, top_k=40, buckets=4, threshold_override=threshold)
+        rows = head_tail_stability(records, privacy, **kwargs)
+        assert all(math.isfinite(r.medae) for r in rows)
+        assert rows == head_tail_stability_oracle(records, privacy, **kwargs)
+
+
 class TestHeadTailStability:
     def test_buckets_cover_top_k(self):
         records = synth_generate(10_000, 500, 10, 0.9, seed=11)
@@ -162,6 +220,24 @@ class TestHeadTailStability:
         privacy = PrivacyConfig(epsilon=1.0, delta=0.2, seed=12)
         rows = head_tail_stability(records, privacy, epsilon=1.0, trials=5, top_k=100, buckets=10)
         assert rows[0].medae <= rows[-1].medae
+
+    def test_infinite_epsilon_ranks_with_the_baseline(self):
+        records = synth_generate(2000, 50, 5, 0.8, seed=3)
+        privacy = PrivacyConfig(epsilon=1.0, delta=0.2, seed=3)
+        rows = head_tail_stability(records, privacy, epsilon=math.inf, trials=2, top_k=50, buckets=5)
+        assert [(r.bucket, r.medae) for r in rows] == [(b, 0.0) for b in range(1, 6)]
+
+    def test_rejects_zero_trials(self):
+        records = synth_generate(2000, 50, 5, 0.8, seed=3)
+        privacy = PrivacyConfig(epsilon=1.0, delta=0.2, seed=3)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            head_tail_stability(records, privacy, trials=0, top_k=50, buckets=5)
+
+    def test_rejects_zero_buckets(self):
+        records = synth_generate(2000, 50, 5, 0.8, seed=3)
+        privacy = PrivacyConfig(epsilon=1.0, delta=0.2, seed=3)
+        with pytest.raises(ValueError, match="buckets"):
+            head_tail_stability(records, privacy, trials=1, top_k=50, buckets=0)
 
 
 class TestRuntimeCompare:

@@ -65,6 +65,11 @@ class TestPrivacyConfig:
         with pytest.raises(ValueError, match="budget_split"):
             PrivacyConfig(epsilon=1.0, seed=1, budget_split=(1.2, -0.1, -0.1))
 
+    def test_rejects_zero_split_weight(self):
+        # a query with no budget cannot be released
+        with pytest.raises(ValueError, match="budget_split"):
+            PrivacyConfig(epsilon=1.0, seed=1, budget_split=(1.0, 0.0, 0.0))
+
     def test_rejects_nonpositive_epsilon_when_enabled(self):
         with pytest.raises(ValueError, match="epsilon"):
             PrivacyConfig(epsilon=0.0, seed=1)

@@ -315,6 +315,8 @@ def _config_from_args(args) -> RunConfig:
     dp_enabled = not args.no_dp
     if dp_enabled and args.seed is None:
         raise ValueError("--seed is required when privacy is enabled (pass --no-dp to opt out)")
+    if args.top_k is not None and args.top_k < 1:
+        raise ValueError(f"--top-k must be >= 1, got {args.top_k}")
     privacy = PrivacyConfig(
         epsilon=args.epsilon,
         delta=args.delta,
@@ -389,9 +391,26 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
+def _ledger_event(accountant: BudgetAccountant | None) -> dict:
+    """Where the budget went: the total, each (label, epsilon) charge, their sum.
+
+    A run that releases nothing (no DP, or ranking a saved aggregate) has an
+    empty ledger with a total of 0.
+    """
+    if accountant is None:
+        return {"event": "ledger", "total_epsilon": 0.0, "charges": [], "spent_epsilon": 0.0}
+    return {
+        "event": "ledger",
+        "total_epsilon": accountant.total_epsilon,
+        "charges": [[label, eps] for label, eps in accountant.spent],
+        "spent_epsilon": accountant.spent_epsilon,
+    }
+
+
 def cmd_rank(args) -> int:
     config = _config_from_args(args)
     aggregate_path = getattr(args, "aggregate", None)
+    accountant = None
     if aggregate_path:
         table = read_aggregate_file(aggregate_path)
         tables = build_probability_tables(table)
@@ -402,15 +421,19 @@ def cmd_rank(args) -> int:
         records, rejects, _ = _read_single_input(config)
         if rejects:
             logger.info("rejected rows by reason: %s", dict(sorted(rejects.items())))
+        if config.privacy.dp_enabled:
+            accountant = BudgetAccountant(config.privacy.epsilon)
         results = rank_records(
             records,
             config.privacy,
             config.tol,
+            accountant,
             swap=config.swap,
             top_k=config.top_k,
             threshold_override=config.threshold_override,
         )
     write_results(results, config.output, config.output_format)
+    write_manifest(config.output + ".manifest.jsonl", [_ledger_event(accountant)])
     logger.info("%d ranked pairs written to %s", len(results), config.output)
     return 0
 

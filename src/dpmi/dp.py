@@ -3,17 +3,22 @@ noise, noisy-threshold censoring, and additive budget accounting.
 
 All randomness derives from a 64-bit seed through a counter-based keyed hash,
 so the noise on a released sum depends only on (seed, query label, cell key)
-and never on the order the cells are visited in.
+and never on the order the cells are visited in. Bounding works the same way
+on numpy columns: each row of a user over the contribution limit gets a
+priority mixed from a (seed, id) key and the row's place among the user's
+rows in canonical order, so the survivors depend only on the seed and the
+user's own rows, never on the order of the input.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from .model import OTHER_KEY, PrivacyConfig, Record
 
@@ -151,36 +156,78 @@ class BudgetAccountant:
         self.spent.append((label, float(epsilon_q)))
 
 
-def bound_contributions(records: Iterable[Record], limit: int, seed: int) -> list[Record]:
-    """Cap each user id at ``limit`` records via seeded per-user reservoir sampling.
+# splitmix64 constants (Steele, Lea and Flood, "Fast splittable pseudorandom
+# number generators", OOPSLA 2014).
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
-    The reservoir for a user is keyed by (seed, id), so its survivors do not
-    depend on how other users' records interleave; they do depend on the
-    order of the user's own records. Output is sorted by
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser over a uint64 array, with wrapping arithmetic."""
+    x = (x ^ (x >> np.uint64(30))) * _MIX1
+    x = (x ^ (x >> np.uint64(27))) * _MIX2
+    return x ^ (x >> np.uint64(31))
+
+
+def _encode(keys: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct keys in sorted order, and each key's index among them.
+
+    Codes follow Python string order. A dict does the encoding because numpy
+    ``U`` arrays drop trailing NULs and would merge ``"u"`` with ``"u\\x00"``.
+    """
+    distinct = sorted(set(keys))
+    index = {key: i for i, key in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+
+
+def _bounded_order(records: list[Record], limit: int, seed: int) -> np.ndarray:
+    """Indices of the records that survive bounding, in output order."""
+    ids, user = _encode([r.id for r in records])
+    _, feature = _encode([r.feature for r in records])
+    _, partition = _encode([r.partition for r in records])
+    obs = np.fromiter((r.observation for r in records), np.float64, len(records))
+    # Canonical order: by user, then by the user's own rows; the sign bit
+    # orders -0.0 after 0.0, so no tie depends on the input order.
+    order = np.lexsort((np.signbit(obs), obs, partition, feature, user))
+    counts = np.bincount(user, minlength=len(ids))
+    is_over = counts > limit
+    over = np.flatnonzero(is_over)
+    if not len(over):
+        return order
+    # Positions (in canonical order) of the rows of over-limit users, grouped
+    # by user; j is a row's index among its user's canonical rows.
+    rows = np.flatnonzero(is_over[user[order]])
+    sizes = counts[over]
+    j = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    keys = np.array([_keyed_u64(seed, ("bound", ids[u])) for u in over.tolist()], np.uint64)
+    counter = (j.astype(np.uint64) + np.uint64(1)) * _GOLDEN_GAMMA
+    priority = _splitmix64(np.repeat(keys, sizes) + counter)
+    # Within each user, lowest priority first (ties keep canonical order), so
+    # the first `limit` of every user's block are its survivors.
+    ranked = np.lexsort((priority, np.repeat(np.arange(len(over)), sizes)))
+    keep = np.ones(len(order), dtype=bool)
+    keep[rows] = False
+    keep[rows[ranked[j < limit]]] = True
+    return order[keep]
+
+
+def bound_contributions(records: Iterable[Record], limit: int, seed: int) -> list[Record]:
+    """Cap each user id at ``limit`` records, chosen by a keyed per-row priority.
+
+    A user's rows are put in canonical order (feature, partition,
+    observation). Row j of a user with more than ``limit`` rows gets the
+    priority splitmix64(key + (j + 1) * gamma), where key hashes (seed, id),
+    and the ``limit`` rows of lowest priority survive: a uniformly random
+    subset that depends only on the seed and the user's own rows, never on
+    their order or on other users. Output is sorted by
     (id, feature, partition, observation) so downstream stages see a
     reproducible order.
     """
     if limit < 1:
         raise ValueError(f"contribution limit must be >= 1, got {limit}")
-    kept_by_user: dict[str, list[Record]] = {}
-    seen: dict[str, int] = {}
-    rngs: dict[str, random.Random] = {}
-    for rec in records:
-        kept = kept_by_user.setdefault(rec.id, [])
-        n = seen.get(rec.id, 0)
-        if n < limit:
-            kept.append(rec)
-        else:
-            rng = rngs.get(rec.id)
-            if rng is None:
-                rng = rngs[rec.id] = random.Random(_keyed_u64(seed, ("bound", rec.id)))
-            j = rng.randint(0, n)
-            if j < limit:
-                kept[j] = rec
-        seen[rec.id] = n + 1
-    survivors = [rec for kept in kept_by_user.values() for rec in kept]
-    survivors.sort(key=lambda r: (r.id, r.feature, r.partition, r.observation))
-    return survivors
+    records = list(records)
+    return [records[i] for i in _bounded_order(records, limit, seed).tolist()]
 
 
 def prepare_records(records: Iterable[Record], privacy: PrivacyConfig) -> list[Record]:
@@ -189,7 +236,16 @@ def prepare_records(records: Iterable[Record], privacy: PrivacyConfig) -> list[R
         return list(records)
     bounded = bound_contributions(records, privacy.contribution_limit, privacy.seed)
     lo, hi = privacy.clamp_lo, privacy.clamp_hi
-    return [Record(r.id, r.feature, r.partition, clamp(r.observation, lo, hi)) for r in bounded]
+    obs = np.fromiter((r.observation for r in bounded), np.float64, len(bounded))
+    # clamp() on a column: unlike np.clip, a value equal to a bound becomes
+    # that bound, so the sign of a zero matches the scalar clamp. A record
+    # whose value the clamp leaves as it is (sign included) is kept as it is.
+    clamped = np.where(obs > lo, np.where(obs < hi, obs, hi), lo)
+    same = (clamped == obs) & (np.signbit(clamped) == np.signbit(obs))
+    return [
+        r if keep else Record(r.id, r.feature, r.partition, o)
+        for r, keep, o in zip(bounded, same.tolist(), clamped.tolist())
+    ]
 
 
 def release_sums(

@@ -147,8 +147,11 @@ def rank_records(
     With privacy enabled: bound contributions, clamp, aggregate, release the
     three tables under the split budget, normalize, rank. With privacy
     disabled the exact positive sums are used directly and no randomness is
-    consumed.
+    consumed. top_k, when given, keeps the first top_k results and must be
+    at least 1.
     """
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     if swap:
         records = [Record(r.id, r.partition, r.feature, r.observation) for r in records]
     if privacy.dp_enabled and accountant is None:
@@ -198,6 +201,10 @@ class FoldSpec:
     epsilon: float
     seeds: tuple[str, ...] | None = None
     top_k: int = 10
+
+    def __post_init__(self) -> None:
+        if self.top_k < 1:
+            raise ValueError(f"fold top_k must be >= 1, got {self.top_k}")
 
 
 @dataclass

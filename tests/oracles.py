@@ -3,7 +3,8 @@
 These deliberately avoid the library's code paths: MI is evaluated directly
 on the 2x2 contingency table, and percentiles go through numpy's
 inverted-CDF method. The sweep and stability oracles are the plain per-cell
-loops: one full ``rank_records`` run for every (epsilon, trial) pair.
+loops: one full ``rank_records`` run for every (epsilon, trial) pair. The
+bounding oracle is a per-user loop over Python integers.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from statistics import fmean
 
 import numpy as np
 
+from dpmi.dp import _keyed_u64
 from dpmi.evaluation import (
     PERCENTILES,
     StabilityRow,
@@ -22,6 +24,8 @@ from dpmi.evaluation import (
     nearest_rank_percentile,
 )
 from dpmi.mi import rank_records
+
+_U64 = 2**64 - 1
 
 
 def mi_2x2(p_x: float, p_y: float, p_xy: float) -> float:
@@ -104,3 +108,41 @@ def head_tail_stability_oracle(records, privacy, tol=1e-16, epsilon=1.0, trials=
         StabilityRow(bucket=b + 1, medae=fmean(vals) if vals else float("nan"))
         for b, vals in enumerate(per_bucket)
     ]
+
+
+def _splitmix64(x: int) -> int:
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
+    return x ^ (x >> 31)
+
+
+def _row_key(r):
+    """(feature, partition, observation), with 0.0 before -0.0."""
+    return (r.feature, r.partition, r.observation, math.copysign(1.0, r.observation) < 0)
+
+
+def bound_contributions_oracle(records, limit, seed):
+    """Bounding survivors, one user at a time.
+
+    A user's rows are sorted by ``_row_key``. A user with more than ``limit``
+    rows keeps the ``limit`` rows of lowest priority, where row j's priority
+    is splitmix64(key + (j + 1) * 0x9E3779B97F4A7C15) with key the keyed
+    hash of (seed, "bound", id); equal priorities keep the lower j.
+    """
+    by_user = {}
+    for r in records:
+        by_user.setdefault(r.id, []).append(r)
+    survivors = []
+    for uid, rows in by_user.items():
+        rows = sorted(rows, key=_row_key)
+        if len(rows) > limit:
+            key = _keyed_u64(seed, ("bound", uid))
+            priority = [
+                _splitmix64((key + (j + 1) * 0x9E3779B97F4A7C15) & _U64)
+                for j in range(len(rows))
+            ]
+            chosen = sorted(range(len(rows)), key=lambda j: (priority[j], j))[:limit]
+            rows = [rows[j] for j in sorted(chosen)]
+        survivors.extend(rows)
+    survivors.sort(key=lambda r: (r.id, *_row_key(r)))
+    return survivors

@@ -1,6 +1,7 @@
 """Command-line surface: ingestion, outputs, manifests, determinism, errors."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -186,6 +187,49 @@ class TestRankCommand:
         assert main(["rank", "--input", inp, "--output", out, "--no-dp", "--top-k", "2"]) == 0
         assert len(open(out).read().splitlines()) == 3  # header + 2 rows
 
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_errors(self, tmp_path, capsys, top_k):
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        rc = main(["rank", "--input", inp, "--output", str(tmp_path / "r.tsv"), "--no-dp",
+                   "--top-k", top_k])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and "top-k" in payload["message"]
+
+    def test_dp_rank_ledger_sums_to_epsilon(self, tmp_path):
+        lines = ["id\tfeature\tpartition\tobservation"]
+        lines += [f"u{i}\tf{i % 6}\tp{i % 3}\t1.0" for i in range(600)]
+        inp = _write(tmp_path / "big.tsv", "\n".join(lines) + "\n")
+        for command in ("rank", "flip"):
+            out = str(tmp_path / f"{command}.tsv")
+            assert main([command, "--input", inp, "--output", out, "--epsilon", "1.3",
+                         "--budget-split", "0.6,0.3,0.1", "--delta", "1e-3", "--seed", "9"]) == 0
+            (ledger,) = _read_manifest(out + ".manifest.jsonl")
+            assert ledger["event"] == "ledger"
+            assert ledger["total_epsilon"] == 1.3
+            assert [label for label, _ in ledger["charges"]] == [
+                "joint", "feature_marginal", "partition_marginal"
+            ]
+            assert math.fsum(eps for _, eps in ledger["charges"]) == pytest.approx(1.3, abs=1e-9)
+            assert ledger["spent_epsilon"] == pytest.approx(1.3, abs=1e-9)
+
+    def test_ledger_empty_without_a_release(self, tmp_path):
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        agg = str(tmp_path / "agg.jsonl")
+        assert main(["aggregate", "--input", inp, "--output", agg, "--no-dp"]) == 0
+        runs = {
+            "nodp": ["--no-dp"],
+            "saved": ["--aggregate", agg, "--seed", "3"],
+        }
+        for name, extra in runs.items():
+            out = str(tmp_path / f"{name}.tsv")
+            assert main(["rank", "--input", inp, "--output", out, *extra]) == 0
+            assert _read_manifest(out + ".manifest.jsonl") == [
+                {"event": "ledger", "total_epsilon": 0.0, "charges": [], "spent_epsilon": 0.0}
+            ]
+
     def test_rank_from_saved_aggregate(self, tmp_path):
         inp = _write(tmp_path / "toy.tsv", TOY)
         agg = str(tmp_path / "agg.jsonl")
@@ -295,6 +339,16 @@ class TestFoldCommand:
         fold_event = next(m for m in manifest if m["event"] == "fold")
         assert fold_event["cohort_size"] == 200
         assert fold_event["rest_size"] == 400
+
+    def test_fold_top_k_below_one_errors(self, tmp_path, capsys):
+        f1, _ = self._stage_files(tmp_path)
+        rc = main([
+            "fold", "--input", f1, "--output", str(tmp_path / "x"), "--fold-epsilons", "1.0",
+            "--seeds", "seed_kw", "--no-dp", "--fold-top-k", "-1",
+        ])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValueError" and "top_k" in payload["message"]
 
     def test_overflowing_folds_error(self, tmp_path, capsys):
         f1, f2 = self._stage_files(tmp_path)

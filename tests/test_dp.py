@@ -1,9 +1,13 @@
 """Privacy mechanism behavior: bounding, clamping, noise, censoring, budget."""
 
 import math
+import random
+from collections import Counter
 from statistics import fmean
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpmi.dp import (
     BudgetAccountant,
@@ -17,9 +21,13 @@ from dpmi.dp import (
     keyed_uniform,
     laplace_from_uniform,
     laplace_noise,
+    prepare_records,
     release_sums,
 )
-from dpmi.model import Record
+from dpmi.mi import rank_records
+from dpmi.model import PrivacyConfig, Record
+
+from oracles import bound_contributions_oracle
 
 
 class TestClamp:
@@ -187,6 +195,89 @@ class TestBoundContributions:
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):
             bound_contributions([], 0, seed=0)
+
+    @settings(deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(-(2**63), 2**63 - 1))
+    def test_matches_oracle(self, data, limit, seed):
+        records = data.draw(_record_lists())
+        assert _bits(bound_contributions(records, limit, seed)) == _bits(
+            bound_contributions_oracle(records, limit, seed)
+        )
+
+    @settings(deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(0, 2**32),
+           st.sampled_from([(0.25, 2.0), (0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0)]))
+    def test_prepare_matches_clamped_oracle(self, data, limit, seed, bounds):
+        records = data.draw(_record_lists())
+        lo, hi = bounds
+        privacy = PrivacyConfig(epsilon=1.0, clamp_lo=lo, clamp_hi=hi,
+                                contribution_limit=limit, seed=seed)
+        expected = [
+            Record(r.id, r.feature, r.partition, clamp(r.observation, lo, hi))
+            for r in bound_contributions_oracle(records, limit, seed)
+        ]
+        assert _bits(prepare_records(records, privacy)) == _bits(expected)
+
+    @settings(deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+    def test_removing_another_user_keeps_survivors(self, data, limit, seed):
+        records = data.draw(_record_lists())
+        gone = data.draw(st.sampled_from(_IDS))
+        full = bound_contributions(records, limit, seed)
+        neighbour = bound_contributions([r for r in records if r.id != gone], limit, seed)
+        assert _bits(neighbour) == _bits([r for r in full if r.id != gone])
+
+    def test_subsets_are_uniform(self):
+        recs = _user_records("u1", 6)
+        counts = Counter(
+            frozenset(r.feature for r in bound_contributions(recs, 2, seed))
+            for seed in range(6000)
+        )
+        assert len(counts) == 15
+        assert all(300 <= n <= 500 for n in counts.values()), sorted(counts.values())
+
+
+_IDS = ["u", "u\x00", "v", "w"]
+_OBSERVATIONS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.25, 2.0, 7.5]),
+    st.floats(min_value=0.0, max_value=5.0),
+)
+
+
+@st.composite
+def _record_lists(draw):
+    """Shuffled records with repeated ids and rows, signed zeros, and values
+    on both sides of every clamp range used here."""
+    base = draw(st.lists(
+        st.builds(Record, st.sampled_from(_IDS), st.sampled_from(["f1", "f2", "f3"]),
+                  st.sampled_from(["p1", "p2"]), _OBSERVATIONS),
+        max_size=30,
+    ))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=10)) if base else []
+    return draw(st.permutations(base + repeats))
+
+
+def _bits(records):
+    """Records as tuples that also tell -0.0 from 0.0."""
+    return [
+        (r.id, r.feature, r.partition, r.observation, math.copysign(1.0, r.observation))
+        for r in records
+    ]
+
+
+def test_own_row_order_does_not_change_survivors():
+    rng = random.Random(5)
+    users = [
+        [Record(f"u{i}", f"f{rng.randrange(20)}", f"p{i % 4}", rng.random()) for _ in range(3)]
+        for i in range(3000)
+    ]
+    forward = [r for rows in users for r in rows]
+    backward = [r for rows in users for r in reversed(rows)]
+    privacy = PrivacyConfig(epsilon=4.0, contribution_limit=1, seed=11)
+    assert prepare_records(backward, privacy) == prepare_records(forward, privacy)
+    ranked = rank_records(forward, privacy)
+    assert ranked
+    assert rank_records(backward, privacy) == ranked
 
 
 class TestReleaseSums:

@@ -185,6 +185,41 @@ class TestRankRecords:
         shuffled = data.draw(st.permutations(records))
         assert rank_records(shuffled, NO_DP) == rank_records(records, NO_DP)
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_dp_output_identical_under_permutation(self, data):
+        # users keep one partition each and have 1-6 rows; at epsilon 1000 and
+        # a tiny threshold every partition survives, so the ranking is not empty
+        users = data.draw(
+            st.lists(
+                st.lists(
+                    st.tuples(st.sampled_from(["f1", "f2", "f3", "f4"]),
+                              st.floats(min_value=0.0, max_value=3.0)),
+                    min_size=1,
+                    max_size=6,
+                ),
+                min_size=3,
+                max_size=12,
+            )
+        )
+        records = [
+            Record(f"u{i}", feature, f"p{i % 3}", obs)
+            for i, rows in enumerate(users)
+            for feature, obs in rows
+        ]
+        privacy = PrivacyConfig(epsilon=1000.0, delta=0.2, clamp_lo=0.25, clamp_hi=2.0,
+                                contribution_limit=2, seed=7)
+        expected = rank_records(records, privacy, threshold_override=1e-6)
+        assert expected
+        shuffled = data.draw(st.permutations(records))
+        assert rank_records(shuffled, privacy, threshold_override=1e-6) == expected
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_rejects_top_k_below_one(self, top_k):
+        records = [Record(f"u{i}", f"f{i % 3}", f"p{i % 2}", 1.0) for i in range(12)]
+        with pytest.raises(ValueError, match="top_k"):
+            rank_records(records, NO_DP, top_k=top_k)
+
 
 class TestFlip:
     def test_symmetric_table_flip_equals_original(self):
@@ -302,6 +337,12 @@ class TestNfold:
         with pytest.raises(BudgetExceededError):
             nfold(folds, privacy, accountant=accountant)
         assert accountant.spent_epsilon == 0.0
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_fold_top_k_below_one_rejected(self, top_k):
+        stage1, _ = _two_stage_records()
+        with pytest.raises(ValueError, match="top_k"):
+            FoldSpec(records=stage1, epsilon=1.0, seeds=("seed_kw",), top_k=top_k)
 
     def test_first_fold_needs_seeds(self):
         stage1, _ = _two_stage_records()

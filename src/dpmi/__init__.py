@@ -10,7 +10,6 @@ from .dp import (
     BudgetAccountant,
     BudgetExceededError,
     CellRng,
-    CensoringMode,
     CensoringPolicy,
     bound_contributions,
     censor_threshold,
@@ -56,7 +55,6 @@ __all__ = [
     "BudgetAccountant",
     "BudgetExceededError",
     "CellRng",
-    "CensoringMode",
     "CensoringPolicy",
     "Direction",
     "FoldSpec",

@@ -11,15 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .dp import (
-    BudgetAccountant,
-    CellRng,
-    CensoringMode,
-    CensoringPolicy,
-    censor_threshold,
-    release_sums,
-)
-from .model import OTHER_KEY, AggregateTable, PrivacyConfig, ProbabilityTriple, Record
+from .dp import BudgetAccountant, CellRng, CensoringPolicy, censor_threshold, release_sums
+from .model import AggregateTable, PrivacyConfig, ProbabilityTriple, Record
 
 QUERY_JOINT = "joint"
 QUERY_FEATURE = "feature_marginal"
@@ -97,17 +90,16 @@ def release_aggregate_table(
     memo = {} if memo is None else memo
     shares = [w * privacy.epsilon if dp else 0.0 for w in privacy.budget_split]
     queries = (
-        (QUERY_JOINT, acc.joint_sums, shares[0], lambda key: (OTHER_KEY, key[1])),
-        (QUERY_FEATURE, acc.feature_sums, shares[1], None),
-        (QUERY_PARTITION, acc.partition_sums, shares[2], None),
+        (QUERY_JOINT, acc.joint_sums, shares[0]),
+        (QUERY_FEATURE, acc.feature_sums, shares[1]),
+        (QUERY_PARTITION, acc.partition_sums, shares[2]),
     )
     if dp and accountant is not None:
-        for label, _, eps_q, _ in queries:
+        for label, _, eps_q in queries:
             accountant.charge(label_prefix + label, eps_q)
     sens = privacy.sensitivity
-    mode = CensoringMode.OTHER_BUCKET if privacy.other_bucket else CensoringMode.DROP
     tables = []
-    for label, sums, eps_q, bucket in queries:
+    for label, sums, eps_q in queries:
         name = label_prefix + label
         if (privacy.seed, name) not in memo:
             memo[privacy.seed, name] = (sums(), CellRng(privacy.seed, name))
@@ -118,8 +110,7 @@ def release_aggregate_table(
                 if threshold_override is not None
                 else censor_threshold(eps_q, privacy.delta, sens)
             )
-            policy = CensoringPolicy(threshold=tau, mode=mode)
-            released = release_sums(exact, sens, eps_q, policy, rng, bucket_key=bucket)
+            released = release_sums(exact, sens, eps_q, CensoringPolicy(tau), rng)
         else:
             tau = None
             released = {key: value for key, value in exact.items() if value > 0}

@@ -49,7 +49,6 @@ class RunConfig:
     output: str
     output_format: str  # "tsv" | "jsonl"
     top_k: int | None = None
-    swap: bool = False
     threshold_override: float | None = None
 
 
@@ -253,12 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="JOINT,FEATURE,PARTITION")
     common.add_argument("--threshold", type=float, default=None,
                         help="override the derived censoring threshold")
-    common.add_argument("--other-bucket", action="store_true",
-                        help="pool censored dimensions into an __other__ category")
     common.add_argument("--no-dp", action="store_true", help="disable the privacy mechanisms")
     common.add_argument("--tol", type=float, default=1e-16, help="probability floor for MI cells")
     common.add_argument("--top-k", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None, help="required unless --no-dp")
+    common.add_argument("--seed", type=int, default=None,
+                        help="required unless --no-dp or --aggregate")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored; every run is single-threaded")
     common.add_argument("--output", required=True)
@@ -275,16 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.set_defaults(func=cmd_aggregate)
 
     p_rank = sub.add_parser("rank", parents=[common], help="rank features per partition by MI")
-    p_rank.add_argument("--aggregate", default=None,
-                        help="read a previously released aggregate file instead of raw records")
-    p_rank.add_argument("--swap", action="store_true",
-                        help="swap feature and partition roles (rank partitions per feature)")
-    p_rank.set_defaults(func=cmd_rank)
-
     p_flip = sub.add_parser("flip", parents=[common],
-                            help="alias for rank --swap: rank partitions per feature")
-    p_flip.add_argument("--aggregate", default=None)
-    p_flip.set_defaults(func=cmd_rank, swap_forced=True)
+                            help="rank partitions per feature: rank's released table, transposed")
+    for p in (p_rank, p_flip):
+        p.add_argument("--aggregate", default=None,
+                       help="read a previously released aggregate file instead of raw records")
+        p.set_defaults(func=cmd_rank)
 
     p_fold = sub.add_parser("fold", parents=[common],
                             help="cascaded rankings where each stage seeds the next")
@@ -313,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     dp_enabled = not args.no_dp
-    if dp_enabled and args.seed is None:
+    # ranking a saved aggregate releases nothing, so it needs no seed
+    if dp_enabled and args.seed is None and not getattr(args, "aggregate", None):
         raise ValueError("--seed is required when privacy is enabled (pass --no-dp to opt out)")
     if args.top_k is not None and args.top_k < 1:
         raise ValueError(f"--top-k must be >= 1, got {args.top_k}")
@@ -325,7 +320,6 @@ def _config_from_args(args) -> RunConfig:
         contribution_limit=args.contribution_limit,
         budget_split=args.budget_split,
         seed=args.seed if args.seed is not None else 0,
-        other_bucket=args.other_bucket,
         dp_enabled=dp_enabled,
     )
     return RunConfig(
@@ -337,7 +331,6 @@ def _config_from_args(args) -> RunConfig:
         output=args.output,
         output_format=args.output_format,
         top_k=args.top_k,
-        swap=bool(getattr(args, "swap", False) or getattr(args, "swap_forced", False)),
         threshold_override=args.threshold,
     )
 
@@ -409,12 +402,11 @@ def _ledger_event(accountant: BudgetAccountant | None) -> dict:
 
 def cmd_rank(args) -> int:
     config = _config_from_args(args)
-    aggregate_path = getattr(args, "aggregate", None)
+    swap = args.command == "flip"
     accountant = None
-    if aggregate_path:
-        table = read_aggregate_file(aggregate_path)
-        tables = build_probability_tables(table)
-        results = flip(tables, config.tol) if config.swap else rank(tables, config.tol)
+    if args.aggregate:
+        tables = build_probability_tables(read_aggregate_file(args.aggregate))
+        results = flip(tables, config.tol) if swap else rank(tables, config.tol)
         if config.top_k is not None:
             results = results[: config.top_k]
     else:
@@ -428,7 +420,7 @@ def cmd_rank(args) -> int:
             config.privacy,
             config.tol,
             accountant,
-            swap=config.swap,
+            swap=swap,
             top_k=config.top_k,
             threshold_override=config.threshold_override,
         )

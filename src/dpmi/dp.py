@@ -1,6 +1,11 @@
 """Privacy mechanisms: per-user contribution bounding, clamping, seeded Laplace
 noise, noisy-threshold censoring, and additive budget accounting.
 
+Censoring only drops: a cell whose noisy sum falls below the threshold is
+left out of the release, and no value is derived from the dropped cells, so
+under censor_threshold's threshold a cell that exists only because of one
+user is released with probability at most delta.
+
 All randomness derives from a 64-bit seed through a counter-based keyed hash,
 so the noise on a released sum depends only on (seed, query label, cell key)
 and never on the order the cells are visited in. Bounding works the same way
@@ -15,12 +20,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .model import OTHER_KEY, PrivacyConfig, Record
+from .model import PrivacyConfig, Record
 
 # Headroom so charges that exactly split the budget are not rejected by
 # floating-point rounding.
@@ -110,17 +114,11 @@ def censor_threshold(epsilon_q: float, delta: float, sensitivity: float) -> floa
     return sensitivity + (sensitivity / epsilon_q) * math.log(1.0 / (2.0 * delta))
 
 
-class CensoringMode(Enum):
-    DROP = "drop"
-    OTHER_BUCKET = "other_bucket"
-
-
 @dataclass(frozen=True)
 class CensoringPolicy:
-    """What happens to noisy sums below the threshold: dropped, or pooled."""
+    """The noisy-sum threshold below which a released cell is dropped."""
 
     threshold: float
-    mode: CensoringMode = CensoringMode.DROP
 
     def __post_init__(self) -> None:
         if not self.threshold > 0:
@@ -254,15 +252,14 @@ def release_sums(
     epsilon_q: float,
     policy: CensoringPolicy,
     rng: CellRng,
-    *,
-    bucket_key: Callable | None = None,
 ) -> dict:
     """Release a table of sums under Laplace(sensitivity / epsilon_q) noise.
 
-    Keys whose noisy sum falls below policy.threshold are censored: dropped,
-    or pooled under bucket_key(key) when the policy mode is OTHER_BUCKET
-    (pooled buckets are kept only while positive). Survivors keep their noisy
-    values. epsilon_q must already be charged to the budget accountant.
+    Keys whose noisy sum falls below policy.threshold are dropped and nothing
+    is derived from their values, so under censor_threshold's threshold a
+    cell backed by one user alone survives with probability at most delta.
+    Survivors keep their noisy values. epsilon_q must already be charged to
+    the budget accountant.
     """
     if not exact:
         return {}
@@ -271,19 +268,10 @@ def release_sums(
     if sensitivity <= 0:
         raise ValueError(f"sensitivity must be > 0, got {sensitivity}")
     scale = sensitivity / epsilon_q
-    if bucket_key is None:
-        bucket_key = lambda key: OTHER_KEY  # noqa: E731
     released: dict = {}
-    pooled: dict = {}
     for key in sorted(exact):
         parts = key if isinstance(key, tuple) else (key,)
         noisy = exact[key] + laplace_from_uniform(rng.for_key(*parts), scale)
         if noisy >= policy.threshold:
             released[key] = noisy
-        elif policy.mode is CensoringMode.OTHER_BUCKET:
-            bucket = bucket_key(key)
-            pooled[bucket] = pooled.get(bucket, 0.0) + noisy
-    for bucket in sorted(pooled):
-        if pooled[bucket] > 0:
-            released[bucket] = released.get(bucket, 0.0) + pooled[bucket]
     return released

@@ -147,13 +147,12 @@ def rank_records(
     With privacy enabled: bound contributions, clamp, aggregate, release the
     three tables under the split budget, normalize, rank. With privacy
     disabled the exact positive sums are used directly and no randomness is
-    consumed. top_k, when given, keeps the first top_k results and must be
-    at least 1.
+    consumed. swap ranks partitions per feature by flipping the released
+    table, so it spends the same budget as ranking it. top_k, when given,
+    keeps the first top_k results and must be at least 1.
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    if swap:
-        records = [Record(r.id, r.partition, r.feature, r.observation) for r in records]
     if privacy.dp_enabled and accountant is None:
         accountant = BudgetAccountant(privacy.epsilon)
     prepared = prepare_records(records, privacy)
@@ -166,7 +165,7 @@ def rank_records(
         label_prefix=label_prefix,
     )
     tables = build_probability_tables(table)
-    results = rank(tables, tol)
+    results = flip(tables, tol) if swap else rank(tables, tol)
     return results[:top_k] if top_k is not None else results
 
 
@@ -235,6 +234,8 @@ def nfold(
     records; later stages match the previous stage's top Presence features in
     the previous stage's records (where those features live). The total
     budget is validated before any stage runs, then charged stage by stage.
+    Every stage uses the run's seed; its noise is keyed apart by its
+    ``fold{i}/`` label, which is also its label on the ledger.
     """
     if not folds:
         raise ValueError("at least one fold is required")
@@ -271,10 +272,7 @@ def nfold(
         rest_ids = {r.id for r in fold.records if r.id not in cohort}
         if not cohort_ids or not rest_ids:
             raise ValueError(f"fold {i}: labeling is degenerate (one side is empty)")
-        if privacy.dp_enabled:
-            fold_privacy = replace(privacy, epsilon=fold.epsilon, seed=privacy.seed + (i - 1))
-        else:
-            fold_privacy = privacy
+        fold_privacy = replace(privacy, epsilon=fold.epsilon) if privacy.dp_enabled else privacy
         ranked = rank_records(relabeled, fold_privacy, tol, accountant, label_prefix=f"fold{i}/")
         next_seeds = tuple(
             r.feature

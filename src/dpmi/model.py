@@ -12,8 +12,9 @@ INT64_MAX = 2**63 - 1
 
 _SPLIT_TOL = 1e-12
 
-# Key under which censored dimensions are pooled; reserved, so no input row
-# may use it as a feature or partition.
+# Aggregate files written by earlier versions could pool censored dimensions
+# under this key; it stays reserved, so no input row may use it as a feature
+# or partition and an input key can never be mistaken for such a pool.
 OTHER_KEY = "__other__"
 
 
@@ -57,7 +58,7 @@ def validate_record(row: Sequence) -> Record | Rejection:
     if not rid or not feature or not partition:
         return Rejection("empty_key", "id, feature and partition must be non-empty")
     if OTHER_KEY in (feature, partition):
-        return Rejection("reserved", f"{OTHER_KEY!r} is reserved for censored dimensions")
+        return Rejection("reserved", f"{OTHER_KEY!r} is a reserved key")
     try:
         obs = float(raw_obs)
     except (TypeError, ValueError):
@@ -86,7 +87,6 @@ class PrivacyConfig:
     contribution_limit: int = 1
     budget_split: tuple[float, float, float] = (0.5, 0.25, 0.25)
     seed: int = 0
-    other_bucket: bool = False
     dp_enabled: bool = True
 
     def __post_init__(self) -> None:

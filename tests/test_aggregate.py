@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmi.aggregate import accumulate, build_probability_tables, release_aggregate_table
-from dpmi.dp import BudgetAccountant
-from dpmi.model import OTHER_KEY, AggregateTable, PrivacyConfig, Record
+from dpmi.dp import BudgetAccountant, prepare_records
+from dpmi.model import AggregateTable, PrivacyConfig, Record
 
 
 def _random_records(n, n_users=500, n_features=40, n_partitions=6, seed=0):
@@ -171,28 +171,38 @@ class TestReleaseAggregateTable:
         assert "rare" not in table.feature_marginals
         assert ("rare", "p0") not in table.joint
 
+    def test_one_new_user_adds_no_released_key(self):
+        # neighbouring datasets D and D + u, where u alone holds a new feature:
+        # a key released for D + u but not for D at the same seed can only be
+        # one of u's own cells, and at delta 1e-6 none shows up in 400 seeds
+        base = [Record(f"u{i}", f"f{i % 3}", f"p{i % 2}", 1.0) for i in range(3000)]
+        newcomer = Record("u_new", "f_new", "p0", 1.0)
+        own_cells = {
+            ("joint", (newcomer.feature, newcomer.partition)),
+            ("feature", newcomer.feature),
+            ("partition", newcomer.partition),
+        }
+
+        def released_keys(records, privacy):
+            table = release_aggregate_table(accumulate(prepare_records(records, privacy)), privacy)
+            return (
+                {("joint", key) for key in table.joint}
+                | {("feature", key) for key in table.feature_marginals}
+                | {("partition", key) for key in table.partition_marginals}
+            )
+
+        new_keys = set()
+        for seed in range(400):
+            privacy = self._config(epsilon=1.0, delta=1e-6, seed=seed)
+            new_keys |= released_keys(base + [newcomer], privacy) - released_keys(base, privacy)
+        assert new_keys <= own_cells
+        assert not new_keys
+
     def test_empty_after_censoring_raises(self):
         records = [Record("u1", "f1", "p1", 1.0)]
         acc = accumulate(records)
         with pytest.raises(ValueError, match="total"):
             release_aggregate_table(acc, self._config(epsilon=0.5, delta=1e-9))
-
-    def test_other_bucket_table_stays_consistent(self):
-        # many rare features censored alongside two common ones; pooling must
-        # not break the marginal-coverage invariant of the released table
-        records = []
-        for i in range(2000):
-            records.append(Record(f"u{i}", "common_a" if i % 2 else "common_b", f"p{i % 2}", 1.0))
-        for i in range(40):
-            records.append(Record(f"solo{i}", f"rare{i}", f"p{i % 2}", 1.0))
-        acc = accumulate(records)
-        cfg = self._config(epsilon=1.0, delta=1e-6, other_bucket=True)
-        table = release_aggregate_table(acc, cfg)
-        assert "common_a" in table.feature_marginals
-        if "__other__" in table.feature_marginals:
-            assert table.feature_marginals["__other__"] > 0
-        for f, p in table.joint:
-            assert f in table.feature_marginals and p in table.partition_marginals
 
     def test_threshold_override_applies_to_all_queries(self):
         records = [Record(f"u{i}", f"f{i % 4}", f"p{i % 2}", 1.0) for i in range(1000)]
@@ -246,13 +256,10 @@ class TestReleaseAggregateTable:
         ),
         epsilon=st.floats(min_value=0.05, max_value=20.0),
         earlier_epsilon=st.floats(min_value=0.05, max_value=20.0),
-        other_bucket=st.booleans(),
     )
-    def test_released_keys_come_from_the_exact_keys(
-        self, records, epsilon, earlier_epsilon, other_bucket
-    ):
+    def test_released_keys_come_from_the_exact_keys(self, records, epsilon, earlier_epsilon):
         acc = accumulate(records)
-        cfg = self._config(epsilon=epsilon, delta=0.1, clamp_hi=20.0, other_bucket=other_bucket)
+        cfg = self._config(epsilon=epsilon, delta=0.1, clamp_hi=20.0)
 
         def release(config, memo=None):
             try:
@@ -268,9 +275,6 @@ class TestReleaseAggregateTable:
         assert release(cfg, memo) == table
         if table is None:
             return
-        others = {OTHER_KEY} if other_bucket else set()
-        features, partitions = set(acc.feature_sums()), set(acc.partition_sums())
-        assert set(table.feature_marginals) <= features | others
-        assert set(table.partition_marginals) <= partitions | others
-        for f, p in set(table.joint) - set(acc.joint_sums()):
-            assert other_bucket and f == OTHER_KEY and p in partitions
+        assert set(table.feature_marginals) <= set(acc.feature_sums())
+        assert set(table.partition_marginals) <= set(acc.partition_sums())
+        assert set(table.joint) <= set(acc.joint_sums())

@@ -169,17 +169,38 @@ class TestRankCommand:
     def test_swap_flag_flips_roles(self, tmp_path):
         inp = _write(tmp_path / "toy.tsv", TOY)
         out = str(tmp_path / "flip.tsv")
-        assert main(["rank", "--input", inp, "--output", out, "--no-dp", "--swap"]) == 0
+        assert main(["flip", "--input", inp, "--output", out, "--no-dp"]) == 0
         lines = open(out).read().splitlines()[1:]
         partitions = {line.split("\t")[0] for line in lines}
         assert partitions == {"f1", "f2", "f3"}
 
     def test_flip_subcommand_is_rank_swap(self, tmp_path):
+        # without noise, flipping the table equals ranking with the feature
+        # and partition columns swapped at ingest
         inp = _write(tmp_path / "toy.tsv", TOY)
         a, b = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
-        assert main(["rank", "--input", inp, "--output", a, "--no-dp", "--swap"]) == 0
+        assert main(["rank", "--input", inp, "--output", a, "--no-dp",
+                     "--columns", "id,partition,feature,observation"]) == 0
         assert main(["flip", "--input", inp, "--output", b, "--no-dp"]) == 0
         assert open(a).read() == open(b).read()
+
+    def test_dp_flip_transposes_the_released_table(self, tmp_path):
+        lines = ["id\tfeature\tpartition\tobservation"]
+        lines += [f"u{i}\tf{i % 6}\tp{i % 3}\t1.0" for i in range(600)]
+        inp = _write(tmp_path / "big.tsv", "\n".join(lines) + "\n")
+        privacy = ["--epsilon", "2.0", "--delta", "1e-3", "--seed", "9"]
+        agg, direct, saved = (str(tmp_path / name) for name in ("agg.jsonl", "d.tsv", "s.tsv"))
+        assert main(["flip", "--input", inp, "--output", direct, *privacy]) == 0
+        assert main(["aggregate", "--input", inp, "--output", agg, *privacy]) == 0
+        assert main(["flip", "--aggregate", agg, "--output", saved, *privacy]) == 0
+        assert open(direct).read() == open(saved).read()
+        assert len(open(direct).read().splitlines()) > 1
+
+    @pytest.mark.parametrize("flag", ["--swap", "--other-bucket"])
+    def test_removed_flags_are_rejected(self, tmp_path, flag):
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        with pytest.raises(SystemExit):
+            main(["rank", "--input", inp, "--output", str(tmp_path / "r.tsv"), "--no-dp", flag])
 
     def test_top_k_limits_rows(self, tmp_path):
         inp = _write(tmp_path / "toy.tsv", TOY)
@@ -267,6 +288,16 @@ class TestRankCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "tol" in json.loads(err)["message"]
+
+    def test_saved_aggregate_needs_no_seed(self, tmp_path):
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        agg = str(tmp_path / "agg.jsonl")
+        assert main(["aggregate", "--input", inp, "--output", agg, "--no-dp"]) == 0
+        for command in ("rank", "flip"):
+            direct, saved = str(tmp_path / f"{command}.tsv"), str(tmp_path / f"{command}2.tsv")
+            assert main([command, "--input", inp, "--output", direct, "--no-dp"]) == 0
+            assert main([command, "--aggregate", agg, "--output", saved]) == 0
+            assert open(saved).read() == open(direct).read()
 
     def test_seed_required_with_dp(self, tmp_path, capsys):
         inp = _write(tmp_path / "toy.tsv", TOY)

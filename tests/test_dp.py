@@ -13,7 +13,6 @@ from dpmi.dp import (
     BudgetAccountant,
     BudgetExceededError,
     CellRng,
-    CensoringMode,
     CensoringPolicy,
     bound_contributions,
     censor_threshold,
@@ -309,20 +308,6 @@ class TestReleaseSums:
         out_a = release_sums(exact_a, 1.0, 1.0, policy, CellRng(1, "q"))
         out_b = release_sums(exact_b, 1.0, 1.0, policy, CellRng(1, "q"))
         assert out_a == out_b
-
-    def test_other_bucket_pools_censored_keys(self):
-        policy = CensoringPolicy(threshold=50.0, mode=CensoringMode.OTHER_BUCKET)
-        exact = {("fa", "p1"): 1.0, ("fb", "p1"): 2.0, ("fc", "p2"): 3.0, ("big", "p1"): 500.0}
-        out = release_sums(
-            exact, 1.0, 2.0, policy, CellRng(9, "joint"),
-            bucket_key=lambda key: ("__other__", key[1]),
-        )
-        assert ("big", "p1") in out
-        pooled_keys = [k for k in out if k[0] == "__other__"]
-        for key in pooled_keys:
-            assert out[key] > 0
-        # pooled mass stays near the censored exact mass (noise is small at this scale)
-        assert sum(out[k] for k in pooled_keys) == pytest.approx(6.0, abs=5.0)
 
     def test_higher_epsilon_means_weakly_smaller_noise(self):
         policy = CensoringPolicy(threshold=1e-9)

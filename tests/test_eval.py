@@ -172,9 +172,8 @@ class TestSweepMatchesPerCellOracle:
 
     EPSILONS = (0.5, math.inf, 2.0, 0.5, 8.0)
 
-    def _privacy(self, other_bucket):
-        return PrivacyConfig(epsilon=1.0, delta=0.2, clamp_lo=0.25, clamp_hi=2.0,
-                             contribution_limit=2, seed=41, other_bucket=other_bucket)
+    PRIVACY = PrivacyConfig(epsilon=1.0, delta=0.2, clamp_lo=0.25, clamp_hi=2.0,
+                            contribution_limit=2, seed=41)
 
     def test_records_exercise_bounding_and_clamping(self):
         records = _multi_row_records()
@@ -185,22 +184,20 @@ class TestSweepMatchesPerCellOracle:
         assert any(r.observation < 0.25 for r in records)
         assert any(r.observation > 2.0 for r in records)
 
-    @pytest.mark.parametrize("other_bucket", [False, True])
     @pytest.mark.parametrize("threshold", [None, 3.0])
-    def test_sweep_equals_oracle(self, other_bucket, threshold):
+    def test_sweep_equals_oracle(self, threshold):
         records = _multi_row_records()
-        privacy = self._privacy(other_bucket)
+        privacy = self.PRIVACY
         kwargs = dict(epsilons=self.EPSILONS, trials=3, top_k=60, threshold_override=threshold)
         rows = epsilon_sweep(records, privacy, **kwargs)
         assert rows == epsilon_sweep_oracle(records, privacy, **kwargs)
         assert [r.epsilon for r in rows] == list(self.EPSILONS)
         assert rows[1].percentiles[90] == 0.0 and rows[1].dropped == 0.0
 
-    @pytest.mark.parametrize("other_bucket", [False, True])
     @pytest.mark.parametrize("threshold", [None, 3.0])
-    def test_stability_equals_oracle(self, other_bucket, threshold):
+    def test_stability_equals_oracle(self, threshold):
         records = _multi_row_records()
-        privacy = self._privacy(other_bucket)
+        privacy = self.PRIVACY
         kwargs = dict(epsilon=2.0, trials=3, top_k=40, buckets=4, threshold_override=threshold)
         rows = head_tail_stability(records, privacy, **kwargs)
         assert all(math.isfinite(r.medae) for r in rows)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from dpmi.dp import BudgetAccountant, BudgetExceededError
 from dpmi.mi import (
     COHORT_LABEL,
+    REST_LABEL,
     FoldSpec,
     binary_rank,
     calc_mi,
@@ -337,6 +339,26 @@ class TestNfold:
         with pytest.raises(BudgetExceededError):
             nfold(folds, privacy, accountant=accountant)
         assert accountant.spent_epsilon == 0.0
+
+    def test_later_stage_releases_under_the_run_seed(self):
+        # stage 2 is rank_records on its relabelled records at the run's seed,
+        # its noise keyed apart from stage 1's by the "fold2/" label alone
+        stage1, stage2 = _two_stage_records()
+        privacy = PrivacyConfig(epsilon=4.0, delta=1e-2, contribution_limit=2, seed=3)
+        folds = [
+            FoldSpec(records=stage1, epsilon=1.5, seeds=("seed_kw",), top_k=6),
+            FoldSpec(records=stage2, epsilon=2.5, seeds=None, top_k=4),
+        ]
+        first, second = nfold(folds, privacy)
+        assert first.next_seeds
+        seeds = set(first.next_seeds)
+        cohort = {r.id for r in stage1 if r.feature in seeds and r.observation > 0}
+        relabeled = [
+            Record(r.id, r.feature, COHORT_LABEL if r.id in cohort else REST_LABEL, r.observation)
+            for r in stage2
+        ]
+        manual = rank_records(relabeled, replace(privacy, epsilon=2.5), label_prefix="fold2/")
+        assert second.results == manual
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_fold_top_k_below_one_rejected(self, top_k):

@@ -14,7 +14,6 @@ import logging
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from .aggregate import accumulate, build_probability_tables, release_aggregate_table
 from .dp import BudgetAccountant, prepare_records
@@ -35,21 +34,7 @@ from .model import AggregateTable, PrivacyConfig, Record, Rejection, validate_re
 logger = logging.getLogger(__name__)
 
 DEFAULT_COLUMNS = ("id", "feature", "partition", "observation")
-
-
-@dataclass
-class RunConfig:
-    """Everything one subcommand invocation needs, parsed and validated."""
-
-    inputs: list[str]
-    input_format: str  # "delimited" | "jsonl"
-    columns: tuple[str, str, str, str]
-    privacy: PrivacyConfig
-    tol: float
-    output: str
-    output_format: str  # "tsv" | "jsonl"
-    top_k: int | None = None
-    threshold_override: float | None = None
+SYNTH_KEYS = ("users", "features", "partitions", "strength", "zipf")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threshold", type=float, default=None,
                         help="override the derived censoring threshold")
     common.add_argument("--no-dp", action="store_true", help="disable the privacy mechanisms")
-    common.add_argument("--tol", type=float, default=1e-16, help="probability floor for MI cells")
     common.add_argument("--top-k", type=int, default=None)
     common.add_argument("--seed", type=int, default=None,
                         help="required unless --no-dp or --aggregate")
@@ -298,21 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--stability-epsilon", type=float, default=1.0)
     p_eval.add_argument("--runtime", action="store_true",
                         help="time batched vs sequential one-vs-all runs instead of sweeping")
-    p_eval.add_argument("--partitions", type=int, default=None,
-                        help="override the synthetic partition count")
     p_eval.set_defaults(func=cmd_eval)
 
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _privacy_from_args(args) -> PrivacyConfig:
     dp_enabled = not args.no_dp
     # ranking a saved aggregate releases nothing, so it needs no seed
     if dp_enabled and args.seed is None and not getattr(args, "aggregate", None):
         raise ValueError("--seed is required when privacy is enabled (pass --no-dp to opt out)")
     if args.top_k is not None and args.top_k < 1:
         raise ValueError(f"--top-k must be >= 1, got {args.top_k}")
-    privacy = PrivacyConfig(
+    return PrivacyConfig(
         epsilon=args.epsilon,
         delta=args.delta,
         clamp_lo=args.clamp[0],
@@ -322,23 +304,20 @@ def _config_from_args(args) -> RunConfig:
         seed=args.seed if args.seed is not None else 0,
         dp_enabled=dp_enabled,
     )
-    return RunConfig(
-        inputs=list(args.input),
-        input_format=args.format,
-        columns=args.columns,
-        privacy=privacy,
-        tol=args.tol,
-        output=args.output,
-        output_format=args.output_format,
-        top_k=args.top_k,
-        threshold_override=args.threshold,
-    )
 
 
-def _read_single_input(config: RunConfig):
-    if len(config.inputs) != 1:
-        raise ValueError(f"expected exactly one --input, got {len(config.inputs)}")
-    return read_records(config.inputs[0], config.input_format, config.columns)
+def _single_input(args) -> str:
+    if len(args.input) != 1:
+        raise ValueError(f"expected exactly one --input, got {len(args.input)}")
+    return args.input[0]
+
+
+def _ingest(path: str, args) -> tuple[list[Record], dict]:
+    """Read one input file; log and return its counts (rows read, rejected by reason)."""
+    records, rejects, rows_read = read_records(path, args.format, args.columns)
+    counts = {"rows_read": rows_read, "rows_rejected": dict(sorted(rejects.items()))}
+    logger.info("%s: %d rows read, rejected by reason: %s", path, rows_read, counts["rows_rejected"])
+    return records, counts
 
 
 # ---------------------------------------------------------------------------
@@ -346,28 +325,21 @@ def _read_single_input(config: RunConfig):
 
 
 def cmd_aggregate(args) -> int:
-    config = _config_from_args(args)
-    records, rejects, rows_read = _read_single_input(config)
-    prepared = prepare_records(records, config.privacy)
+    privacy = _privacy_from_args(args)
+    records, counts = _ingest(_single_input(args), args)
+    prepared = prepare_records(records, privacy)
     acc = accumulate(prepared)
-    accountant = BudgetAccountant(config.privacy.epsilon) if config.privacy.dp_enabled else None
+    accountant = BudgetAccountant(privacy.epsilon) if privacy.dp_enabled else None
     release_events: list = []
     table = release_aggregate_table(
         acc,
-        config.privacy,
+        privacy,
         accountant,
-        threshold_override=config.threshold_override,
+        threshold_override=args.threshold,
         manifest=release_events,
     )
-    write_aggregate_file(table, config.output)
-    events = [
-        {
-            "event": "ingest",
-            "rows_read": rows_read,
-            "rows_rejected": dict(sorted(rejects.items())),
-            "rows_after_bounding": len(prepared),
-        }
-    ]
+    write_aggregate_file(table, args.output)
+    events = [{"event": "ingest", **counts, "rows_after_bounding": len(prepared)}]
     events += [{"event": "release", **entry} for entry in release_events]
     events.append(
         {
@@ -379,8 +351,8 @@ def cmd_aggregate(args) -> int:
             "partitions": len(table.partition_marginals),
         }
     )
-    write_manifest(config.output + ".manifest.jsonl", events)
-    logger.info("aggregate written to %s (%d joint cells)", config.output, len(table.joint))
+    write_manifest(args.output + ".manifest.jsonl", events)
+    logger.info("aggregate written to %s (%d joint cells)", args.output, len(table.joint))
     return 0
 
 
@@ -401,68 +373,59 @@ def _ledger_event(accountant: BudgetAccountant | None) -> dict:
 
 
 def cmd_rank(args) -> int:
-    config = _config_from_args(args)
+    privacy = _privacy_from_args(args)
     swap = args.command == "flip"
     accountant = None
     if args.aggregate:
         tables = build_probability_tables(read_aggregate_file(args.aggregate))
-        results = flip(tables, config.tol) if swap else rank(tables, config.tol)
-        if config.top_k is not None:
-            results = results[: config.top_k]
+        results = flip(tables) if swap else rank(tables)
+        if args.top_k is not None:
+            results = results[: args.top_k]
     else:
-        records, rejects, _ = _read_single_input(config)
-        if rejects:
-            logger.info("rejected rows by reason: %s", dict(sorted(rejects.items())))
-        if config.privacy.dp_enabled:
-            accountant = BudgetAccountant(config.privacy.epsilon)
+        records, _ = _ingest(_single_input(args), args)
+        if privacy.dp_enabled:
+            accountant = BudgetAccountant(privacy.epsilon)
         results = rank_records(
             records,
-            config.privacy,
-            config.tol,
+            privacy,
             accountant,
             swap=swap,
-            top_k=config.top_k,
-            threshold_override=config.threshold_override,
+            top_k=args.top_k,
+            threshold_override=args.threshold,
         )
-    write_results(results, config.output, config.output_format)
-    write_manifest(config.output + ".manifest.jsonl", [_ledger_event(accountant)])
-    logger.info("%d ranked pairs written to %s", len(results), config.output)
+    write_results(results, args.output, args.output_format)
+    write_manifest(args.output + ".manifest.jsonl", [_ledger_event(accountant)])
+    logger.info("%d ranked pairs written to %s", len(results), args.output)
     return 0
 
 
 def cmd_fold(args) -> int:
-    config = _config_from_args(args)
-    if not config.inputs:
+    privacy = _privacy_from_args(args)
+    if not args.input:
         raise ValueError("fold needs at least one --input")
     fold_epsilons = args.fold_epsilons
     if fold_epsilons is None:
-        fold_epsilons = [config.privacy.epsilon / len(config.inputs)] * len(config.inputs)
-    if len(fold_epsilons) != len(config.inputs):
+        fold_epsilons = [privacy.epsilon / len(args.input)] * len(args.input)
+    if len(fold_epsilons) != len(args.input):
         raise ValueError(
-            f"got {len(fold_epsilons)} fold epsilons for {len(config.inputs)} inputs"
+            f"got {len(fold_epsilons)} fold epsilons for {len(args.input)} inputs"
         )
     if not args.seeds:
         raise ValueError("--seeds is required for the first fold")
     seeds = tuple(s for s in args.seeds.split(",") if s)
-    folds = []
-    for i, path in enumerate(config.inputs):
-        records, _, _ = read_records(path, config.input_format, config.columns)
-        folds.append(
-            FoldSpec(
-                records=records,
-                epsilon=fold_epsilons[i],
-                seeds=seeds if i == 0 else None,
-                top_k=args.fold_top_k,
-            )
-        )
-    accountant = BudgetAccountant(config.privacy.epsilon) if config.privacy.dp_enabled else None
-    fold_results = nfold(folds, config.privacy, config.tol, accountant)
+    ingested = [_ingest(path, args) for path in args.input]
+    folds = [
+        FoldSpec(records=records, epsilon=eps, seeds=seeds if i == 0 else None, top_k=args.fold_top_k)
+        for i, ((records, _), eps) in enumerate(zip(ingested, fold_epsilons))
+    ]
+    accountant = BudgetAccountant(privacy.epsilon) if privacy.dp_enabled else None
+    fold_results = nfold(folds, privacy, accountant)
     events = []
-    for fr in fold_results:
-        suffix = "tsv" if config.output_format == "tsv" else "jsonl"
-        out_path = f"{config.output}.fold{fr.index}.{suffix}"
-        results = fr.results[: config.top_k] if config.top_k is not None else fr.results
-        write_results(results, out_path, config.output_format)
+    for fr, (_, counts) in zip(fold_results, ingested):
+        suffix = "tsv" if args.output_format == "tsv" else "jsonl"
+        out_path = f"{args.output}.fold{fr.index}.{suffix}"
+        results = fr.results[: args.top_k] if args.top_k is not None else fr.results
+        write_results(results, out_path, args.output_format)
         events.append(
             {
                 "event": "fold",
@@ -473,64 +436,64 @@ def cmd_fold(args) -> int:
                 "seeds": list(fr.seeds),
                 "next_seeds": list(fr.next_seeds),
                 "output": out_path,
+                **counts,
             }
         )
     events.append(
         {
             "event": "summary",
-            "epsilon_total": config.privacy.epsilon,
+            "epsilon_total": privacy.epsilon,
             "epsilon_spent": accountant.spent_epsilon if accountant else 0.0,
             "folds": len(fold_results),
         }
     )
-    write_manifest(config.output + ".manifest.jsonl", events)
+    write_manifest(args.output + ".manifest.jsonl", events)
     return 0
 
 
-def _build_synth_records(kv: dict, seed: int, partitions_override: int | None) -> list[Record]:
+def _build_synth_records(kv: dict, seed: int) -> list[Record]:
+    unknown = sorted(set(kv) - set(SYNTH_KEYS))
+    if unknown:
+        raise ValueError(f"unknown --synth key(s) {unknown}; expected some of {list(SYNTH_KEYS)}")
     users = int(kv.get("users", 10000))
     features = int(kv.get("features", 500))
     partitions = int(kv.get("partitions", 10))
     strength = float(kv.get("strength", 0.9))
     zipf = float(kv.get("zipf", 1.3))
-    if partitions_override is not None:
-        partitions = partitions_override
     return synth_generate(users, features, partitions, strength, seed, zipf_exponent=zipf)
 
 
 def cmd_eval(args) -> int:
-    config = _config_from_args(args)
+    privacy = _privacy_from_args(args)
     if args.synth is not None:
-        records = _build_synth_records(args.synth, config.privacy.seed, args.partitions)
+        records = _build_synth_records(args.synth, privacy.seed)
     else:
-        records, _, _ = _read_single_input(config)
-    os.makedirs(config.output, exist_ok=True)
+        records, _ = _ingest(_single_input(args), args)
+    os.makedirs(args.output, exist_ok=True)
     if args.runtime:
-        rt = runtime_compare(records, config.tol)
-        write_runtime_tsv(rt, os.path.join(config.output, "runtime.tsv"))
+        rt = runtime_compare(records)
+        write_runtime_tsv(rt, os.path.join(args.output, "runtime.tsv"))
         logger.info("runtime ratio %.2f over %d partitions", rt.ratio, rt.partitions)
         return 0
-    top_k = config.top_k if config.top_k is not None else 10000
+    top_k = args.top_k if args.top_k is not None else 10000
     sweep_rows = epsilon_sweep(
         records,
-        config.privacy,
-        config.tol,
+        privacy,
         epsilons=args.epsilons,
         trials=args.trials,
         top_k=top_k,
-        threshold_override=config.threshold_override,
+        threshold_override=args.threshold,
     )
-    write_sweep_tsv(sweep_rows, os.path.join(config.output, "sweep.tsv"))
+    write_sweep_tsv(sweep_rows, os.path.join(args.output, "sweep.tsv"))
     stability_rows = head_tail_stability(
         records,
-        config.privacy,
-        config.tol,
+        privacy,
         epsilon=args.stability_epsilon,
         trials=args.trials,
         top_k=min(top_k, 100),
-        threshold_override=config.threshold_override,
+        threshold_override=args.threshold,
     )
-    write_stability_tsv(stability_rows, os.path.join(config.output, "stability.tsv"))
+    write_stability_tsv(stability_rows, os.path.join(args.output, "stability.tsv"))
     return 0
 
 

@@ -97,7 +97,6 @@ def _check_sweep_args(epsilons: Sequence[float], trials: int) -> None:
 def _private_rankings(
     records: Sequence[Record],
     privacy: PrivacyConfig,
-    tol: float,
     epsilons: Sequence[float],
     trials: int,
     baseline: list[RankedResult],
@@ -129,13 +128,12 @@ def _private_rankings(
                 threshold_override=threshold_override,
                 memo=memo,
             )
-            yield trial, eps, rank(build_probability_tables(table), tol)
+            yield trial, eps, rank(build_probability_tables(table))
 
 
 def epsilon_sweep(
     records: Sequence[Record],
     privacy: PrivacyConfig,
-    tol: float = 1e-16,
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
     trials: int = 5,
     top_k: int = 10000,
@@ -149,14 +147,15 @@ def epsilon_sweep(
     release the same bounded table from the same keyed uniforms, so each
     epsilon's noise is a scaled copy of one draw per cell. An infinite
     epsilon compares the baseline with itself and yields an all-zero row.
-    ``threads`` is accepted and ignored.
+    Every ranking uses the fixed MI floor ``mi.TOL``. ``threads`` is
+    accepted and ignored.
     """
     _check_sweep_args(epsilons, trials)
-    baseline = rank_records(records, replace(privacy, dp_enabled=False), tol)
+    baseline = rank_records(records, replace(privacy, dp_enabled=False))
     percentiles: dict[float, list[dict[int, float]]] = {eps: [] for eps in epsilons}
     dropped: dict[float, list[int]] = {eps: [] for eps in epsilons}
     for _, eps, private in _private_rankings(
-        records, privacy, tol, epsilons, trials, baseline, threshold_override
+        records, privacy, epsilons, trials, baseline, threshold_override
     ):
         cmp = compare_rankings(baseline, private, top_k)
         percentiles[eps].append(cmp.percentiles)
@@ -180,7 +179,6 @@ class StabilityRow:
 def head_tail_stability(
     records: Sequence[Record],
     privacy: PrivacyConfig,
-    tol: float = 1e-16,
     epsilon: float = 1.0,
     trials: int = 5,
     top_k: int = 100,
@@ -199,14 +197,14 @@ def head_tail_stability(
     _check_sweep_args((epsilon,), trials)
     if buckets < 1:
         raise ValueError(f"buckets must be >= 1, got {buckets}")
-    baseline = rank_records(records, replace(privacy, dp_enabled=False), tol)
+    baseline = rank_records(records, replace(privacy, dp_enabled=False))
     head = baseline[:top_k]
     if len(head) < buckets:
         raise ValueError(f"need at least {buckets} baseline pairs, got {len(head)}")
     edges = [round(j * len(head) / buckets) for j in range(buckets + 1)]
     per_bucket: list[list[float]] = [[] for _ in range(buckets)]
     for _, _, private in _private_rankings(
-        records, privacy, tol, (epsilon,), trials, baseline, threshold_override
+        records, privacy, (epsilon,), trials, baseline, threshold_override
     ):
         private_rank = {(r.partition, r.feature): r.rank for r in private}
         for b in range(buckets):
@@ -237,28 +235,28 @@ class RuntimeComparison:
 
 def runtime_compare(
     records: Sequence[Record],
-    tol: float = 1e-16,
     threads: int = 1,
 ) -> RuntimeComparison:
     """Wall-clock of one batched multi-partition ranking vs sequential
     one-vs-all reruns over the same records.
 
-    Privacy is disabled on both sides so only the compute paths differ. The
-    per-partition result lists are kept so callers can check that both paths
-    agree on MI values. ``threads`` is accepted and ignored.
+    Privacy is disabled on both sides, and both rank at the fixed MI floor
+    ``mi.TOL``, so only the compute paths differ. The per-partition result
+    lists are kept so callers can check that both paths agree on MI values.
+    ``threads`` is accepted and ignored.
     """
     partitions = sorted({r.partition for r in records})
     if len(partitions) < 2:
         raise ValueError(f"need at least 2 partitions, got {len(partitions)}")
     nodp = PrivacyConfig(epsilon=1.0, dp_enabled=False)
     start = time.perf_counter()
-    batched = rank_records(records, nodp, tol)
+    batched = rank_records(records, nodp)
     batched_seconds = time.perf_counter() - start
     binary_results: dict[str, list[RankedResult]] = {}
     binary_seconds = 0.0
     for partition in partitions:
         start = time.perf_counter()
-        binary_results[partition] = binary_rank(records, partition, nodp, tol)
+        binary_results[partition] = binary_rank(records, partition, nodp)
         binary_seconds += time.perf_counter() - start
     return RuntimeComparison(
         rows=len(records),

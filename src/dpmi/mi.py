@@ -26,8 +26,11 @@ REST_LABEL = "__rest__"
 # when the smaller domain crosses this size.
 CARDINALITY_WARNING = 1_000_000
 
+# Probability floor of every MI cell (see calc_single_mi).
+TOL = 1e-16
 
-def calc_single_mi(p_x: float, p_y: float, p_xy: float, tol: float = 1e-16) -> float:
+
+def calc_single_mi(p_x: float, p_y: float, p_xy: float, tol: float = TOL) -> float:
     """One cell's contribution: p_xy * ln(p_xy / max(p_x * p_y, tol)).
 
     Cells with p_xy below tol contribute nothing, and the marginal product is
@@ -41,7 +44,7 @@ def calc_single_mi(p_x: float, p_y: float, p_xy: float, tol: float = 1e-16) -> f
     return p_xy * math.log(p_xy / phi)
 
 
-def calc_mi(p_x: float, p_y: float, p_xy: float, tol: float = 1e-16) -> float:
+def calc_mi(p_x: float, p_y: float, p_xy: float, tol: float = TOL) -> float:
     """Binary MI: the four-cell presence/absence decomposition of one pair.
 
     Complement cells are derived from the triple and floored at zero, since
@@ -74,21 +77,16 @@ def direction(p_x: float, p_y: float, p_xy: float) -> Direction:
     return Direction.PRESENCE if inside > outside else Direction.ABSENCE
 
 
-def rank(
-    tables: Mapping[tuple[str, str], ProbabilityTriple],
-    tol: float = 1e-16,
-) -> list[RankedResult]:
+def rank(tables: Mapping[tuple[str, str], ProbabilityTriple]) -> list[RankedResult]:
     """Score every pair and order globally by MI descending.
 
-    tol is the probability floor below which a joint cell contributes
-    nothing. Ties break by (partition, feature) so repeated runs emit
-    identical files. Scores pushed below zero by noise artifacts are clamped
-    to zero. A partition holding the whole total (p_y == 1) means no other
-    partition survived, so there is nothing to compare it against: the
-    result is empty and a warning is logged.
+    MI cells use the fixed probability floor ``TOL``. Ties break by
+    (partition, feature) so repeated runs emit identical files. Scores
+    pushed below zero by noise artifacts are clamped to zero. A partition
+    holding the whole total (p_y == 1) means no other partition survived, so
+    there is nothing to compare it against: the result is empty and a warning
+    is logged.
     """
-    if not 0 < tol < 1e-6:
-        raise ValueError(f"tol must lie in (0, 1e-6), got {tol}")
     if not tables:
         return []
     if any(t.p_y == 1.0 for t in tables.values()):
@@ -104,7 +102,7 @@ def rank(
         )
     scored = []
     for (feature, partition), t in sorted(tables.items()):
-        mi = calc_mi(t.p_x, t.p_y, t.p_xy, tol)
+        mi = calc_mi(t.p_x, t.p_y, t.p_xy)
         scored.append((max(0.0, mi), direction(t.p_x, t.p_y, t.p_xy), partition, feature))
     scored.sort(key=lambda s: (-s[0], s[2], s[3]))
     return [
@@ -123,18 +121,14 @@ def transpose_tables(
     }
 
 
-def flip(
-    tables: Mapping[tuple[str, str], ProbabilityTriple],
-    tol: float = 1e-16,
-) -> list[RankedResult]:
+def flip(tables: Mapping[tuple[str, str], ProbabilityTriple]) -> list[RankedResult]:
     """Rank partitions per feature, reusing MI symmetry on the transposed table."""
-    return rank(transpose_tables(tables), tol)
+    return rank(transpose_tables(tables))
 
 
 def rank_records(
     records: Iterable[Record],
     privacy: PrivacyConfig,
-    tol: float = 1e-16,
     accountant: BudgetAccountant | None = None,
     *,
     swap: bool = False,
@@ -165,7 +159,7 @@ def rank_records(
         label_prefix=label_prefix,
     )
     tables = build_probability_tables(table)
-    results = flip(tables, tol) if swap else rank(tables, tol)
+    results = flip(tables) if swap else rank(tables)
     return results[:top_k] if top_k is not None else results
 
 
@@ -173,7 +167,6 @@ def binary_rank(
     records: Iterable[Record],
     partition: str,
     privacy: PrivacyConfig,
-    tol: float = 1e-16,
     **kwargs,
 ) -> list[RankedResult]:
     """One-vs-all ranking for a single partition label.
@@ -185,7 +178,7 @@ def binary_rank(
         r if r.partition == partition else Record(r.id, r.feature, REST_LABEL, r.observation)
         for r in records
     ]
-    return rank_records(relabeled, privacy, tol, **kwargs)
+    return rank_records(relabeled, privacy, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -225,7 +218,6 @@ def _match_cohort(records: Sequence[Record], seeds: tuple[str, ...]) -> set[str]
 def nfold(
     folds: Sequence[FoldSpec],
     privacy: PrivacyConfig,
-    tol: float = 1e-16,
     accountant: BudgetAccountant | None = None,
 ) -> list[FoldResult]:
     """Run the cascade: each stage labels ids cohort-vs-rest and ranks binary MI.
@@ -273,7 +265,7 @@ def nfold(
         if not cohort_ids or not rest_ids:
             raise ValueError(f"fold {i}: labeling is degenerate (one side is empty)")
         fold_privacy = replace(privacy, epsilon=fold.epsilon) if privacy.dp_enabled else privacy
-        ranked = rank_records(relabeled, fold_privacy, tol, accountant, label_prefix=f"fold{i}/")
+        ranked = rank_records(relabeled, fold_privacy, accountant, label_prefix=f"fold{i}/")
         next_seeds = tuple(
             r.feature
             for r in ranked

@@ -40,7 +40,6 @@ class Rejection:
     """Why an input row was refused at validation."""
 
     reason: str  # one of "fields", "empty_key", "reserved", "parse", "negative", "non_finite"
-    detail: str = ""
 
 
 def validate_record(row: Sequence) -> Record | Rejection:
@@ -52,21 +51,21 @@ def validate_record(row: Sequence) -> Record | Rejection:
     parse as a finite number >= 0.
     """
     if len(row) != 4:
-        return Rejection("fields", f"expected 4 fields, got {len(row)}")
+        return Rejection("fields")
     raw_id, raw_feature, raw_partition, raw_obs = row
     rid, feature, partition = str(raw_id), str(raw_feature), str(raw_partition)
     if not rid or not feature or not partition:
-        return Rejection("empty_key", "id, feature and partition must be non-empty")
+        return Rejection("empty_key")
     if OTHER_KEY in (feature, partition):
-        return Rejection("reserved", f"{OTHER_KEY!r} is a reserved key")
+        return Rejection("reserved")
     try:
         obs = float(raw_obs)
     except (TypeError, ValueError):
-        return Rejection("parse", f"bad observation {raw_obs!r}")
+        return Rejection("parse")
     if math.isnan(obs) or math.isinf(obs):
-        return Rejection("non_finite", f"observation {obs!r}")
+        return Rejection("non_finite")
     if obs < 0:
-        return Rejection("negative", f"observation {obs}")
+        return Rejection("negative")
     return Record(rid, feature, partition, obs)
 
 

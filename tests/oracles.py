@@ -61,10 +61,10 @@ def percentile_nearest_rank(values, pct: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=float), pct, method="inverted_cdf"))
 
 
-def epsilon_sweep_oracle(records, privacy, tol=1e-16, epsilons=(), trials=5, top_k=10000,
+def epsilon_sweep_oracle(records, privacy, epsilons=(), trials=5, top_k=10000,
                          threshold_override=None):
     """Sweep rows from one private ``rank_records`` run per (epsilon, trial)."""
-    baseline = rank_records(records, replace(privacy, dp_enabled=False), tol)
+    baseline = rank_records(records, replace(privacy, dp_enabled=False))
     rows = []
     for eps in epsilons:
         cells = []
@@ -73,7 +73,7 @@ def epsilon_sweep_oracle(records, privacy, tol=1e-16, epsilons=(), trials=5, top
                 private = baseline
             else:
                 cfg = replace(privacy, epsilon=eps, dp_enabled=True, seed=privacy.seed + trial)
-                private = rank_records(records, cfg, tol, threshold_override=threshold_override)
+                private = rank_records(records, cfg, threshold_override=threshold_override)
             cells.append(compare_rankings(baseline, private, top_k))
         rows.append(
             SweepRow(
@@ -85,16 +85,16 @@ def epsilon_sweep_oracle(records, privacy, tol=1e-16, epsilons=(), trials=5, top
     return rows
 
 
-def head_tail_stability_oracle(records, privacy, tol=1e-16, epsilon=1.0, trials=5, top_k=100,
+def head_tail_stability_oracle(records, privacy, epsilon=1.0, trials=5, top_k=100,
                                buckets=10, threshold_override=None):
     """Stability rows from one private ``rank_records`` run per trial."""
-    baseline = rank_records(records, replace(privacy, dp_enabled=False), tol)
+    baseline = rank_records(records, replace(privacy, dp_enabled=False))
     head = baseline[:top_k]
     edges = [round(j * len(head) / buckets) for j in range(buckets + 1)]
     per_bucket = [[] for _ in range(buckets)]
     for trial in range(trials):
         cfg = replace(privacy, epsilon=epsilon, dp_enabled=True, seed=privacy.seed + trial)
-        private = rank_records(records, cfg, tol, threshold_override=threshold_override)
+        private = rank_records(records, cfg, threshold_override=threshold_override)
         private_rank = {(r.partition, r.feature): r.rank for r in private}
         for b in range(buckets):
             errors = sorted(

@@ -196,7 +196,7 @@ class TestRankCommand:
         assert open(direct).read() == open(saved).read()
         assert len(open(direct).read().splitlines()) > 1
 
-    @pytest.mark.parametrize("flag", ["--swap", "--other-bucket"])
+    @pytest.mark.parametrize("flag", ["--swap", "--other-bucket", "--tol"])
     def test_removed_flags_are_rejected(self, tmp_path, flag):
         inp = _write(tmp_path / "toy.tsv", TOY)
         with pytest.raises(SystemExit):
@@ -280,15 +280,6 @@ class TestRankCommand:
         assert main(["rank", "--input", inp, "--output", out, "--seed", "3"]) == 0
         assert open(out).read() == "partition\tfeature\tmi\tdirection\trank\n"
 
-    def test_out_of_range_tol_errors(self, tmp_path, capsys):
-        inp = _write(tmp_path / "toy.tsv", TOY)
-        rc = main(["rank", "--input", inp, "--output", str(tmp_path / "r.tsv"), "--no-dp",
-                   "--tol", "0"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert "tol" in json.loads(err)["message"]
-
     def test_saved_aggregate_needs_no_seed(self, tmp_path):
         inp = _write(tmp_path / "toy.tsv", TOY)
         agg = str(tmp_path / "agg.jsonl")
@@ -371,6 +362,17 @@ class TestFoldCommand:
         assert fold_event["cohort_size"] == 200
         assert fold_event["rest_size"] == 400
 
+    def test_rejected_rows_counted_per_fold(self, tmp_path):
+        f1, f2 = self._stage_files(tmp_path)
+        with open(f1, "a", encoding="utf-8") as fh:
+            fh.write("e999\tbg_kw1\tall\tnot_a_number\ne998\tbg_kw1\tall\t-1\n")
+        base = str(tmp_path / "out")
+        assert main(["fold", "--input", f1, "--input", f2, "--output", base,
+                     "--seeds", "seed_kw", "--no-dp"]) == 0
+        fold_events = [m for m in _read_manifest(base + ".manifest.jsonl") if m["event"] == "fold"]
+        assert [m["rows_read"] for m in fold_events] == [802, 600]
+        assert [m["rows_rejected"] for m in fold_events] == [{"negative": 1, "parse": 1}, {}]
+
     def test_fold_top_k_below_one_errors(self, tmp_path, capsys):
         f1, _ = self._stage_files(tmp_path)
         rc = main([
@@ -442,7 +444,7 @@ class TestEvalCommand:
     def test_runtime_mode(self, tmp_path):
         out = str(tmp_path / "rt")
         assert main([
-            "eval", "--synth", "users=2000,features=40", "--partitions", "3",
+            "eval", "--synth", "users=2000,features=40,partitions=3",
             "--runtime", "--seed", "1", "--output", out, "--no-dp",
         ]) == 0
         lines = open(f"{out}/runtime.tsv").read().splitlines()
@@ -450,6 +452,21 @@ class TestEvalCommand:
         fields = lines[1].split("\t")
         assert fields[0] == "2000" and fields[1] == "3"
         assert float(fields[4]) > 0
+
+    def test_partitions_flag_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["eval", "--synth", "users=500,features=40", "--partitions", "3", "--runtime",
+                  "--no-dp", "--seed", "1", "--output", str(tmp_path / "d")])
+
+    def test_unknown_synth_key_errors(self, tmp_path, capsys):
+        rc = main(["eval", "--synth", "users=500,features=40,partition=3", "--runtime",
+                   "--no-dp", "--seed", "1", "--output", str(tmp_path / "d")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and "partition" in payload["message"]
+        assert not os.path.exists(tmp_path / "d")
 
 
 def _run_cli(*argv):

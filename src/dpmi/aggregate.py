@@ -1,14 +1,16 @@
 """Group-by and release stages.
 
-One pass fills an accumulator that keeps per-key value multisets rather than
-running sums; the final sums come from math.fsum, whose exactly-rounded
-result makes them bit-identical for any order of the input records.
+One pass fills an accumulator that keeps each joint cell's value multiset
+rather than a running sum. A marginal's multiset is the union of its cells'
+multisets. Every sum comes from math.fsum, whose exactly-rounded result
+makes it bit-identical for any order of the input records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from .dp import BudgetAccountant, CellRng, CensoringPolicy, censor_threshold, release_sums
@@ -25,28 +27,30 @@ CONTAINMENT_MARGIN = 1e-12
 
 @dataclass
 class Accumulator:
-    """Grouped observations at the three aggregation levels."""
+    """Observations grouped by (feature, partition) cell.
+
+    Only the joint cells hold values. A feature's or a partition's marginal
+    sum is the fsum over the union of its cells' lists: the same multiset a
+    per-marginal list would hold, so the exactly rounded sum has the same bits.
+    """
 
     partial_joint: dict[tuple[str, str], list[float]] = field(default_factory=dict)
-    partial_feature: dict[str, list[float]] = field(default_factory=dict)
-    partial_partition: dict[str, list[float]] = field(default_factory=dict)
     row_count: int = 0
-
-    def add(self, record: Record) -> None:
-        obs = record.observation
-        self.partial_joint.setdefault((record.feature, record.partition), []).append(obs)
-        self.partial_feature.setdefault(record.feature, []).append(obs)
-        self.partial_partition.setdefault(record.partition, []).append(obs)
-        self.row_count += 1
 
     def joint_sums(self) -> dict[tuple[str, str], float]:
         return {key: math.fsum(vals) for key, vals in sorted(self.partial_joint.items())}
 
     def feature_sums(self) -> dict[str, float]:
-        return {key: math.fsum(vals) for key, vals in sorted(self.partial_feature.items())}
+        return self._marginal_sums(0)
 
     def partition_sums(self) -> dict[str, float]:
-        return {key: math.fsum(vals) for key, vals in sorted(self.partial_partition.items())}
+        return self._marginal_sums(1)
+
+    def _marginal_sums(self, axis: int) -> dict[str, float]:
+        cells: dict[str, list[list[float]]] = {}
+        for key, vals in self.partial_joint.items():
+            cells.setdefault(key[axis], []).append(vals)
+        return {key: math.fsum(chain.from_iterable(lists)) for key, lists in sorted(cells.items())}
 
 
 def accumulate(records: Iterable[Record]) -> Accumulator:
@@ -55,8 +59,10 @@ def accumulate(records: Iterable[Record]) -> Accumulator:
     Records must already be contribution-bounded and clamped.
     """
     acc = Accumulator()
+    joint = acc.partial_joint
     for rec in records:
-        acc.add(rec)
+        joint.setdefault((rec.feature, rec.partition), []).append(rec.observation)
+        acc.row_count += 1
     return acc
 
 
@@ -152,17 +158,14 @@ def build_probability_tables(
     """Normalize released sums into per-pair probability triples.
 
     All three probability families share the released grand total as their
-    denominator. Pairs whose feature or partition marginal was censored are
-    dropped. Noise can leave p_xy above min(p_x, p_y); such triples are
-    repaired by pulling p_xy just below the smaller marginal.
+    denominator; AggregateTable guarantees it is positive and that every
+    joint cell has both marginals. Noise can leave p_xy above
+    min(p_x, p_y); such triples are repaired by pulling p_xy just below the
+    smaller marginal.
     """
-    if not table.total > 0:
-        raise ValueError(f"released total must be > 0, got {table.total}")
     total = table.total
     out: dict[tuple[str, str], ProbabilityTriple] = {}
     for feature, partition in sorted(table.joint):
-        if feature not in table.feature_marginals or partition not in table.partition_marginals:
-            continue
         p_x = min(table.feature_marginals[feature] / total, 1.0)
         p_y = min(table.partition_marginals[partition] / total, 1.0)
         p_xy = table.joint[(feature, partition)] / total

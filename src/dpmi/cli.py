@@ -29,7 +29,7 @@ from .evaluation import (
     write_sweep_tsv,
 )
 from .mi import FoldSpec, flip, nfold, rank, rank_records
-from .model import AggregateTable, PrivacyConfig, Record, Rejection, validate_record
+from .model import AggregateTable, PrivacyConfig, Record, validate_record
 
 logger = logging.getLogger(__name__)
 
@@ -41,8 +41,54 @@ SYNTH_KEYS = ("users", "features", "partitions", "strength", "zipf")
 # ingestion
 
 
-def _detect_delimiter(header: str) -> str:
-    return "\t" if "\t" in header else ","
+def _jsonl_rows(fh, columns):
+    """Each line's mapped values, or the reason the line already fails.
+
+    JSON values are typed, so the ones that str() or float() would misread
+    are refused here: a null key is empty, and a boolean, array or object
+    key, or a boolean observation, does not parse.
+    """
+    for line in fh:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            yield "parse"
+            continue
+        try:
+            row = [obj[c] for c in columns]
+        except (KeyError, TypeError):
+            yield "fields"
+            continue
+        if any(v is None for v in row[:3]):
+            yield "empty_key"
+        elif any(isinstance(v, (bool, list, dict)) for v in row[:3]) or isinstance(row[3], bool):
+            yield "parse"
+        else:
+            yield row
+
+
+def _delimited_rows(fh, path: str, columns):
+    """Each line's mapped fields, or "fields" when the line is too short."""
+    header_line = fh.readline().rstrip("\r\n")
+    if not header_line:
+        raise ValueError(f"{path}: empty input, expected a header line")
+    delim = "\t" if "\t" in header_line else ","
+    header = header_line.split(delim)
+    indices = []
+    for name in columns:
+        if name not in header:
+            raise ValueError(f"{path}: column {name!r} not found in header {header}")
+        indices.append(header.index(name))
+    last = max(indices)
+    for line in fh:
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        fields = line.split(delim)
+        yield [fields[i] for i in indices] if last < len(fields) else "fields"
 
 
 def read_records(path: str, input_format: str, columns) -> tuple[list[Record], Counter, int]:
@@ -56,51 +102,16 @@ def read_records(path: str, input_format: str, columns) -> tuple[list[Record], C
     rows_read = 0
     with open(path, "r", encoding="utf-8") as fh:
         if input_format == "jsonl":
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                rows_read += 1
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    rejects["parse"] += 1
-                    continue
-                try:
-                    row = [obj[c] for c in columns]
-                except (KeyError, TypeError):
-                    rejects["fields"] += 1
-                    continue
-                parsed = validate_record(row)
-                if isinstance(parsed, Rejection):
-                    rejects[parsed.reason] += 1
-                else:
-                    records.append(parsed)
+            rows = _jsonl_rows(fh, columns)
         else:
-            header_line = fh.readline().rstrip("\r\n")
-            if not header_line:
-                raise ValueError(f"{path}: empty input, expected a header line")
-            delim = _detect_delimiter(header_line)
-            header = header_line.split(delim)
-            indices = []
-            for name in columns:
-                if name not in header:
-                    raise ValueError(f"{path}: column {name!r} not found in header {header}")
-                indices.append(header.index(name))
-            for line in fh:
-                line = line.rstrip("\r\n")
-                if not line:
-                    continue
-                rows_read += 1
-                fields = line.split(delim)
-                if max(indices) >= len(fields):
-                    rejects["fields"] += 1
-                    continue
-                parsed = validate_record([fields[i] for i in indices])
-                if isinstance(parsed, Rejection):
-                    rejects[parsed.reason] += 1
-                else:
-                    records.append(parsed)
+            rows = _delimited_rows(fh, path, columns)
+        for row in rows:
+            rows_read += 1
+            parsed = row if isinstance(row, str) else validate_record(row)
+            if isinstance(parsed, str):
+                rejects[parsed] += 1
+            else:
+                records.append(parsed)
     return records, rejects, rows_read
 
 
@@ -109,6 +120,14 @@ def read_records(path: str, input_format: str, columns) -> tuple[list[Record], C
 
 
 def write_results(results, path: str, output_format: str) -> None:
+    if output_format == "tsv":  # a tab or line break in a key would break a TSV row
+        for r in results:
+            for key in (r.partition, r.feature):
+                if "\t" in key or "\r" in key or "\n" in key:
+                    raise ValueError(
+                        f"key {key!r} holds a tab or line break, which a TSV row cannot; "
+                        "use --output-format jsonl"
+                    )
     with open(path, "w", encoding="utf-8") as fh:
         if output_format == "jsonl":
             for r in results:

@@ -51,29 +51,22 @@ def keyed_uniform(seed: int, *parts) -> float:
 
 
 class CellRng:
-    """Deterministic uniform source for one query label.
+    """Cell-keyed uniform draws for one (seed, query label).
 
-    for_key() gives the cell-keyed draw used by table releases, memoised per
+    for_key(*parts) is keyed_uniform(seed, label, *parts), memoised per
     instance: the draw depends only on the key, so releasing the same cells
     again from one instance (at another epsilon, say) hashes each cell once.
-    uniform() walks an internal counter for plain sequential sampling.
     """
 
     def __init__(self, seed: int, label: str = ""):
         self.seed = seed
         self.label = label
-        self._counter = 0
         self._draws: dict[tuple, float] = {}
 
     def for_key(self, *parts) -> float:
         u = self._draws.get(parts)
         if u is None:
             u = self._draws[parts] = keyed_uniform(self.seed, self.label, *parts)
-        return u
-
-    def uniform(self) -> float:
-        u = keyed_uniform(self.seed, self.label, self._counter)
-        self._counter += 1
         return u
 
 
@@ -84,18 +77,6 @@ def laplace_from_uniform(u: float, scale: float) -> float:
     d = u - 0.5
     magnitude = -scale * math.log1p(-2.0 * abs(d))
     return math.copysign(magnitude, d)
-
-
-def laplace_noise(scale: float, rng) -> float:
-    """One Laplace(0, scale) sample from rng.uniform(); deterministic given rng state."""
-    return laplace_from_uniform(rng.uniform(), scale)
-
-
-def clamp(observation: float, lo: float, hi: float) -> float:
-    """min(hi, max(lo, observation)); bounds must satisfy lo < hi."""
-    if not lo < hi:
-        raise ValueError(f"clamp bounds must satisfy lo < hi, got ({lo}, {hi})")
-    return min(hi, max(lo, observation))
 
 
 def censor_threshold(epsilon_q: float, delta: float, sensitivity: float) -> float:
@@ -235,8 +216,8 @@ def prepare_records(records: Iterable[Record], privacy: PrivacyConfig) -> list[R
     bounded = bound_contributions(records, privacy.contribution_limit, privacy.seed)
     lo, hi = privacy.clamp_lo, privacy.clamp_hi
     obs = np.fromiter((r.observation for r in bounded), np.float64, len(bounded))
-    # clamp() on a column: unlike np.clip, a value equal to a bound becomes
-    # that bound, so the sign of a zero matches the scalar clamp. A record
+    # min(hi, max(lo, x)) on a column: unlike np.clip, a value equal to a
+    # bound becomes that bound, so the sign of a zero is the bound's. A record
     # whose value the clamp leaves as it is (sign included) is kept as it is.
     clamped = np.where(obs > lo, np.where(obs < hi, obs, hi), lo)
     same = (clamped == obs) & (np.signbit(clamped) == np.signbit(obs))

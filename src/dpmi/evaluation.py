@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .aggregate import accumulate, build_probability_tables, release_aggregate_table
-from .dp import BudgetAccountant, prepare_records
+from .dp import prepare_records
 from .mi import binary_rank, rank, rank_records
 from .model import PrivacyConfig, RankedResult, Record
 
@@ -122,11 +122,7 @@ def _private_rankings(
             if acc is None:
                 acc = accumulate(prepare_records(records, cfg))
             table = release_aggregate_table(
-                acc,
-                cfg,
-                BudgetAccountant(eps),
-                threshold_override=threshold_override,
-                memo=memo,
+                acc, cfg, threshold_override=threshold_override, memo=memo
             )
             yield trial, eps, rank(build_probability_tables(table))
 

@@ -147,8 +147,6 @@ def rank_records(
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    if privacy.dp_enabled and accountant is None:
-        accountant = BudgetAccountant(privacy.epsilon)
     prepared = prepare_records(records, privacy)
     acc = accumulate(prepared)
     table = release_aggregate_table(
@@ -167,7 +165,6 @@ def binary_rank(
     records: Iterable[Record],
     partition: str,
     privacy: PrivacyConfig,
-    **kwargs,
 ) -> list[RankedResult]:
     """One-vs-all ranking for a single partition label.
 
@@ -178,7 +175,7 @@ def binary_rank(
         r if r.partition == partition else Record(r.id, r.feature, REST_LABEL, r.observation)
         for r in records
     ]
-    return rank_records(relabeled, privacy, **kwargs)
+    return rank_records(relabeled, privacy)
 
 
 @dataclass(frozen=True)

@@ -35,37 +35,31 @@ class Record:
     observation: float
 
 
-@dataclass(frozen=True, slots=True)
-class Rejection:
-    """Why an input row was refused at validation."""
-
-    reason: str  # one of "fields", "empty_key", "reserved", "parse", "negative", "non_finite"
-
-
-def validate_record(row: Sequence) -> Record | Rejection:
+def validate_record(row: Sequence) -> Record | str:
     """Parse a raw (id, feature, partition, observation) row.
 
-    Returns a Record on success, otherwise a Rejection naming the first
-    problem found. Keys are treated as opaque strings, except that a feature
-    or partition may not be the reserved OTHER_KEY; the observation must
-    parse as a finite number >= 0.
+    Returns a Record on success, otherwise the reason for the first problem
+    found: "fields", "empty_key", "reserved", "parse", "non_finite" or
+    "negative". Keys are treated as opaque strings, except that a feature or
+    partition may not be the reserved OTHER_KEY; the observation must parse
+    as a finite number >= 0.
     """
     if len(row) != 4:
-        return Rejection("fields")
+        return "fields"
     raw_id, raw_feature, raw_partition, raw_obs = row
     rid, feature, partition = str(raw_id), str(raw_feature), str(raw_partition)
     if not rid or not feature or not partition:
-        return Rejection("empty_key")
+        return "empty_key"
     if OTHER_KEY in (feature, partition):
-        return Rejection("reserved")
+        return "reserved"
     try:
         obs = float(raw_obs)
     except (TypeError, ValueError):
-        return Rejection("parse")
+        return "parse"
     if math.isnan(obs) or math.isinf(obs):
-        return Rejection("non_finite")
+        return "non_finite"
     if obs < 0:
-        return Rejection("negative")
+        return "negative"
     return Record(rid, feature, partition, obs)
 
 

@@ -4,7 +4,8 @@ These deliberately avoid the library's code paths: MI is evaluated directly
 on the 2x2 contingency table, and percentiles go through numpy's
 inverted-CDF method. The sweep and stability oracles are the plain per-cell
 loops: one full ``rank_records`` run for every (epsilon, trial) pair. The
-bounding oracle is a per-user loop over Python integers.
+bounding oracle is a per-user loop over Python integers, and ``clamp`` is the
+scalar reference for the column clamp in ``prepare_records``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ def mi_2x2(p_x: float, p_y: float, p_xy: float) -> float:
         if cell > 0.0 and row > 0.0 and col > 0.0:
             total += cell * math.log(cell / (row * col))
     return total
+
+
+def clamp(observation: float, lo: float, hi: float) -> float:
+    """min(hi, max(lo, observation)): a value equal to a bound becomes that bound."""
+    return min(hi, max(lo, observation))
 
 
 def random_valid_triple(rng, lo: float = 0.01, hi: float = 0.99):

@@ -10,7 +10,8 @@ from collections import Counter
 import pytest
 from scipy.stats import spearmanr
 
-from dpmi.dp import BudgetAccountant, CellRng, CensoringPolicy, censor_threshold, laplace_noise, release_sums
+from dpmi.dp import (BudgetAccountant, CellRng, CensoringPolicy, censor_threshold, keyed_uniform,
+                     laplace_from_uniform, release_sums)
 from dpmi.evaluation import epsilon_sweep, head_tail_stability, runtime_compare, synth_generate
 from dpmi.mi import FoldSpec, binary_rank, calc_mi, nfold, rank_records
 from dpmi.model import PrivacyConfig, Record
@@ -128,12 +129,11 @@ def test_criterion_06_censoring_guarantee():
 
 
 def test_criterion_07_laplace_statistics():
-    rng = CellRng(seed=707, label="stats")
     n = 1_000_000
     total = 0.0
     total_sq = 0.0
-    for _ in range(n):
-        x = laplace_noise(1.0, rng)
+    for i in range(n):
+        x = laplace_from_uniform(keyed_uniform(707, "stats", i), 1.0)
         total += x
         total_sq += x * x
     mean = total / n

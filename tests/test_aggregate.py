@@ -61,6 +61,13 @@ class TestAccumulate:
         assert a.feature_sums() == b.feature_sums()
         assert a.partition_sums() == b.partition_sums()
         assert a.row_count == b.row_count
+        # the marginals, summed over the joint cells, equal the fsum of each
+        # marginal's own rows
+        for sums, key in ((a.feature_sums(), "feature"), (a.partition_sums(), "partition")):
+            keys = {getattr(r, key) for r in records}
+            assert sums == {
+                k: math.fsum(r.observation for r in records if getattr(r, key) == k) for k in keys
+            }
 
 
 class TestBuildProbabilityTables:

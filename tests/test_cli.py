@@ -136,6 +136,24 @@ class TestAggregateCommand:
         assert read == 2 and not rejects
         assert records[0].observation == 2.0
 
+    def test_typed_jsonl_values_rejected(self, tmp_path):
+        good = [
+            {"id": "u1", "feature": "f1", "partition": "p1", "observation": 2.0},
+            {"id": "u2", "feature": "f2", "partition": "p2", "observation": 1},
+        ]
+        bad = [
+            {"id": None, "feature": "f1", "partition": "p1", "observation": 1.0},
+            {"id": "u3", "feature": None, "partition": "p1", "observation": 1.0},
+            {"id": "u4", "feature": "f1", "partition": True, "observation": 1.0},
+            {"id": ["a"], "feature": "f1", "partition": "p1", "observation": 1.0},
+            {"id": "u5", "feature": "f1", "partition": "p1", "observation": True},
+        ]
+        inp = _write(tmp_path / "in.jsonl", "".join(json.dumps(r) + "\n" for r in good + bad))
+        records, rejects, read = read_records(inp, "jsonl", ("id", "feature", "partition", "observation"))
+        assert read == 7
+        assert rejects == {"empty_key": 2, "parse": 3}
+        assert [r.id for r in records] == ["u1", "u2"]
+
 
 class TestRankCommand:
     def _expected_toy_output(self):
@@ -269,6 +287,20 @@ class TestRankCommand:
         rows = [json.loads(line) for line in open(out)]
         assert rows[0]["rank"] == 1
         assert set(rows[0]) == {"partition", "feature", "mi", "direction", "rank"}
+
+    def test_tsv_refuses_keys_that_break_rows(self, tmp_path, capsys):
+        inp = _write(tmp_path / "in.csv", "id,feature,partition,observation\nu1,f\t1,p1,1.0\nu2,f2,p2,1.0\n")
+        tsv = tmp_path / "r.tsv"
+        assert main(["rank", "--input", inp, "--output", str(tsv), "--no-dp"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        message = json.loads(err)["message"]
+        assert repr("f\t1") in message and "--output-format jsonl" in message
+        assert not tsv.exists()
+        out = str(tmp_path / "r.jsonl")
+        assert main(["rank", "--input", inp, "--output", out, "--no-dp",
+                     "--output-format", "jsonl"]) == 0
+        assert "f\t1" in {json.loads(line)["feature"] for line in open(out)}
 
     def test_single_surviving_partition_writes_header_only(self, tmp_path):
         # the lone p1 row is censored from the partition marginal, leaving p0

@@ -8,7 +8,9 @@ makes it bit-identical for any order of the input records.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
@@ -66,12 +68,26 @@ def accumulate(records: Iterable[Record]) -> Accumulator:
     return acc
 
 
+def table_digest(acc: Accumulator, joint: dict[tuple[str, str], float]) -> bytes:
+    """blake2b of the exact joint table, which keys the release noise.
+
+    ``joint`` is ``acc.joint_sums()``, whose sums and key order are reused.
+    Each cell adds its keys' byte lengths, its row count, its sum's bits and
+    its keys, so any change to the table changes the digest.
+    """
+    pack = struct.Struct("<IIqd").pack
+    parts: list[bytes] = []
+    for (feature, partition), total in joint.items():
+        f, p = feature.encode("utf-8"), partition.encode("utf-8")
+        parts += (pack(len(f), len(p), len(acc.partial_joint[feature, partition]), total), f, p)
+    return hashlib.blake2b(b"".join(parts), digest_size=16).digest()
+
+
 def release_aggregate_table(
     acc: Accumulator,
     privacy: PrivacyConfig,
     accountant: BudgetAccountant | None = None,
     *,
-    threshold_override: float | None = None,
     label_prefix: str = "",
     manifest: list | None = None,
     memo: dict | None = None,
@@ -87,35 +103,30 @@ def release_aggregate_table(
     consistent. When ``manifest`` is given, one dict per query is appended
     describing epsilon, threshold, and censoring counts.
 
-    ``memo`` is a dict the caller keeps across releases of this same ``acc``
-    (at several epsilons, say): each query's exact sums are then finalised,
-    and each cell's keyed uniform drawn, once for all of them. The released
-    table is the same with or without it.
+    Noise is keyed by (seed, table_digest, label, cell), so a release on
+    neighbouring data at the same seed draws fresh noise and does not reveal
+    the difference. ``memo`` is a dict the caller keeps across releases of
+    this same ``acc`` (at several epsilons, say): the digest and each query's
+    exact sums are then computed, and each cell's keyed uniform drawn, once
+    for all of them. The released table is the same with or without it.
     """
     dp = privacy.dp_enabled
     memo = {} if memo is None else memo
     shares = [w * privacy.epsilon if dp else 0.0 for w in privacy.budget_split]
-    queries = (
-        (QUERY_JOINT, acc.joint_sums, shares[0]),
-        (QUERY_FEATURE, acc.feature_sums, shares[1]),
-        (QUERY_PARTITION, acc.partition_sums, shares[2]),
-    )
+    names = [label_prefix + q for q in (QUERY_JOINT, QUERY_FEATURE, QUERY_PARTITION)]
     if dp and accountant is not None:
-        for label, _, eps_q in queries:
-            accountant.charge(label_prefix + label, eps_q)
+        for name, eps_q in zip(names, shares):
+            accountant.charge(name, eps_q)
+    memo_key = (privacy.seed, label_prefix, dp)
+    if memo_key not in memo:
+        exact_sums = (acc.joint_sums(), acc.feature_sums(), acc.partition_sums())
+        digest = table_digest(acc, exact_sums[0]) if dp else b""
+        memo[memo_key] = [(e, CellRng(privacy.seed, n, digest)) for e, n in zip(exact_sums, names)]
     sens = privacy.sensitivity
     tables = []
-    for label, sums, eps_q in queries:
-        name = label_prefix + label
-        if (privacy.seed, name) not in memo:
-            memo[privacy.seed, name] = (sums(), CellRng(privacy.seed, name))
-        exact, rng = memo[privacy.seed, name]
+    for name, eps_q, (exact, rng) in zip(names, shares, memo[memo_key]):
         if dp:
-            tau = (
-                threshold_override
-                if threshold_override is not None
-                else censor_threshold(eps_q, privacy.delta, sens)
-            )
+            tau = censor_threshold(eps_q, privacy.delta, sens)
             released = release_sums(exact, sens, eps_q, CensoringPolicy(tau), rng)
         else:
             tau = None

@@ -91,17 +91,20 @@ def _delimited_rows(fh, path: str, columns):
         yield [fields[i] for i in indices] if last < len(fields) else "fields"
 
 
-def read_records(path: str, input_format: str, columns) -> tuple[list[Record], Counter, int]:
+def read_records(path: str, columns) -> tuple[list[Record], Counter, int]:
     """Read and validate one input file.
 
-    Returns (records, rejection counts by reason, rows read). A missing
-    mapped column is a hard error naming the column.
+    A file whose first non-empty line starts with ``{`` is JSON lines, any
+    other is delimited. Returns (records, rejection counts by reason, rows
+    read). A missing mapped column is a hard error naming the column.
     """
     records: list[Record] = []
     rejects: Counter = Counter()
     rows_read = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        if input_format == "jsonl":
+    with open(path, "r", encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
+        first = next((line for line in fh if line.strip()), "")
+        fh.seek(0)
+        if first.startswith("{"):
             rows = _jsonl_rows(fh, columns)
         else:
             rows = _delimited_rows(fh, path, columns)
@@ -119,15 +122,20 @@ def read_records(path: str, input_format: str, columns) -> tuple[list[Record], C
 # output
 
 
+def _check_tsv_keys(results) -> None:
+    """Refuse a key holding a tab or line break, which would break a TSV row."""
+    for r in results:
+        for key in (r.partition, r.feature):
+            if "\t" in key or "\r" in key or "\n" in key:
+                raise ValueError(
+                    f"key {key!r} holds a tab or line break, which a TSV row cannot; "
+                    "use --output-format jsonl"
+                )
+
+
 def write_results(results, path: str, output_format: str) -> None:
-    if output_format == "tsv":  # a tab or line break in a key would break a TSV row
-        for r in results:
-            for key in (r.partition, r.feature):
-                if "\t" in key or "\r" in key or "\n" in key:
-                    raise ValueError(
-                        f"key {key!r} holds a tab or line break, which a TSV row cannot; "
-                        "use --output-format jsonl"
-                    )
+    if output_format == "tsv":
+        _check_tsv_keys(results)
     with open(path, "w", encoding="utf-8") as fh:
         if output_format == "jsonl":
             for r in results:
@@ -245,17 +253,15 @@ def _parse_kv(text: str) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", action="append", default=[], help="input file (repeatable for fold)")
-    common.add_argument("--format", choices=("delimited", "jsonl"), default="delimited")
     common.add_argument("--columns", type=_parse_columns, default=DEFAULT_COLUMNS,
                         metavar="ID,FEATURE,PARTITION,OBSERVATION")
     common.add_argument("--epsilon", type=float, default=1.0, help="total privacy budget")
-    common.add_argument("--delta", type=float, default=1e-6, help="censoring failure probability")
+    common.add_argument("--delta", type=float, default=1e-6,
+                        help="censoring failure probability, in (0, 0.5]")
     common.add_argument("--clamp", type=_parse_pair, default=(0.0, 1.0), metavar="LO,HI")
     common.add_argument("--contribution-limit", type=int, default=1)
     common.add_argument("--budget-split", type=_parse_triple, default=(0.5, 0.25, 0.25),
                         metavar="JOINT,FEATURE,PARTITION")
-    common.add_argument("--threshold", type=float, default=None,
-                        help="override the derived censoring threshold")
     common.add_argument("--no-dp", action="store_true", help="disable the privacy mechanisms")
     common.add_argument("--top-k", type=int, default=None)
     common.add_argument("--seed", type=int, default=None,
@@ -332,9 +338,13 @@ def _single_input(args) -> str:
 
 
 def _ingest(path: str, args) -> tuple[list[Record], dict]:
-    """Read one input file; log and return its counts (rows read, rejected by reason)."""
-    records, rejects, rows_read = read_records(path, args.format, args.columns)
+    """Read one input file; log and return its counts; no valid row is an error."""
+    records, rejects, rows_read = read_records(path, args.columns)
     counts = {"rows_read": rows_read, "rows_rejected": dict(sorted(rejects.items()))}
+    if not records:
+        raise ValueError(
+            f"{path}: no valid rows ({rows_read} read, rejected by reason {counts['rows_rejected']})"
+        )
     logger.info("%s: %d rows read, rejected by reason: %s", path, rows_read, counts["rows_rejected"])
     return records, counts
 
@@ -350,13 +360,7 @@ def cmd_aggregate(args) -> int:
     acc = accumulate(prepared)
     accountant = BudgetAccountant(privacy.epsilon) if privacy.dp_enabled else None
     release_events: list = []
-    table = release_aggregate_table(
-        acc,
-        privacy,
-        accountant,
-        threshold_override=args.threshold,
-        manifest=release_events,
-    )
+    table = release_aggregate_table(acc, privacy, accountant, manifest=release_events)
     write_aggregate_file(table, args.output)
     events = [{"event": "ingest", **counts, "rows_after_bounding": len(prepared)}]
     events += [{"event": "release", **entry} for entry in release_events]
@@ -404,14 +408,7 @@ def cmd_rank(args) -> int:
         records, _ = _ingest(_single_input(args), args)
         if privacy.dp_enabled:
             accountant = BudgetAccountant(privacy.epsilon)
-        results = rank_records(
-            records,
-            privacy,
-            accountant,
-            swap=swap,
-            top_k=args.top_k,
-            threshold_override=args.threshold,
-        )
+        results = rank_records(records, privacy, accountant, swap=swap, top_k=args.top_k)
     write_results(results, args.output, args.output_format)
     write_manifest(args.output + ".manifest.jsonl", [_ledger_event(accountant)])
     logger.info("%d ranked pairs written to %s", len(results), args.output)
@@ -439,11 +436,12 @@ def cmd_fold(args) -> int:
     ]
     accountant = BudgetAccountant(privacy.epsilon) if privacy.dp_enabled else None
     fold_results = nfold(folds, privacy, accountant)
+    stage_results = [fr.results[: args.top_k] for fr in fold_results]
+    if args.output_format == "tsv":  # refuse any stage before writing a file
+        _check_tsv_keys([r for results in stage_results for r in results])
     events = []
-    for fr, (_, counts) in zip(fold_results, ingested):
-        suffix = "tsv" if args.output_format == "tsv" else "jsonl"
-        out_path = f"{args.output}.fold{fr.index}.{suffix}"
-        results = fr.results[: args.top_k] if args.top_k is not None else fr.results
+    for fr, results, (_, counts) in zip(fold_results, stage_results, ingested):
+        out_path = f"{args.output}.fold{fr.index}.{args.output_format}"
         write_results(results, out_path, args.output_format)
         events.append(
             {
@@ -495,22 +493,10 @@ def cmd_eval(args) -> int:
         logger.info("runtime ratio %.2f over %d partitions", rt.ratio, rt.partitions)
         return 0
     top_k = args.top_k if args.top_k is not None else 10000
-    sweep_rows = epsilon_sweep(
-        records,
-        privacy,
-        epsilons=args.epsilons,
-        trials=args.trials,
-        top_k=top_k,
-        threshold_override=args.threshold,
-    )
+    sweep_rows = epsilon_sweep(records, privacy, args.epsilons, args.trials, top_k)
     write_sweep_tsv(sweep_rows, os.path.join(args.output, "sweep.tsv"))
     stability_rows = head_tail_stability(
-        records,
-        privacy,
-        epsilon=args.stability_epsilon,
-        trials=args.trials,
-        top_k=min(top_k, 100),
-        threshold_override=args.threshold,
+        records, privacy, args.stability_epsilon, args.trials, min(top_k, 100)
     )
     write_stability_tsv(stability_rows, os.path.join(args.output, "stability.tsv"))
     return 0

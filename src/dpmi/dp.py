@@ -7,12 +7,13 @@ under censor_threshold's threshold a cell that exists only because of one
 user is released with probability at most delta.
 
 All randomness derives from a 64-bit seed through a counter-based keyed hash,
-so the noise on a released sum depends only on (seed, query label, cell key)
-and never on the order the cells are visited in. Bounding works the same way
-on numpy columns: each row of a user over the contribution limit gets a
-priority mixed from a (seed, id) key and the row's place among the user's
-rows in canonical order, so the survivors depend only on the seed and the
-user's own rows, never on the order of the input.
+so the noise on a released sum depends only on (seed, table digest, query
+label, cell key) and never on the order the cells are visited in; a rerun on
+changed data has another digest and draws fresh noise. Bounding works the
+same way on numpy columns: each row of a user over the contribution limit
+gets a priority mixed from a (seed, id) key and the row's place among the
+user's rows in canonical order, so the survivors depend only on the seed and
+the user's own rows, never on the order of the input.
 """
 
 from __future__ import annotations
@@ -51,22 +52,24 @@ def keyed_uniform(seed: int, *parts) -> float:
 
 
 class CellRng:
-    """Cell-keyed uniform draws for one (seed, query label).
+    """Cell-keyed uniform draws for one (seed, table digest, query label).
 
-    for_key(*parts) is keyed_uniform(seed, label, *parts), memoised per
-    instance: the draw depends only on the key, so releasing the same cells
-    again from one instance (at another epsilon, say) hashes each cell once.
+    for_key(*parts) is keyed_uniform(seed, digest, label, *parts), memoised
+    per instance: the draw depends only on the key, so releasing the same
+    cells again from one instance (at another epsilon, say) hashes each cell
+    once.
     """
 
-    def __init__(self, seed: int, label: str = ""):
+    def __init__(self, seed: int, label: str = "", digest: bytes = b""):
         self.seed = seed
         self.label = label
+        self.digest = digest
         self._draws: dict[tuple, float] = {}
 
     def for_key(self, *parts) -> float:
         u = self._draws.get(parts)
         if u is None:
-            u = self._draws[parts] = keyed_uniform(self.seed, self.label, *parts)
+            u = self._draws[parts] = keyed_uniform(self.seed, self.digest, self.label, *parts)
         return u
 
 
@@ -84,10 +87,11 @@ def censor_threshold(epsilon_q: float, delta: float, sensitivity: float) -> floa
 
     tau = sensitivity + (sensitivity / epsilon_q) * ln(1 / (2 delta)) keeps a
     dimension backed by a single user alive with probability at most delta
-    under Laplace(sensitivity / epsilon_q) noise.
+    under Laplace(sensitivity / epsilon_q) noise. delta lies in (0, 1/2], so
+    tau is at least the sensitivity.
     """
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not 0 < delta <= 0.5:
+        raise ValueError(f"delta must lie in (0, 0.5], got {delta}")
     if epsilon_q <= 0:
         raise ValueError(f"epsilon_q must be > 0, got {epsilon_q}")
     if sensitivity <= 0:

@@ -100,7 +100,6 @@ def _private_rankings(
     epsilons: Sequence[float],
     trials: int,
     baseline: list[RankedResult],
-    threshold_override: float | None,
 ) -> Iterator[tuple[int, float, list[RankedResult]]]:
     """Yield (trial, epsilon, private ranking) for every trial and epsilon.
 
@@ -121,9 +120,7 @@ def _private_rankings(
             cfg = replace(privacy, epsilon=eps, dp_enabled=True, seed=privacy.seed + trial)
             if acc is None:
                 acc = accumulate(prepare_records(records, cfg))
-            table = release_aggregate_table(
-                acc, cfg, threshold_override=threshold_override, memo=memo
-            )
+            table = release_aggregate_table(acc, cfg, memo=memo)
             yield trial, eps, rank(build_probability_tables(table))
 
 
@@ -134,7 +131,6 @@ def epsilon_sweep(
     trials: int = 5,
     top_k: int = 10000,
     threads: int = 1,
-    threshold_override: float | None = None,
 ) -> list[SweepRow]:
     """Rank-error percentiles against the noiseless baseline for each epsilon.
 
@@ -143,16 +139,13 @@ def epsilon_sweep(
     release the same bounded table from the same keyed uniforms, so each
     epsilon's noise is a scaled copy of one draw per cell. An infinite
     epsilon compares the baseline with itself and yields an all-zero row.
-    Every ranking uses the fixed MI floor ``mi.TOL``. ``threads`` is
-    accepted and ignored.
+    ``threads`` is accepted and ignored.
     """
     _check_sweep_args(epsilons, trials)
     baseline = rank_records(records, replace(privacy, dp_enabled=False))
     percentiles: dict[float, list[dict[int, float]]] = {eps: [] for eps in epsilons}
     dropped: dict[float, list[int]] = {eps: [] for eps in epsilons}
-    for _, eps, private in _private_rankings(
-        records, privacy, epsilons, trials, baseline, threshold_override
-    ):
+    for _, eps, private in _private_rankings(records, privacy, epsilons, trials, baseline):
         cmp = compare_rankings(baseline, private, top_k)
         percentiles[eps].append(cmp.percentiles)
         dropped[eps].append(cmp.dropped)
@@ -180,7 +173,6 @@ def head_tail_stability(
     top_k: int = 100,
     buckets: int = 10,
     threads: int = 1,
-    threshold_override: float | None = None,
 ) -> list[StabilityRow]:
     """Median rank error per baseline-rank bucket of the top pairs.
 
@@ -199,9 +191,7 @@ def head_tail_stability(
         raise ValueError(f"need at least {buckets} baseline pairs, got {len(head)}")
     edges = [round(j * len(head) / buckets) for j in range(buckets + 1)]
     per_bucket: list[list[float]] = [[] for _ in range(buckets)]
-    for _, _, private in _private_rankings(
-        records, privacy, (epsilon,), trials, baseline, threshold_override
-    ):
+    for _, _, private in _private_rankings(records, privacy, (epsilon,), trials, baseline):
         private_rank = {(r.partition, r.feature): r.rank for r in private}
         for b in range(buckets):
             errors = []
@@ -236,10 +226,9 @@ def runtime_compare(
     """Wall-clock of one batched multi-partition ranking vs sequential
     one-vs-all reruns over the same records.
 
-    Privacy is disabled on both sides, and both rank at the fixed MI floor
-    ``mi.TOL``, so only the compute paths differ. The per-partition result
-    lists are kept so callers can check that both paths agree on MI values.
-    ``threads`` is accepted and ignored.
+    Privacy is disabled on both sides, so only the compute paths differ. The
+    per-partition result lists are kept so callers can check that both paths
+    agree on MI values. ``threads`` is accepted and ignored.
     """
     partitions = sorted({r.partition for r in records})
     if len(partitions) < 2:

@@ -30,21 +30,21 @@ CARDINALITY_WARNING = 1_000_000
 TOL = 1e-16
 
 
-def calc_single_mi(p_x: float, p_y: float, p_xy: float, tol: float = TOL) -> float:
-    """One cell's contribution: p_xy * ln(p_xy / max(p_x * p_y, tol)).
+def calc_single_mi(p_x: float, p_y: float, p_xy: float) -> float:
+    """One cell's contribution: p_xy * ln(p_xy / max(p_x * p_y, TOL)).
 
-    Cells with p_xy below tol contribute nothing, and the marginal product is
-    floored at tol so sparse cells cannot underflow the logarithm.
+    Cells with p_xy below TOL contribute nothing, and the marginal product is
+    floored at TOL so sparse cells cannot underflow the logarithm.
     """
-    if p_xy < tol:
+    if p_xy < TOL:
         return 0.0
     phi = p_x * p_y
-    if phi < tol:
-        phi = tol
+    if phi < TOL:
+        phi = TOL
     return p_xy * math.log(p_xy / phi)
 
 
-def calc_mi(p_x: float, p_y: float, p_xy: float, tol: float = TOL) -> float:
+def calc_mi(p_x: float, p_y: float, p_xy: float) -> float:
     """Binary MI: the four-cell presence/absence decomposition of one pair.
 
     Complement cells are derived from the triple and floored at zero, since
@@ -56,10 +56,10 @@ def calc_mi(p_x: float, p_y: float, p_xy: float, tol: float = TOL) -> float:
     p_y_nx = max(0.0, p_y - p_xy)
     p_nx_ny = max(0.0, 1.0 - p_x - p_y + p_xy)
     return (
-        calc_single_mi(p_x, p_y, p_xy, tol)
-        + calc_single_mi(p_x, p_ny, p_x_ny, tol)
-        + calc_single_mi(p_nx, p_y, p_y_nx, tol)
-        + calc_single_mi(p_nx, p_ny, p_nx_ny, tol)
+        calc_single_mi(p_x, p_y, p_xy)
+        + calc_single_mi(p_x, p_ny, p_x_ny)
+        + calc_single_mi(p_nx, p_y, p_y_nx)
+        + calc_single_mi(p_nx, p_ny, p_nx_ny)
     )
 
 
@@ -133,7 +133,6 @@ def rank_records(
     *,
     swap: bool = False,
     top_k: int | None = None,
-    threshold_override: float | None = None,
     label_prefix: str = "",
 ) -> list[RankedResult]:
     """Full pipeline from records to a ranked results list.
@@ -149,13 +148,7 @@ def rank_records(
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     prepared = prepare_records(records, privacy)
     acc = accumulate(prepared)
-    table = release_aggregate_table(
-        acc,
-        privacy,
-        accountant,
-        threshold_override=threshold_override,
-        label_prefix=label_prefix,
-    )
+    table = release_aggregate_table(acc, privacy, accountant, label_prefix=label_prefix)
     tables = build_probability_tables(table)
     results = flip(tables) if swap else rank(tables)
     return results[:top_k] if top_k is not None else results

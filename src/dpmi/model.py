@@ -70,7 +70,8 @@ class PrivacyConfig:
     budget_split gives the (joint, feature-marginal, partition-marginal)
     shares of epsilon; the three tables are released as separate queries, so
     each share must be positive.
-    delta drives only the censoring threshold, never the noise itself.
+    delta drives only the censoring threshold, never the noise itself; it
+    lies in (0, 1/2], where the threshold is at least the sensitivity.
     """
 
     epsilon: float
@@ -86,8 +87,8 @@ class PrivacyConfig:
         object.__setattr__(self, "budget_split", tuple(self.budget_split))
         if self.dp_enabled and not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0 when privacy is enabled, got {self.epsilon}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if not 0 < self.delta <= 0.5:
+            raise ValueError(f"delta must lie in (0, 0.5], got {self.delta}")
         if not self.clamp_lo < self.clamp_hi:
             raise ValueError(
                 f"clamp bounds must satisfy lo < hi, got ({self.clamp_lo}, {self.clamp_hi})"

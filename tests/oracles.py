@@ -67,8 +67,7 @@ def percentile_nearest_rank(values, pct: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=float), pct, method="inverted_cdf"))
 
 
-def epsilon_sweep_oracle(records, privacy, epsilons=(), trials=5, top_k=10000,
-                         threshold_override=None):
+def epsilon_sweep_oracle(records, privacy, epsilons=(), trials=5, top_k=10000):
     """Sweep rows from one private ``rank_records`` run per (epsilon, trial)."""
     baseline = rank_records(records, replace(privacy, dp_enabled=False))
     rows = []
@@ -79,7 +78,7 @@ def epsilon_sweep_oracle(records, privacy, epsilons=(), trials=5, top_k=10000,
                 private = baseline
             else:
                 cfg = replace(privacy, epsilon=eps, dp_enabled=True, seed=privacy.seed + trial)
-                private = rank_records(records, cfg, threshold_override=threshold_override)
+                private = rank_records(records, cfg)
             cells.append(compare_rankings(baseline, private, top_k))
         rows.append(
             SweepRow(
@@ -91,8 +90,7 @@ def epsilon_sweep_oracle(records, privacy, epsilons=(), trials=5, top_k=10000,
     return rows
 
 
-def head_tail_stability_oracle(records, privacy, epsilon=1.0, trials=5, top_k=100,
-                               buckets=10, threshold_override=None):
+def head_tail_stability_oracle(records, privacy, epsilon=1.0, trials=5, top_k=100, buckets=10):
     """Stability rows from one private ``rank_records`` run per trial."""
     baseline = rank_records(records, replace(privacy, dp_enabled=False))
     head = baseline[:top_k]
@@ -100,7 +98,7 @@ def head_tail_stability_oracle(records, privacy, epsilon=1.0, trials=5, top_k=10
     per_bucket = [[] for _ in range(buckets)]
     for trial in range(trials):
         cfg = replace(privacy, epsilon=epsilon, dp_enabled=True, seed=privacy.seed + trial)
-        private = rank_records(records, cfg, threshold_override=threshold_override)
+        private = rank_records(records, cfg)
         private_rank = {(r.partition, r.feature): r.rank for r in private}
         for b in range(buckets):
             errors = sorted(

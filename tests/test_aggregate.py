@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmi.aggregate import accumulate, build_probability_tables, release_aggregate_table
+from dpmi.aggregate import (
+    accumulate,
+    build_probability_tables,
+    release_aggregate_table,
+    table_digest,
+)
 from dpmi.dp import BudgetAccountant, prepare_records
 from dpmi.model import AggregateTable, PrivacyConfig, Record
 
@@ -205,18 +210,42 @@ class TestReleaseAggregateTable:
         assert new_keys <= own_cells
         assert not new_keys
 
+    def test_same_seed_rerun_does_not_reveal_a_new_user(self):
+        # D and D + u released at one seed: were the noise keyed by seed,
+        # label and cell alone, each of u's released sums would differ by
+        # exactly u's 0.7; keying it by the exact table draws fresh noise
+        base = [Record(f"u{i}", f"f{i % 5}", f"p{i % 3}", 1.0) for i in range(3000)]
+        newcomer = Record("u_new", "f1", "p0", 0.7)
+        acc_d, acc_du = accumulate(base), accumulate(base + [newcomer])
+        exact_differences = 0
+        for seed in range(50):
+            privacy = self._config(epsilon=1.0, seed=seed)
+            d = release_aggregate_table(acc_d, privacy)
+            du = release_aggregate_table(acc_du, privacy)
+            differences = (
+                du.joint[("f1", "p0")] - d.joint[("f1", "p0")],
+                du.feature_marginals["f1"] - d.feature_marginals["f1"],
+                du.partition_marginals["p0"] - d.partition_marginals["p0"],
+            )
+            exact_differences += sum(abs(x - 0.7) <= 1e-9 for x in differences)
+        assert exact_differences == 0
+
+    def test_digest_tracks_every_cell_count_and_sum(self):
+        def digest(records):
+            acc = accumulate(records)
+            return table_digest(acc, acc.joint_sums())
+
+        base = [Record(f"u{i}", f"f{i % 2}", "p0", 1.0) for i in range(4)]
+        assert digest(list(reversed(base))) == digest(base)
+        for extra in (Record("u9", "f0", "p0", 0.0), Record("u9", "f0", "p0", 0.5),
+                      Record("u9", "f2", "p0", 1.0)):
+            assert digest(base + [extra]) != digest(base)
+
     def test_empty_after_censoring_raises(self):
         records = [Record("u1", "f1", "p1", 1.0)]
         acc = accumulate(records)
         with pytest.raises(ValueError, match="total"):
             release_aggregate_table(acc, self._config(epsilon=0.5, delta=1e-9))
-
-    def test_threshold_override_applies_to_all_queries(self):
-        records = [Record(f"u{i}", f"f{i % 4}", f"p{i % 2}", 1.0) for i in range(1000)]
-        acc = accumulate(records)
-        manifest = []
-        release_aggregate_table(acc, self._config(), threshold_override=7.5, manifest=manifest)
-        assert all(m["threshold"] == 7.5 for m in manifest)
 
     def test_manifest_entries(self):
         records = [Record(f"u{i}", f"f{i % 4}", f"p{i % 2}", 1.0) for i in range(1000)]

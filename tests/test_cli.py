@@ -1,15 +1,19 @@
 """Command-line surface: ingestion, outputs, manifests, determinism, errors."""
 
+import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import dpmi
-from dpmi.cli import main, read_aggregate_file, read_records
+from dpmi.cli import build_parser, main, read_aggregate_file, read_records
 
 from oracles import mi_2x2
 
@@ -114,14 +118,14 @@ class TestAggregateCommand:
             tmp_path / "in.tsv",
             "who\twhat\twhere\thowmuch\nu1\tf1\tp1\t2.0\nu2\tf2\tp2\t1.0\n",
         )
-        records, rejects, read = read_records(inp, "delimited", ("who", "what", "where", "howmuch"))
+        records, rejects, read = read_records(inp, ("who", "what", "where", "howmuch"))
         assert read == 2 and not rejects
         assert records[0].feature == "f1"
 
     def test_reserved_key_rejected(self, tmp_path):
         text = SAMPLE + "u9\t__other__\tp1\t1.0\nu10\tf1\t__other__\t1.0\n"
         inp = _write(tmp_path / "in.tsv", text)
-        records, rejects, read = read_records(inp, "delimited", ("id", "feature", "partition", "observation"))
+        records, rejects, read = read_records(inp, ("id", "feature", "partition", "observation"))
         assert read == 6
         assert rejects == {"reserved": 2}
         assert all("__other__" not in (r.feature, r.partition) for r in records)
@@ -132,7 +136,7 @@ class TestAggregateCommand:
             {"id": "u2", "feature": "f2", "partition": "p2", "observation": 1},
         ]
         inp = _write(tmp_path / "in.jsonl", "\n".join(json.dumps(r) for r in rows) + "\n")
-        records, rejects, read = read_records(inp, "jsonl", ("id", "feature", "partition", "observation"))
+        records, rejects, read = read_records(inp, ("id", "feature", "partition", "observation"))
         assert read == 2 and not rejects
         assert records[0].observation == 2.0
 
@@ -149,10 +153,45 @@ class TestAggregateCommand:
             {"id": "u5", "feature": "f1", "partition": "p1", "observation": True},
         ]
         inp = _write(tmp_path / "in.jsonl", "".join(json.dumps(r) + "\n" for r in good + bad))
-        records, rejects, read = read_records(inp, "jsonl", ("id", "feature", "partition", "observation"))
+        records, rejects, read = read_records(inp, ("id", "feature", "partition", "observation"))
         assert read == 7
         assert rejects == {"empty_key": 2, "parse": 3}
         assert [r.id for r in records] == ["u1", "u2"]
+
+    def test_jsonl_input_detected_without_a_flag(self, tmp_path):
+        # a JSON-lines copy of TOY ranks as TOY does; a malformed first line
+        # still marks the file as JSON lines and is rejected as "parse"
+        header, *rows = TOY.splitlines()
+        names = header.split("\t")
+        objs = [dict(zip(names, row.split("\t"))) for row in rows]
+        text = "".join(json.dumps(o) + "\n" for o in objs)
+        tsv, jl = _write(tmp_path / "toy.tsv", TOY), _write(tmp_path / "toy.jsonl", "\n" + text)
+        broken = _write(tmp_path / "broken.jsonl", '{"id": \n' + text)
+        outs = [str(tmp_path / f"{name}.tsv") for name in ("tsv", "jl", "broken")]
+        for inp, out in zip((tsv, jl, broken), outs):
+            assert main(["rank", "--input", inp, "--output", out, "--no-dp"]) == 0
+        assert open(outs[0]).read() == open(outs[1]).read() == open(outs[2]).read()
+        _, rejects, read = read_records(broken, ("id", "feature", "partition", "observation"))
+        assert read == 8 and rejects == {"parse": 1}
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        columns = ("id", "feature", "partition", "observation")
+        tsv = _write(tmp_path / "bom.tsv", "\ufeff" + TOY)
+        jl = _write(tmp_path / "bom.jsonl", "\ufeff" + "".join(
+            json.dumps(dict(zip(columns, ("u1", "f1", "p1", 1.0)))) + "\n" for _ in range(2)))
+        for inp in (tsv, jl):
+            records, rejects, read = read_records(inp, columns)
+            assert not rejects and read == len(records) and records[0].id == "u1"
+
+    def test_no_valid_rows_names_the_rejections(self, tmp_path, capsys):
+        inp = _write(tmp_path / "in.tsv", "id\tfeature\tpartition\tobservation\nu1\tf1\tp1\t-1\n"
+                     "u2\tf1\tp1\tx\nu3\tf1\tp1\t-2\n")
+        assert main(["rank", "--input", inp, "--output", str(tmp_path / "r.tsv"), "--no-dp"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["message"] == (
+            f"{inp}: no valid rows (3 read, rejected by reason {{'negative': 2, 'parse': 1}})"
+        )
 
 
 class TestRankCommand:
@@ -214,7 +253,9 @@ class TestRankCommand:
         assert open(direct).read() == open(saved).read()
         assert len(open(direct).read().splitlines()) > 1
 
-    @pytest.mark.parametrize("flag", ["--swap", "--other-bucket", "--tol"])
+    @pytest.mark.parametrize(
+        "flag", ["--swap", "--other-bucket", "--tol", "--threshold=3", "--format=jsonl"]
+    )
     def test_removed_flags_are_rejected(self, tmp_path, flag):
         inp = _write(tmp_path / "toy.tsv", TOY)
         with pytest.raises(SystemExit):
@@ -405,6 +446,20 @@ class TestFoldCommand:
         assert [m["rows_read"] for m in fold_events] == [802, 600]
         assert [m["rows_rejected"] for m in fold_events] == [{"negative": 1, "parse": 1}, {}]
 
+    def test_tsv_key_in_a_later_stage_writes_no_file(self, tmp_path, capsys):
+        f1, _ = self._stage_files(tmp_path)
+        tabbed = "org\t02"
+        lines = ["id,feature,partition,observation"]
+        lines += [f"e{i:03d},{tabbed if i % 2 else 'bgorg'},all,1.0" for i in range(600)]
+        f2 = _write(tmp_path / "s2.csv", "\n".join(lines) + "\n")
+        base = str(tmp_path / "out")
+        assert main(["fold", "--input", f1, "--input", f2, "--output", base,
+                     "--seeds", "seed_kw", "--no-dp"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert repr(tabbed) in json.loads(err)["message"]
+        assert not [p for p in os.listdir(tmp_path) if p.startswith("out")]
+
     def test_fold_top_k_below_one_errors(self, tmp_path, capsys):
         f1, _ = self._stage_files(tmp_path)
         rc = main([
@@ -524,3 +579,27 @@ class TestProcessLevel:
         result = _run_cli("rank", "--input", inp, "--output", str(tmp_path / "o.tsv"), "--no-dp")
         assert result.returncode == 0
         assert result.stderr == ""
+
+
+def _readme_cli_section():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestReadme:
+    """The README's CLI section names only real options and runnable examples."""
+
+    def test_every_named_flag_is_an_option(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {o for sub in commands.choices.values() for o in sub._option_string_actions}
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme_cli_section()))
+        assert named and named <= options, sorted(named - options)
+
+    def test_every_example_parses(self):
+        block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [c for c in block.replace("\\\n", " ").splitlines() if c.startswith("dpmi ")]
+        assert commands
+        parser = build_parser()
+        for command in commands:
+            parser.parse_args(shlex.split(command)[1:])

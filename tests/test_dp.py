@@ -96,6 +96,10 @@ class TestCensorThreshold:
         with pytest.raises(ValueError):
             censor_threshold(1.0, 0.0, 1.0)
 
+    def test_rejects_delta_above_half(self):
+        with pytest.raises(ValueError, match=r"\(0, 0\.5\]"):
+            censor_threshold(0.5, 0.9, 1.0)
+
 
 class TestBudgetAccountant:
     def test_exact_fit_succeeds(self):

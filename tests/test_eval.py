@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -184,21 +185,25 @@ class TestSweepMatchesPerCellOracle:
         assert any(r.observation < 0.25 for r in records)
         assert any(r.observation > 2.0 for r in records)
 
-    @pytest.mark.parametrize("threshold", [None, 3.0])
-    def test_sweep_equals_oracle(self, threshold):
+    def _privacy(self, delta):
+        return self.PRIVACY if delta is None else replace(self.PRIVACY, delta=delta)
+
+    # None keeps PRIVACY's delta; 5e-2 raises every query's derived threshold
+    @pytest.mark.parametrize("delta", [None, 5e-2])
+    def test_sweep_equals_oracle(self, delta):
         records = _multi_row_records()
-        privacy = self.PRIVACY
-        kwargs = dict(epsilons=self.EPSILONS, trials=3, top_k=60, threshold_override=threshold)
+        privacy = self._privacy(delta)
+        kwargs = dict(epsilons=self.EPSILONS, trials=3, top_k=60)
         rows = epsilon_sweep(records, privacy, **kwargs)
         assert rows == epsilon_sweep_oracle(records, privacy, **kwargs)
         assert [r.epsilon for r in rows] == list(self.EPSILONS)
         assert rows[1].percentiles[90] == 0.0 and rows[1].dropped == 0.0
 
-    @pytest.mark.parametrize("threshold", [None, 3.0])
-    def test_stability_equals_oracle(self, threshold):
+    @pytest.mark.parametrize("delta", [None, 5e-2])
+    def test_stability_equals_oracle(self, delta):
         records = _multi_row_records()
-        privacy = self.PRIVACY
-        kwargs = dict(epsilon=2.0, trials=3, top_k=40, buckets=4, threshold_override=threshold)
+        privacy = self._privacy(delta)
+        kwargs = dict(epsilon=2.0, trials=3, top_k=40, buckets=4)
         rows = head_tail_stability(records, privacy, **kwargs)
         assert all(math.isfinite(r.medae) for r in rows)
         assert rows == head_tail_stability_oracle(records, privacy, **kwargs)

@@ -23,12 +23,12 @@ GOLDEN = {
                        "a56405d4a407a8a1f636163dd67deb939b180327158847e1bab50ffb78b5d514"),
     ("aggregate", "nodp"): ("ec5a18ff59d9121d3075162f417cd5eb48b3f976279f80d23e5ca79828da297f",
                             "ee3490639e1b3482f2acb30f0df764846892468320b434511bd83e902e98e1c9"),
-    ("rank", "dp"): ("ee4e0e0d69b508981e3783586a903c38fffa7bdc6d7db00603fc2672159fc153",
+    ("rank", "dp"): ("1eec6c1f8bc5f20197765457127c8eca29b2a9551fbbc22a2431695c93d8b0e9",
                      "0d077de6da4e9866f3f5275858599db9b88a233ba1f16e0950c0438d07d0563a"),
-    ("flip", "dp"): ("c7d2700cbd4efc32e030bfa7f341cb62a756cdbbb15e1162527bf402b8a81310",
+    ("flip", "dp"): ("fbf84d3e487176060cdce541aaebe67499905cc683fe6f77a085efa08f846506",
                      "0d077de6da4e9866f3f5275858599db9b88a233ba1f16e0950c0438d07d0563a"),
-    ("aggregate", "dp"): ("5b18a2ea355d3e2bc9ee2b1e24604dc13f43b53e18db6cb29a99ff371e83a048",
-                          "b044ece5682c693db20a6f98ccaad9ce667251c49fd34334ea740cb82af59436"),
+    ("aggregate", "dp"): ("9b64a6d43fb1fbd2767ccfa936bcf3b1d99f7a26d96fa46e6505d46c9ccef33b",
+                          "08eddb6b805dac4a2048d0d921aa25f512493e8ec9e442c8e66e3e9607373861"),
 }
 
 

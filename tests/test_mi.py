@@ -12,6 +12,7 @@ from dpmi.dp import BudgetAccountant, BudgetExceededError
 from dpmi.mi import (
     COHORT_LABEL,
     REST_LABEL,
+    TOL,
     FoldSpec,
     binary_rank,
     calc_mi,
@@ -41,14 +42,13 @@ class TestCalcSingleMi:
         assert calc_single_mi(0.5, 0.5, 0.5) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
 
     def test_tol_floor_on_marginal_product(self):
-        # product under tol is floored, keeping the log finite
-        val = calc_single_mi(1e-12, 1e-12, 0.5, tol=1e-16)
+        # product under TOL is floored, keeping the log finite
+        val = calc_single_mi(1e-12, 1e-12, 0.5)
         assert val == pytest.approx(0.5 * math.log(0.5 / 1e-16), abs=1e-9)
 
     def test_continuous_at_tol_boundary(self):
-        tol = 1e-16
-        below = calc_single_mi(0.5, 0.5, tol * 0.999, tol)
-        at = calc_single_mi(0.5, 0.5, tol, tol)
+        below = calc_single_mi(0.5, 0.5, TOL * 0.999)
+        at = calc_single_mi(0.5, 0.5, TOL)
         assert below == 0.0
         assert abs(at) < 1e-12
 
@@ -190,8 +190,10 @@ class TestRankRecords:
     @settings(deadline=None)
     @given(st.data())
     def test_dp_output_identical_under_permutation(self, data):
-        # users keep one partition each and have 1-6 rows; at epsilon 1000 and
-        # a tiny threshold every partition survives, so the ranking is not empty
+        # drawn users keep one partition each and have 1-6 rows, so bounding
+        # to 2 rows drops some; six fixed users per partition put 6.0 in each
+        # (f1, p) cell, above every derived threshold (about 4.01 at epsilon
+        # 1000 and sensitivity 4), so the ranking is not empty
         users = data.draw(
             st.lists(
                 st.lists(
@@ -209,12 +211,13 @@ class TestRankRecords:
             for i, rows in enumerate(users)
             for feature, obs in rows
         ]
+        records += [Record(f"b{k}", "f1", f"p{k % 3}", 1.0) for k in range(18)]
         privacy = PrivacyConfig(epsilon=1000.0, delta=0.2, clamp_lo=0.25, clamp_hi=2.0,
                                 contribution_limit=2, seed=7)
-        expected = rank_records(records, privacy, threshold_override=1e-6)
+        expected = rank_records(records, privacy)
         assert expected
         shuffled = data.draw(st.permutations(records))
-        assert rank_records(shuffled, privacy, threshold_override=1e-6) == expected
+        assert rank_records(shuffled, privacy) == expected
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_rejects_top_k_below_one(self, top_k):

@@ -1,6 +1,7 @@
 """Domain type validation and record ingestion."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -77,6 +78,12 @@ class TestPrivacyConfig:
     def test_rejects_inverted_clamp(self):
         with pytest.raises(ValueError, match="clamp"):
             PrivacyConfig(epsilon=1.0, seed=1, clamp_lo=1.0, clamp_hi=1.0)
+
+    def test_rejects_delta_above_half(self):
+        # above 1/2 the derived threshold would sit below the sensitivity
+        assert PrivacyConfig(epsilon=1.0, seed=1, delta=0.5).delta == 0.5
+        with pytest.raises(ValueError, match=re.escape("delta must lie in (0, 0.5], got 0.6")):
+            PrivacyConfig(epsilon=1.0, seed=1, delta=0.6)
 
     def test_rejects_zero_contribution_limit(self):
         with pytest.raises(ValueError, match="contribution_limit"):

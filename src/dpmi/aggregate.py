@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
 
-from .dp import BudgetAccountant, CellRng, CensoringPolicy, censor_threshold, release_sums
+from .dp import BudgetAccountant, censor_threshold, keyed_uniforms, release_sums
 from .model import AggregateTable, PrivacyConfig, ProbabilityTriple, Record
 
 QUERY_JOINT = "joint"
@@ -106,9 +106,10 @@ def release_aggregate_table(
     Noise is keyed by (seed, table_digest, label, cell), so a release on
     neighbouring data at the same seed draws fresh noise and does not reveal
     the difference. ``memo`` is a dict the caller keeps across releases of
-    this same ``acc`` (at several epsilons, say): the digest and each query's
-    exact sums are then computed, and each cell's keyed uniform drawn, once
-    for all of them. The released table is the same with or without it.
+    this same ``acc`` (at several epsilons, say): it holds each query's exact
+    sums and, with DP on, each cell's keyed uniform, so the digest, the sums
+    and the draws are computed once for all of them. The released table is
+    the same with or without it.
     """
     dp = privacy.dp_enabled
     memo = {} if memo is None else memo
@@ -121,13 +122,16 @@ def release_aggregate_table(
     if memo_key not in memo:
         exact_sums = (acc.joint_sums(), acc.feature_sums(), acc.partition_sums())
         digest = table_digest(acc, exact_sums[0]) if dp else b""
-        memo[memo_key] = [(e, CellRng(privacy.seed, n, digest)) for e, n in zip(exact_sums, names)]
+        memo[memo_key] = [
+            (e, keyed_uniforms(privacy.seed, (digest, n), e) if dp else None)
+            for e, n in zip(exact_sums, names)
+        ]
     sens = privacy.sensitivity
     tables = []
-    for name, eps_q, (exact, rng) in zip(names, shares, memo[memo_key]):
+    for name, eps_q, (exact, uniforms) in zip(names, shares, memo[memo_key]):
         if dp:
             tau = censor_threshold(eps_q, privacy.delta, sens)
-            released = release_sums(exact, sens, eps_q, CensoringPolicy(tau), rng)
+            released = release_sums(exact, sens, eps_q, tau, uniforms)
         else:
             tau = None
             released = {key: value for key, value in exact.items() if value > 0}

@@ -54,7 +54,7 @@ def _jsonl_rows(fh, columns):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError:  # malformed, or an integer past int's digit limit
             yield "parse"
             continue
         try:
@@ -263,13 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget-split", type=_parse_triple, default=(0.5, 0.25, 0.25),
                         metavar="JOINT,FEATURE,PARTITION")
     common.add_argument("--no-dp", action="store_true", help="disable the privacy mechanisms")
-    common.add_argument("--top-k", type=int, default=None)
     common.add_argument("--seed", type=int, default=None,
                         help="required unless --no-dp or --aggregate")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored; every run is single-threaded")
     common.add_argument("--output", required=True)
-    common.add_argument("--output-format", choices=("tsv", "jsonl"), default="tsv")
 
     parser = argparse.ArgumentParser(
         prog="dpmi",
@@ -291,6 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fold = sub.add_parser("fold", parents=[common],
                             help="cascaded rankings where each stage seeds the next")
+    p_eval = sub.add_parser("eval", parents=[common],
+                            help="emit sweep/stability data files, or runtime with --runtime")
+    for p in (p_rank, p_flip, p_fold, p_eval):
+        p.add_argument("--top-k", type=int, default=None)
+    for p in (p_rank, p_flip, p_fold):
+        p.add_argument("--output-format", choices=("tsv", "jsonl"), default="tsv")
+
     p_fold.add_argument("--fold-epsilons", type=_parse_floats, required=False, default=None,
                         metavar="E1,E2,...", help="per-stage budget shares, one per --input")
     p_fold.add_argument("--seeds", default=None, help="comma-separated seed features for stage 1")
@@ -298,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="how many Presence features feed the next stage")
     p_fold.set_defaults(func=cmd_fold)
 
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="emit sweep/stability data files, or runtime with --runtime")
     p_eval.add_argument("--synth", type=_parse_kv, default=None,
                         metavar="users=N,features=N,partitions=N[,strength=S][,zipf=A]")
     p_eval.add_argument("--epsilons", type=_parse_floats, default=list(DEFAULT_EPSILONS))
@@ -317,8 +320,9 @@ def _privacy_from_args(args) -> PrivacyConfig:
     # ranking a saved aggregate releases nothing, so it needs no seed
     if dp_enabled and args.seed is None and not getattr(args, "aggregate", None):
         raise ValueError("--seed is required when privacy is enabled (pass --no-dp to opt out)")
-    if args.top_k is not None and args.top_k < 1:
-        raise ValueError(f"--top-k must be >= 1, got {args.top_k}")
+    top_k = getattr(args, "top_k", None)  # aggregate takes no --top-k
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"--top-k must be >= 1, got {top_k}")
     return PrivacyConfig(
         epsilon=args.epsilon,
         delta=args.delta,
@@ -435,10 +439,16 @@ def cmd_fold(args) -> int:
         for i, ((records, _), eps) in enumerate(zip(ingested, fold_epsilons))
     ]
     accountant = BudgetAccountant(privacy.epsilon) if privacy.dp_enabled else None
-    fold_results = nfold(folds, privacy, accountant)
-    stage_results = [fr.results[: args.top_k] for fr in fold_results]
-    if args.output_format == "tsv":  # refuse any stage before writing a file
-        _check_tsv_keys([r for results in stage_results for r in results])
+    manifest_path = args.output + ".manifest.jsonl"
+    try:
+        fold_results = nfold(folds, privacy, accountant)
+        stage_results = [fr.results[: args.top_k] for fr in fold_results]
+        if args.output_format == "tsv":  # refuse any stage before writing a file
+            _check_tsv_keys([r for results in stage_results for r in results])
+    except Exception:
+        if accountant is not None and accountant.spent:  # stages that released spent budget
+            write_manifest(manifest_path, [_ledger_event(accountant)])
+        raise
     events = []
     for fr, results, (_, counts) in zip(fold_results, stage_results, ingested):
         out_path = f"{args.output}.fold{fr.index}.{args.output_format}"
@@ -464,7 +474,8 @@ def cmd_fold(args) -> int:
             "folds": len(fold_results),
         }
     )
-    write_manifest(args.output + ".manifest.jsonl", events)
+    events.append(_ledger_event(accountant))
+    write_manifest(manifest_path, events)
     return 0
 
 

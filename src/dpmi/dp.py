@@ -6,22 +6,21 @@ left out of the release, and no value is derived from the dropped cells, so
 under censor_threshold's threshold a cell that exists only because of one
 user is released with probability at most delta.
 
-All randomness derives from a 64-bit seed through a counter-based keyed hash,
-so the noise on a released sum depends only on (seed, table digest, query
-label, cell key) and never on the order the cells are visited in; a rerun on
-changed data has another digest and draws fresh noise. Bounding works the
-same way on numpy columns: each row of a user over the contribution limit
-gets a priority mixed from a (seed, id) key and the row's place among the
-user's rows in canonical order, so the survivors depend only on the seed and
-the user's own rows, never on the order of the input.
+All randomness derives from a 64-bit seed through one keyed hash,
+keyed_u64s. Release noise is keyed by (seed, table digest, query label,
+cell key), so it never depends on the order the cells are visited in, and
+a rerun on changed data has another digest and draws fresh noise. Bounding
+works the same way on numpy columns: each row of a user over the
+contribution limit gets a priority mixed from the (seed, "bound", id) hash
+and the row's place among the user's canonical rows, so the survivors
+depend only on the seed and the user's own rows, never on the input order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -36,41 +35,32 @@ class BudgetExceededError(RuntimeError):
     """A charge would push cumulative spend past the configured budget."""
 
 
-def _keyed_u64(seed: int, parts: tuple) -> int:
-    h = hashlib.blake2b(digest_size=8)
-    h.update(seed.to_bytes(8, "little", signed=True))
-    for part in parts:
-        data = part if isinstance(part, bytes) else str(part).encode("utf-8")
-        h.update(len(data).to_bytes(4, "little"))
-        h.update(data)
-    return int.from_bytes(h.digest(), "little")
+def keyed_u64s(seed: int, prefix: tuple, keys: Iterable) -> Iterator[int]:
+    """The 64-bit keyed hash of (seed, *prefix, *key) for each key in turn.
 
-
-def keyed_uniform(seed: int, *parts) -> float:
-    """Uniform draw in (0, 1) that depends only on (seed, *parts)."""
-    return ((_keyed_u64(seed, parts) >> 11) + 0.5) * 2.0**-53
-
-
-class CellRng:
-    """Cell-keyed uniform draws for one (seed, table digest, query label).
-
-    for_key(*parts) is keyed_uniform(seed, digest, label, *parts), memoised
-    per instance: the draw depends only on the key, so releasing the same
-    cells again from one instance (at another epsilon, say) hashes each cell
-    once.
+    A key is one part or a tuple of parts. Each part (bytes, or else its str()
+    in UTF-8) is hashed after its 4-byte length. (seed, *prefix) is hashed
+    once, and that state is copied for every key.
     """
 
-    def __init__(self, seed: int, label: str = "", digest: bytes = b""):
-        self.seed = seed
-        self.label = label
-        self.digest = digest
-        self._draws: dict[tuple, float] = {}
+    def update(h, parts) -> None:
+        for part in parts:
+            data = part if isinstance(part, bytes) else str(part).encode("utf-8")
+            h.update(len(data).to_bytes(4, "little"))
+            h.update(data)
 
-    def for_key(self, *parts) -> float:
-        u = self._draws.get(parts)
-        if u is None:
-            u = self._draws[parts] = keyed_uniform(self.seed, self.digest, self.label, *parts)
-        return u
+    base = hashlib.blake2b(seed.to_bytes(8, "little", signed=True), digest_size=8)
+    update(base, prefix)
+    for key in keys:
+        h = base.copy()
+        update(h, key if isinstance(key, tuple) else (key,))
+        yield int.from_bytes(h.digest(), "little")
+
+
+def keyed_uniforms(seed: int, prefix: tuple, keys: Iterable) -> dict:
+    """Each key's uniform draw in (0, 1), which depends only on (seed, *prefix, *key)."""
+    keys = list(keys)
+    return {k: ((x >> 11) + 0.5) * 2.0**-53 for k, x in zip(keys, keyed_u64s(seed, prefix, keys))}
 
 
 def laplace_from_uniform(u: float, scale: float) -> float:
@@ -97,17 +87,6 @@ def censor_threshold(epsilon_q: float, delta: float, sensitivity: float) -> floa
     if sensitivity <= 0:
         raise ValueError(f"sensitivity must be > 0, got {sensitivity}")
     return sensitivity + (sensitivity / epsilon_q) * math.log(1.0 / (2.0 * delta))
-
-
-@dataclass(frozen=True)
-class CensoringPolicy:
-    """The noisy-sum threshold below which a released cell is dropped."""
-
-    threshold: float
-
-    def __post_init__(self) -> None:
-        if not self.threshold > 0:
-            raise ValueError(f"censoring threshold must be > 0, got {self.threshold}")
 
 
 class BudgetAccountant:
@@ -183,7 +162,7 @@ def _bounded_order(records: list[Record], limit: int, seed: int) -> np.ndarray:
     rows = np.flatnonzero(is_over[user[order]])
     sizes = counts[over]
     j = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    keys = np.array([_keyed_u64(seed, ("bound", ids[u])) for u in over.tolist()], np.uint64)
+    keys = np.fromiter(keyed_u64s(seed, ("bound",), [ids[u] for u in over.tolist()]), np.uint64)
     counter = (j.astype(np.uint64) + np.uint64(1)) * _GOLDEN_GAMMA
     priority = _splitmix64(np.repeat(keys, sizes) + counter)
     # Within each user, lowest priority first (ties keep canonical order), so
@@ -235,28 +214,28 @@ def release_sums(
     exact: Mapping,
     sensitivity: float,
     epsilon_q: float,
-    policy: CensoringPolicy,
-    rng: CellRng,
+    threshold: float,
+    uniforms: Mapping,
 ) -> dict:
     """Release a table of sums under Laplace(sensitivity / epsilon_q) noise.
 
-    Keys whose noisy sum falls below policy.threshold are dropped and nothing
+    The noise on each key is the inverse-CDF transform of ``uniforms[key]``.
+    Keys whose noisy sum falls below ``threshold`` are dropped and nothing
     is derived from their values, so under censor_threshold's threshold a
     cell backed by one user alone survives with probability at most delta.
     Survivors keep their noisy values. epsilon_q must already be charged to
     the budget accountant.
     """
-    if not exact:
-        return {}
     if epsilon_q <= 0:
         raise ValueError(f"epsilon_q must be > 0, got {epsilon_q}")
     if sensitivity <= 0:
         raise ValueError(f"sensitivity must be > 0, got {sensitivity}")
+    if not threshold > 0:
+        raise ValueError(f"censoring threshold must be > 0, got {threshold}")
     scale = sensitivity / epsilon_q
     released: dict = {}
     for key in sorted(exact):
-        parts = key if isinstance(key, tuple) else (key,)
-        noisy = exact[key] + laplace_from_uniform(rng.for_key(*parts), scale)
-        if noisy >= policy.threshold:
+        noisy = exact[key] + laplace_from_uniform(uniforms[key], scale)
+        if noisy >= threshold:
             released[key] = noisy
     return released

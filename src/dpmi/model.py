@@ -54,6 +54,8 @@ def validate_record(row: Sequence) -> Record | str:
         return "reserved"
     try:
         obs = float(raw_obs)
+    except OverflowError:  # a JSON integer beyond the float range
+        return "non_finite"
     except (TypeError, ValueError):
         return "parse"
     if math.isnan(obs) or math.isinf(obs):
@@ -85,10 +87,12 @@ class PrivacyConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "budget_split", tuple(self.budget_split))
-        if self.dp_enabled and not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0 when privacy is enabled, got {self.epsilon}")
+        if self.dp_enabled and not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0 with privacy on, got {self.epsilon}")
         if not 0 < self.delta <= 0.5:
             raise ValueError(f"delta must lie in (0, 0.5], got {self.delta}")
+        if not (math.isfinite(self.clamp_lo) and math.isfinite(self.clamp_hi)):
+            raise ValueError(f"clamp bounds must be finite, got ({self.clamp_lo}, {self.clamp_hi})")
         if not self.clamp_lo < self.clamp_hi:
             raise ValueError(
                 f"clamp bounds must satisfy lo < hi, got ({self.clamp_lo}, {self.clamp_hi})"

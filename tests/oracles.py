@@ -4,19 +4,21 @@ These deliberately avoid the library's code paths: MI is evaluated directly
 on the 2x2 contingency table, and percentiles go through numpy's
 inverted-CDF method. The sweep and stability oracles are the plain per-cell
 loops: one full ``rank_records`` run for every (epsilon, trial) pair. The
-bounding oracle is a per-user loop over Python integers, and ``clamp`` is the
-scalar reference for the column clamp in ``prepare_records``.
+bounding oracle is a per-user loop over Python integers, ``clamp`` is the
+scalar reference for the column clamp in ``prepare_records``, and
+``keyed_u64``/``keyed_uniform`` hash one key at a time from scratch, the
+reference for ``dp.keyed_u64s`` and ``dp.keyed_uniforms``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 from statistics import fmean
 
 import numpy as np
 
-from dpmi.dp import _keyed_u64
 from dpmi.evaluation import (
     PERCENTILES,
     StabilityRow,
@@ -50,6 +52,21 @@ def mi_2x2(p_x: float, p_y: float, p_xy: float) -> float:
 def clamp(observation: float, lo: float, hi: float) -> float:
     """min(hi, max(lo, observation)): a value equal to a bound becomes that bound."""
     return min(hi, max(lo, observation))
+
+
+def keyed_u64(seed: int, parts: tuple) -> int:
+    h = hashlib.blake2b(digest_size=8)
+    h.update(seed.to_bytes(8, "little", signed=True))
+    for part in parts:
+        data = part if isinstance(part, bytes) else str(part).encode("utf-8")
+        h.update(len(data).to_bytes(4, "little"))
+        h.update(data)
+    return int.from_bytes(h.digest(), "little")
+
+
+def keyed_uniform(seed: int, *parts) -> float:
+    """Uniform draw in (0, 1) that depends only on (seed, *parts)."""
+    return ((keyed_u64(seed, parts) >> 11) + 0.5) * 2.0**-53
 
 
 def random_valid_triple(rng, lo: float = 0.01, hi: float = 0.99):
@@ -140,7 +157,7 @@ def bound_contributions_oracle(records, limit, seed):
     for uid, rows in by_user.items():
         rows = sorted(rows, key=_row_key)
         if len(rows) > limit:
-            key = _keyed_u64(seed, ("bound", uid))
+            key = keyed_u64(seed, ("bound", uid))
             priority = [
                 _splitmix64((key + (j + 1) * 0x9E3779B97F4A7C15) & _U64)
                 for j in range(len(rows))

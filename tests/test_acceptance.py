@@ -10,15 +10,15 @@ from collections import Counter
 import pytest
 from scipy.stats import spearmanr
 
-from dpmi.dp import (BudgetAccountant, CellRng, CensoringPolicy, censor_threshold, keyed_uniform,
-                     laplace_from_uniform, release_sums)
+from dpmi.dp import (BudgetAccountant, censor_threshold, keyed_uniforms, laplace_from_uniform,
+                     release_sums)
 from dpmi.evaluation import epsilon_sweep, head_tail_stability, runtime_compare, synth_generate
 from dpmi.mi import FoldSpec, binary_rank, calc_mi, nfold, rank_records
 from dpmi.model import PrivacyConfig, Record
 from dpmi.cli import main as cli_main
 
 from nfold_synth import two_stage_dataset
-from oracles import mi_2x2, random_valid_triple
+from oracles import keyed_uniform, mi_2x2, random_valid_triple
 
 NO_DP = PrivacyConfig(epsilon=1.0, seed=0, dp_enabled=False)
 
@@ -118,11 +118,11 @@ def test_criterion_05_head_vs_tail_stability():
 
 def test_criterion_06_censoring_guarantee():
     tau = censor_threshold(1.0, 1e-6, 1.0)
-    policy = CensoringPolicy(threshold=tau)
     survived = 0
     trials = 100_000
     for t in range(trials):
-        out = release_sums({"dim": 1.0}, 1.0, 1.0, policy, CellRng(t, "censor"))
+        uniforms = keyed_uniforms(t, (b"", "censor"), ["dim"])
+        out = release_sums({"dim": 1.0}, 1.0, 1.0, tau, uniforms)
         survived += int("dim" in out)
     ok = survived <= 5
     _report(6, "censoring guarantee", ok, f"tau={tau:.3f} survived {survived}/{trials}")
@@ -145,12 +145,12 @@ def test_criterion_07_laplace_statistics():
 def test_criterion_08_empirical_dp_smoke():
     # neighboring datasets: 51 vs 50 users on one dimension, epsilon 1, no censoring
     epsilon = 1.0
-    policy = CensoringPolicy(threshold=1e-9)
 
     def histogram(exact, seed_base, trials=100_000):
         h = Counter()
         for t in range(trials):
-            out = release_sums({"dim": exact}, 1.0, epsilon, policy, CellRng(seed_base + t, "count"))
+            uniforms = keyed_uniforms(seed_base + t, (b"", "count"), ["dim"])
+            out = release_sums({"dim": exact}, 1.0, epsilon, 1e-9, uniforms)
             value = out.get("dim")
             h["censored" if value is None else math.floor(value)] += 1
         return h

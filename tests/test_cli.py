@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import logging
 import math
 import os
 import re
@@ -278,6 +279,30 @@ class TestRankCommand:
         payload = json.loads(err)
         assert payload["error"] == "ValueError" and "top-k" in payload["message"]
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--clamp", "0,inf"], "clamp bounds"),
+        (["--clamp=-inf,1"], "clamp bounds"),
+        (["--epsilon", "inf"], "epsilon"),
+    ])
+    def test_infinite_privacy_setting_names_the_field(self, tmp_path, capsys, flags, field):
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        rc = main(["rank", "--input", inp, "--output", str(tmp_path / "r.tsv"), "--seed", "1",
+                   *flags])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"{field} must be finite")
+
+    def test_oversized_json_numbers_are_rejected_rows(self, tmp_path, caplog):
+        rows = [json.dumps({"id": f"u{i}", "feature": f"f{i % 3}", "partition": f"p{i % 2}",
+                            "observation": 1.0}) for i in range(8)]
+        big = '{"id": "u9", "feature": "f1", "partition": "p1", "observation": %s}'
+        rows += [big % ("9" * 401), big % ("9" * 5001)]
+        inp = _write(tmp_path / "in.jsonl", "\n".join(rows) + "\n")
+        caplog.set_level(logging.INFO, logger="dpmi.cli")
+        assert main(["rank", "--input", inp, "--output", str(tmp_path / "r.tsv"), "--no-dp"]) == 0
+        assert "rejected by reason: {'non_finite': 1, 'parse': 1}" in caplog.text
+
     def test_dp_rank_ledger_sums_to_epsilon(self, tmp_path):
         lines = ["id\tfeature\tpartition\tobservation"]
         lines += [f"u{i}\tf{i % 6}\tp{i % 3}\t1.0" for i in range(600)]
@@ -470,6 +495,45 @@ class TestFoldCommand:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "ValueError" and "top_k" in payload["message"]
 
+    def test_fold_manifest_ends_with_the_ledger(self, tmp_path):
+        f1, f2 = self._stage_files(tmp_path)
+        base = str(tmp_path / "out")
+        assert main([
+            "fold", "--input", f1, "--input", f2, "--output", base,
+            "--epsilon", "1.0", "--fold-epsilons", "0.5,0.5",
+            "--seeds", "seed_kw", "--delta", "1e-2", "--contribution-limit", "2", "--seed", "11",
+        ]) == 0
+        manifest = _read_manifest(base + ".manifest.jsonl")
+        ledger = manifest[-1]
+        assert ledger["event"] == "ledger" and ledger["total_epsilon"] == 1.0
+        for stage in ("fold1/", "fold2/"):
+            charges = [eps for label, eps in ledger["charges"] if label.startswith(stage)]
+            assert len(charges) == 3 and math.fsum(charges) == pytest.approx(0.5, abs=1e-9)
+        summary = next(m for m in manifest if m["event"] == "summary")
+        assert ledger["spent_epsilon"] == summary["epsilon_spent"]
+
+    def test_failed_later_stage_records_the_spent_budget(self, tmp_path, capsys):
+        # stage 2 shares no id with stage 1, so its labeling is degenerate
+        # after stage 1 has released
+        f1, _ = self._stage_files(tmp_path)
+        lines = ["id\tfeature\tpartition\tobservation"]
+        lines += [f"x{i:03d}\torg{i % 2}\tall\t1.0" for i in range(600)]
+        f2 = _write(tmp_path / "s2.tsv", "\n".join(lines) + "\n")
+        base = str(tmp_path / "out")
+        assert main([
+            "fold", "--input", f1, "--input", f2, "--output", base,
+            "--epsilon", "1.0", "--fold-epsilons", "0.5,0.5",
+            "--seeds", "seed_kw", "--delta", "1e-2", "--contribution-limit", "2", "--seed", "11",
+        ]) == 1
+        assert "degenerate" in json.loads(capsys.readouterr().err)["message"]
+        (ledger,) = _read_manifest(base + ".manifest.jsonl")
+        assert ledger["event"] == "ledger"
+        labels = [label for label, _ in ledger["charges"]]
+        assert labels == ["fold1/joint", "fold1/feature_marginal", "fold1/partition_marginal"]
+        assert math.fsum(eps for _, eps in ledger["charges"]) == pytest.approx(0.5, abs=1e-9)
+        assert ledger["spent_epsilon"] == pytest.approx(0.5, abs=1e-9)
+        assert not [p for p in os.listdir(tmp_path) if p.startswith("out.fold")]
+
     def test_overflowing_folds_error(self, tmp_path, capsys):
         f1, f2 = self._stage_files(tmp_path)
         rc = main([
@@ -584,6 +648,19 @@ class TestProcessLevel:
 def _readme_cli_section():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("aggregate", ["--output-format", "tsv"]),
+    ("aggregate", ["--top-k", "3"]),
+    ("eval", ["--output-format", "tsv"]),
+])
+def test_flags_a_subcommand_would_ignore_are_rejected(tmp_path, capsys, command, flag):
+    inp = _write(tmp_path / "toy.tsv", TOY)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", inp, "--output", str(tmp_path / "o"), "--no-dp", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestReadme:

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from dpmi.dp import (
     BudgetAccountant,
     BudgetExceededError,
-    CellRng,
-    CensoringPolicy,
     bound_contributions,
     censor_threshold,
-    keyed_uniform,
+    keyed_u64s,
+    keyed_uniforms,
     laplace_from_uniform,
     prepare_records,
     release_sums,
@@ -24,7 +23,17 @@ from dpmi.dp import (
 from dpmi.mi import rank_records
 from dpmi.model import PrivacyConfig, Record
 
-from oracles import bound_contributions_oracle, clamp
+from oracles import bound_contributions_oracle, clamp, keyed_u64, keyed_uniform
+
+
+# Key parts as the release and bounding pass them: strings (empty and
+# non-ASCII included), digests as bytes, and integers.
+_PARTS = st.one_of(
+    st.sampled_from(["", "a", "ab", "bc", "c", "é", "日本", "\x00"]),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.integers(-3, 3),
+)
 
 
 class TestLaplace:
@@ -64,15 +73,33 @@ class TestLaplace:
 
 class TestKeyedUniform:
     def test_open_interval(self):
-        us = [keyed_uniform(3, "u", i) for i in range(10_000)]
-        assert all(0.0 < u < 1.0 for u in us)
+        us = keyed_uniforms(3, ("u",), range(10_000))
+        assert len(us) == 10_000
+        assert all(0.0 < u < 1.0 for u in us.values())
 
     def test_key_order_independent(self):
-        rng = CellRng(seed=5, label="joint")
-        first = [rng.for_key("a", str(i)) for i in range(50)]
-        rng2 = CellRng(seed=5, label="joint")
-        second = [rng2.for_key("a", str(i)) for i in reversed(range(50))]
-        assert first == list(reversed(second))
+        keys = [("a", str(i)) for i in range(50)]
+        first = keyed_uniforms(5, (b"", "joint"), keys)
+        second = keyed_uniforms(5, (b"", "joint"), reversed(keys))
+        assert [first[k] for k in keys] == [second[k] for k in keys]
+
+    @settings(deadline=None)
+    @given(
+        st.integers(-(2**63), 2**63 - 1),
+        st.lists(_PARTS, max_size=3).map(tuple),
+        st.lists(st.one_of(_PARTS, st.lists(_PARTS, max_size=3).map(tuple)), max_size=8),
+    )
+    def test_matches_scalar_oracle(self, seed, prefix, keys):
+        parts = [key if isinstance(key, tuple) else (key,) for key in keys]
+        expected = [keyed_u64(seed, (*prefix, *p)) for p in parts]
+        assert list(keyed_u64s(seed, prefix, keys)) == expected
+        drawn = keyed_uniforms(seed, prefix, keys)
+        for key, p in zip(keys, parts):
+            assert drawn[key] == keyed_uniform(seed, *prefix, *p)
+
+    def test_length_prefix_separates_split_parts(self):
+        drawn = keyed_uniforms(9, ("q",), [("ab", "c"), ("a", "bc"), ("abc",), ("", "abc")])
+        assert len(set(drawn.values())) == 4
 
 
 class TestCensorThreshold:
@@ -267,42 +294,43 @@ def test_own_row_order_does_not_change_survivors():
 
 class TestReleaseSums:
     def test_empty_input_empty_output(self):
-        policy = CensoringPolicy(threshold=5.0)
-        assert release_sums({}, 1.0, 1.0, policy, CellRng(0, "q")) == {}
+        assert release_sums({}, 1.0, 1.0, 5.0, {}) == {}
 
     def test_single_user_dimension_censored(self):
         # exact sum 0 from one user, tau=20: survival prob is e^-20 / 2
-        policy = CensoringPolicy(threshold=20.0)
         survived = 0
         for trial in range(20_000):
-            out = release_sums({"rare": 0.0}, 1.0, 1.0, policy, CellRng(trial, "q"))
+            uniforms = keyed_uniforms(trial, (b"", "q"), ["rare"])
+            out = release_sums({"rare": 0.0}, 1.0, 1.0, 20.0, uniforms)
             survived += int("rare" in out)
         assert survived == 0
 
     def test_survivors_keep_noisy_value(self):
-        policy = CensoringPolicy(threshold=0.5)
-        rng = CellRng(3, "q")
-        out = release_sums({"big": 100.0}, 1.0, 1.0, policy, rng)
-        expected = 100.0 + laplace_from_uniform(CellRng(3, "q").for_key("big"), 1.0)
+        out = release_sums({"big": 100.0}, 1.0, 1.0, 0.5, keyed_uniforms(3, (b"", "q"), ["big"]))
+        expected = 100.0 + laplace_from_uniform(keyed_uniform(3, b"", "q", "big"), 1.0)
         assert out["big"] == expected
         assert out["big"] != 100.0
 
     def test_iteration_order_does_not_matter(self):
-        policy = CensoringPolicy(threshold=0.5)
         exact_a = {"x": 5.0, "y": 7.0, "z": 9.0}
         exact_b = {"z": 9.0, "x": 5.0, "y": 7.0}
-        out_a = release_sums(exact_a, 1.0, 1.0, policy, CellRng(1, "q"))
-        out_b = release_sums(exact_b, 1.0, 1.0, policy, CellRng(1, "q"))
+        out_a = release_sums(exact_a, 1.0, 1.0, 0.5, keyed_uniforms(1, (b"", "q"), exact_a))
+        out_b = release_sums(exact_b, 1.0, 1.0, 0.5, keyed_uniforms(1, (b"", "q"), exact_b))
         assert out_a == out_b
 
     def test_higher_epsilon_means_weakly_smaller_noise(self):
-        policy = CensoringPolicy(threshold=1e-9)
         exact = {f"k{i}": 100.0 for i in range(200)}
-        low = release_sums(exact, 1.0, 0.5, policy, CellRng(4, "q"))
-        high = release_sums(exact, 1.0, 4.0, policy, CellRng(4, "q"))
+        uniforms = keyed_uniforms(4, (b"", "q"), exact)
+        low = release_sums(exact, 1.0, 0.5, 1e-9, uniforms)
+        high = release_sums(exact, 1.0, 4.0, 1e-9, uniforms)
         for key in exact:
             assert abs(high[key] - 100.0) <= abs(low[key] - 100.0)
 
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
-            release_sums({"a": 1.0}, 1.0, 0.0, CensoringPolicy(1.0), CellRng(0, "q"))
+            release_sums({"a": 1.0}, 1.0, 0.0, 1.0, keyed_uniforms(0, (b"", "q"), ["a"]))
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_threshold(self, threshold):
+        with pytest.raises(ValueError, match="censoring threshold must be > 0"):
+            release_sums({"a": 1.0}, 1.0, 1.0, threshold, keyed_uniforms(0, (b"", "q"), ["a"]))

@@ -1,6 +1,7 @@
 """Domain type validation and record ingestion."""
 
 import dataclasses
+import math
 import re
 
 import pytest
@@ -26,6 +27,11 @@ class TestValidateRecord:
     def test_rejects_non_finite(self):
         assert validate_record(("u1", "f1", "p1", "nan")) == "non_finite"
         assert validate_record(("u1", "f1", "p1", "inf")) == "non_finite"
+
+    def test_integer_past_the_float_range_is_non_finite(self):
+        # JSON integers reach validate_record as int, which float() cannot always hold
+        assert validate_record(("u1", "f1", "p1", 10**400)) == "non_finite"
+        assert validate_record(("u1", "f1", "p1", 10**300)) == Record("u1", "f1", "p1", 1e300)
 
     def test_rejects_wrong_arity(self):
         assert validate_record(("u1", "f1", "p1")) == "fields"
@@ -74,6 +80,17 @@ class TestPrivacyConfig:
     def test_epsilon_unchecked_when_disabled(self):
         cfg = PrivacyConfig(epsilon=0.0, seed=1, dp_enabled=False)
         assert not cfg.dp_enabled
+
+    def test_rejects_infinite_epsilon_when_enabled(self):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            PrivacyConfig(epsilon=math.inf, seed=1)
+        assert PrivacyConfig(epsilon=math.inf, seed=1, dp_enabled=False).epsilon == math.inf
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
+    def test_rejects_infinite_clamp(self, lo, hi):
+        # an infinite bound makes the sensitivity, and so the noise scale, infinite
+        with pytest.raises(ValueError, match="clamp bounds must be finite"):
+            PrivacyConfig(epsilon=1.0, seed=1, clamp_lo=lo, clamp_hi=hi)
 
     def test_rejects_inverted_clamp(self):
         with pytest.raises(ValueError, match="clamp"):

@@ -1,9 +1,10 @@
 """Group-by and release stages.
 
-One pass fills an accumulator that keeps each joint cell's value multiset
-rather than a running sum. A marginal's multiset is the union of its cells'
-multisets. Every sum comes from math.fsum, whose exactly-rounded result
-makes it bit-identical for any order of the input records.
+One pass over the input columns fills an accumulator that keeps each joint
+cell's value multiset rather than a running sum. A marginal's multiset is
+the union of its cells' multisets. Every sum comes from math.fsum, whose
+exactly-rounded result makes it bit-identical for any order of the input
+rows.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ import math
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
 
 from .dp import BudgetAccountant, censor_threshold, keyed_uniforms, release_sums
-from .model import AggregateTable, PrivacyConfig, ProbabilityTriple, Record
+from .model import AggregateTable, Columns, PrivacyConfig, ProbabilityTriple
 
 QUERY_JOINT = "joint"
 QUERY_FEATURE = "feature_marginal"
@@ -31,9 +31,11 @@ CONTAINMENT_MARGIN = 1e-12
 class Accumulator:
     """Observations grouped by (feature, partition) cell.
 
-    Only the joint cells hold values. A feature's or a partition's marginal
-    sum is the fsum over the union of its cells' lists: the same multiset a
-    per-marginal list would hold, so the exactly rounded sum has the same bits.
+    Each joint cell holds the list of its rows' observations as Python
+    floats, in row order; only the joint cells hold values. A feature's or a
+    partition's marginal sum is the fsum over the union of its cells' lists:
+    the same multiset a per-marginal list would hold, so the exactly rounded
+    sum has the same bits.
     """
 
     partial_joint: dict[tuple[str, str], list[float]] = field(default_factory=dict)
@@ -55,16 +57,17 @@ class Accumulator:
         return {key: math.fsum(chain.from_iterable(lists)) for key, lists in sorted(cells.items())}
 
 
-def accumulate(records: Iterable[Record]) -> Accumulator:
-    """Group records in one pass.
+def accumulate(cols: Columns) -> Accumulator:
+    """Group the rows of the columns in one pass.
 
-    Records must already be contribution-bounded and clamped.
+    Each row's observation goes to the value list of its (feature,
+    partition) cell. The columns must already be contribution-bounded and
+    clamped.
     """
-    acc = Accumulator()
+    acc = Accumulator(row_count=len(cols))
     joint = acc.partial_joint
-    for rec in records:
-        joint.setdefault((rec.feature, rec.partition), []).append(rec.observation)
-        acc.row_count += 1
+    for key, value in zip(zip(cols.features, cols.partitions), cols.observations.tolist()):
+        joint.setdefault(key, []).append(value)
     return acc
 
 

@@ -15,6 +15,8 @@ import os
 import sys
 from collections import Counter
 
+import numpy as np
+
 from .aggregate import accumulate, build_probability_tables, release_aggregate_table
 from .dp import BudgetAccountant, prepare_records
 from .evaluation import (
@@ -29,7 +31,7 @@ from .evaluation import (
     write_sweep_tsv,
 )
 from .mi import FoldSpec, flip, nfold, rank, rank_records
-from .model import AggregateTable, PrivacyConfig, Record, validate_record
+from .model import AggregateTable, Columns, PrivacyConfig, Record, validate_record
 
 logger = logging.getLogger(__name__)
 
@@ -91,14 +93,19 @@ def _delimited_rows(fh, path: str, columns):
         yield [fields[i] for i in indices] if last < len(fields) else "fields"
 
 
-def read_records(path: str, columns) -> tuple[list[Record], Counter, int]:
+def read_records(path: str, columns) -> tuple[Columns, Counter, int]:
     """Read and validate one input file.
 
     A file whose first non-empty line starts with ``{`` is JSON lines, any
-    other is delimited. Returns (records, rejection counts by reason, rows
-    read). A missing mapped column is a hard error naming the column.
+    other is delimited. Returns (the valid rows as columns, rejection counts
+    by reason, rows read). Each valid row's fields are appended to the
+    columns, and no Record is built. A missing mapped column is a hard error
+    naming the column.
     """
-    records: list[Record] = []
+    ids: list[str] = []
+    features: list[str] = []
+    partitions: list[str] = []
+    observations: list[float] = []
     rejects: Counter = Counter()
     rows_read = 0
     with open(path, "r", encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
@@ -114,8 +121,12 @@ def read_records(path: str, columns) -> tuple[list[Record], Counter, int]:
             if isinstance(parsed, str):
                 rejects[parsed] += 1
             else:
-                records.append(parsed)
-    return records, rejects, rows_read
+                rid, feature, partition, value = parsed
+                ids.append(rid)
+                features.append(feature)
+                partitions.append(partition)
+                observations.append(value)
+    return Columns(ids, features, partitions, np.array(observations, np.float64)), rejects, rows_read
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +352,7 @@ def _single_input(args) -> str:
     return args.input[0]
 
 
-def _ingest(path: str, args) -> tuple[list[Record], dict]:
+def _ingest(path: str, args) -> tuple[Columns, dict]:
     """Read one input file; log and return its counts; no valid row is an error."""
     records, rejects, rows_read = read_records(path, args.columns)
     counts = {"rows_read": rows_read, "rows_rejected": dict(sorted(rejects.items()))}

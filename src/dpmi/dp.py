@@ -10,7 +10,7 @@ All randomness derives from a 64-bit seed through one keyed hash,
 keyed_u64s. Release noise is keyed by (seed, table digest, query label,
 cell key), so it never depends on the order the cells are visited in, and
 a rerun on changed data has another digest and draws fresh noise. Bounding
-works the same way on numpy columns: each row of a user over the
+works the same way on the input columns: each row of a user over the
 contribution limit gets a priority mixed from the (seed, "bound", id) hash
 and the row's place among the user's canonical rows, so the survivors
 depend only on the seed and the user's own rows, never on the input order.
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .model import PrivacyConfig, Record
+from .model import Columns, PrivacyConfig
 
 # Headroom so charges that exactly split the budget are not rejected by
 # floating-point rounding.
@@ -143,12 +143,12 @@ def _encode(keys: list[str]) -> tuple[list[str], np.ndarray]:
     return distinct, np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
 
 
-def _bounded_order(records: list[Record], limit: int, seed: int) -> np.ndarray:
-    """Indices of the records that survive bounding, in output order."""
-    ids, user = _encode([r.id for r in records])
-    _, feature = _encode([r.feature for r in records])
-    _, partition = _encode([r.partition for r in records])
-    obs = np.fromiter((r.observation for r in records), np.float64, len(records))
+def _bounded_order(cols: Columns, limit: int, seed: int) -> np.ndarray:
+    """Indices of the rows that survive bounding, in output order."""
+    ids, user = _encode(cols.ids)
+    _, feature = _encode(cols.features)
+    _, partition = _encode(cols.partitions)
+    obs = cols.observations
     # Canonical order: by user, then by the user's own rows; the sign bit
     # orders -0.0 after 0.0, so no tie depends on the input order.
     order = np.lexsort((np.signbit(obs), obs, partition, feature, user))
@@ -174,40 +174,38 @@ def _bounded_order(records: list[Record], limit: int, seed: int) -> np.ndarray:
     return order[keep]
 
 
-def bound_contributions(records: Iterable[Record], limit: int, seed: int) -> list[Record]:
-    """Cap each user id at ``limit`` records, chosen by a keyed per-row priority.
+def bound_contributions(cols: Columns, limit: int, seed: int) -> Columns:
+    """Cap each user id at ``limit`` rows, chosen by a keyed per-row priority.
 
     A user's rows are put in canonical order (feature, partition,
     observation). Row j of a user with more than ``limit`` rows gets the
     priority splitmix64(key + (j + 1) * gamma), where key hashes (seed, id),
     and the ``limit`` rows of lowest priority survive: a uniformly random
     subset that depends only on the seed and the user's own rows, never on
-    their order or on other users. Output is sorted by
-    (id, feature, partition, observation) so downstream stages see a
-    reproducible order.
+    their order or on other users. The survivors are an index take of the
+    columns, sorted by (id, feature, partition, observation) so downstream
+    stages see a reproducible order.
     """
     if limit < 1:
         raise ValueError(f"contribution limit must be >= 1, got {limit}")
-    records = list(records)
-    return [records[i] for i in _bounded_order(records, limit, seed).tolist()]
+    return cols.take(_bounded_order(cols, limit, seed))
 
 
-def prepare_records(records: Iterable[Record], privacy: PrivacyConfig) -> list[Record]:
-    """Contribution-bound and clamp records when privacy is enabled; no-op otherwise."""
+def prepare_records(cols: Columns, privacy: PrivacyConfig) -> Columns:
+    """Contribution-bound and clamp the columns when privacy is enabled; no-op otherwise.
+
+    The survivors are an index take and the clamp writes their observation
+    array, so no row is rebuilt.
+    """
     if not privacy.dp_enabled:
-        return list(records)
-    bounded = bound_contributions(records, privacy.contribution_limit, privacy.seed)
+        return cols
+    bounded = bound_contributions(cols, privacy.contribution_limit, privacy.seed)
     lo, hi = privacy.clamp_lo, privacy.clamp_hi
-    obs = np.fromiter((r.observation for r in bounded), np.float64, len(bounded))
+    obs = bounded.observations
     # min(hi, max(lo, x)) on a column: unlike np.clip, a value equal to a
-    # bound becomes that bound, so the sign of a zero is the bound's. A record
-    # whose value the clamp leaves as it is (sign included) is kept as it is.
-    clamped = np.where(obs > lo, np.where(obs < hi, obs, hi), lo)
-    same = (clamped == obs) & (np.signbit(clamped) == np.signbit(obs))
-    return [
-        r if keep else Record(r.id, r.feature, r.partition, o)
-        for r, keep, o in zip(bounded, same.tolist(), clamped.tolist())
-    ]
+    # bound becomes that bound, so the sign of a zero is the bound's.
+    bounded.observations = np.where(obs > lo, np.where(obs < hi, obs, hi), lo)
+    return bounded
 
 
 def release_sums(

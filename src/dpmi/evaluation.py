@@ -16,7 +16,7 @@ import numpy as np
 from .aggregate import accumulate, build_probability_tables, release_aggregate_table
 from .dp import prepare_records
 from .mi import binary_rank, rank, rank_records
-from .model import PrivacyConfig, RankedResult, Record
+from .model import Columns, PrivacyConfig, RankedResult, Record
 
 PERCENTILES = (10, 25, 50, 75, 90)
 DEFAULT_EPSILONS = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -95,7 +95,7 @@ def _check_sweep_args(epsilons: Sequence[float], trials: int) -> None:
 
 
 def _private_rankings(
-    records: Sequence[Record],
+    cols: Columns,
     privacy: PrivacyConfig,
     epsilons: Sequence[float],
     trials: int,
@@ -119,13 +119,13 @@ def _private_rankings(
                 continue
             cfg = replace(privacy, epsilon=eps, dp_enabled=True, seed=privacy.seed + trial)
             if acc is None:
-                acc = accumulate(prepare_records(records, cfg))
+                acc = accumulate(prepare_records(cols, cfg))
             table = release_aggregate_table(acc, cfg, memo=memo)
             yield trial, eps, rank(build_probability_tables(table))
 
 
 def epsilon_sweep(
-    records: Sequence[Record],
+    records: Columns | Sequence[Record],
     privacy: PrivacyConfig,
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
     trials: int = 5,
@@ -139,13 +139,15 @@ def epsilon_sweep(
     release the same bounded table from the same keyed uniforms, so each
     epsilon's noise is a scaled copy of one draw per cell. An infinite
     epsilon compares the baseline with itself and yields an all-zero row.
-    ``threads`` is accepted and ignored.
+    Records are converted to columns once. ``threads`` is accepted and
+    ignored.
     """
     _check_sweep_args(epsilons, trials)
-    baseline = rank_records(records, replace(privacy, dp_enabled=False))
+    cols = Columns.from_records(records)
+    baseline = rank_records(cols, replace(privacy, dp_enabled=False))
     percentiles: dict[float, list[dict[int, float]]] = {eps: [] for eps in epsilons}
     dropped: dict[float, list[int]] = {eps: [] for eps in epsilons}
-    for _, eps, private in _private_rankings(records, privacy, epsilons, trials, baseline):
+    for _, eps, private in _private_rankings(cols, privacy, epsilons, trials, baseline):
         cmp = compare_rankings(baseline, private, top_k)
         percentiles[eps].append(cmp.percentiles)
         dropped[eps].append(cmp.dropped)
@@ -166,7 +168,7 @@ class StabilityRow:
 
 
 def head_tail_stability(
-    records: Sequence[Record],
+    records: Columns | Sequence[Record],
     privacy: PrivacyConfig,
     epsilon: float = 1.0,
     trials: int = 5,
@@ -180,18 +182,20 @@ def head_tail_stability(
     each bucket's median error is averaged over trials. Pairs censored out
     of a private run are skipped; a bucket empty in every trial reports NaN.
     An infinite epsilon ranks with the baseline, so every bucket reports 0.
-    ``threads`` is accepted and ignored.
+    Records are converted to columns once. ``threads`` is accepted and
+    ignored.
     """
     _check_sweep_args((epsilon,), trials)
     if buckets < 1:
         raise ValueError(f"buckets must be >= 1, got {buckets}")
-    baseline = rank_records(records, replace(privacy, dp_enabled=False))
+    cols = Columns.from_records(records)
+    baseline = rank_records(cols, replace(privacy, dp_enabled=False))
     head = baseline[:top_k]
     if len(head) < buckets:
         raise ValueError(f"need at least {buckets} baseline pairs, got {len(head)}")
     edges = [round(j * len(head) / buckets) for j in range(buckets + 1)]
     per_bucket: list[list[float]] = [[] for _ in range(buckets)]
-    for _, _, private in _private_rankings(records, privacy, (epsilon,), trials, baseline):
+    for _, _, private in _private_rankings(cols, privacy, (epsilon,), trials, baseline):
         private_rank = {(r.partition, r.feature): r.rank for r in private}
         for b in range(buckets):
             errors = []
@@ -220,31 +224,34 @@ class RuntimeComparison:
 
 
 def runtime_compare(
-    records: Sequence[Record],
+    records: Columns | Sequence[Record],
     threads: int = 1,
 ) -> RuntimeComparison:
     """Wall-clock of one batched multi-partition ranking vs sequential
     one-vs-all reruns over the same records.
 
-    Privacy is disabled on both sides, so only the compute paths differ. The
-    per-partition result lists are kept so callers can check that both paths
-    agree on MI values. ``threads`` is accepted and ignored.
+    Privacy is disabled on both sides, so only the compute paths differ.
+    Records are converted to columns once, before either clock starts, and
+    both sides are timed from that one table. The per-partition result
+    lists are kept so callers can check that both paths agree on MI values.
+    ``threads`` is accepted and ignored.
     """
-    partitions = sorted({r.partition for r in records})
+    cols = Columns.from_records(records)
+    partitions = sorted(set(cols.partitions))
     if len(partitions) < 2:
         raise ValueError(f"need at least 2 partitions, got {len(partitions)}")
     nodp = PrivacyConfig(epsilon=1.0, dp_enabled=False)
     start = time.perf_counter()
-    batched = rank_records(records, nodp)
+    batched = rank_records(cols, nodp)
     batched_seconds = time.perf_counter() - start
     binary_results: dict[str, list[RankedResult]] = {}
     binary_seconds = 0.0
     for partition in partitions:
         start = time.perf_counter()
-        binary_results[partition] = binary_rank(records, partition, nodp)
+        binary_results[partition] = binary_rank(cols, partition, nodp)
         binary_seconds += time.perf_counter() - start
     return RuntimeComparison(
-        rows=len(records),
+        rows=len(cols),
         partitions=len(partitions),
         batched_seconds=batched_seconds,
         binary_seconds=binary_seconds,

@@ -13,9 +13,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .aggregate import accumulate, build_probability_tables, release_aggregate_table
 from .dp import BudgetAccountant, BudgetExceededError, prepare_records
-from .model import Direction, PrivacyConfig, ProbabilityTriple, RankedResult, Record
+from .model import Columns, Direction, PrivacyConfig, ProbabilityTriple, RankedResult, Record
 
 logger = logging.getLogger(__name__)
 
@@ -30,31 +32,42 @@ CARDINALITY_WARNING = 1_000_000
 TOL = 1e-16
 
 
-def calc_single_mi(p_x: float, p_y: float, p_xy: float) -> float:
-    """One cell's contribution: p_xy * ln(p_xy / max(p_x * p_y, TOL)).
+def _floor0(x: np.ndarray) -> np.ndarray:
+    """max(0.0, x) elementwise: 0.0 unless x > 0, so -0.0 and NaN become 0.0."""
+    return np.where(x > 0.0, x, 0.0)
 
-    Cells with p_xy below TOL contribute nothing, and the marginal product is
-    floored at TOL so sparse cells cannot underflow the logarithm.
+
+def calc_single_mi(p_x, p_y, p_xy) -> np.ndarray:
+    """Each cell's contribution: p_xy * ln(p_xy / max(p_x * p_y, TOL)).
+
+    Takes float64 arrays (or scalars) of one shape. Cells with p_xy below
+    TOL contribute nothing, and the marginal product is floored at TOL so
+    sparse cells cannot underflow the logarithm. The logarithm is
+    ``math.log`` of each cell, not ``np.log``, which may differ from it in
+    the last bit; products, quotients and comparisons are numpy's, which
+    IEEE 754 rounds exactly as Python does.
     """
-    if p_xy < TOL:
-        return 0.0
+    p_x, p_y, p_xy = (np.asarray(v, dtype=np.float64) for v in (p_x, p_y, p_xy))
+    live = ~(p_xy < TOL)
     phi = p_x * p_y
-    if phi < TOL:
-        phi = TOL
-    return p_xy * math.log(p_xy / phi)
+    ratio = np.where(live, p_xy / np.where(phi < TOL, TOL, phi), 1.0)
+    logs = np.fromiter(map(math.log, ratio.ravel().tolist()), np.float64, ratio.size)
+    return np.where(live, p_xy * logs.reshape(ratio.shape), 0.0)[()]
 
 
-def calc_mi(p_x: float, p_y: float, p_xy: float) -> float:
-    """Binary MI: the four-cell presence/absence decomposition of one pair.
+def calc_mi(p_x, p_y, p_xy) -> np.ndarray:
+    """Binary MI: the four-cell presence/absence decomposition of each pair.
 
-    Complement cells are derived from the triple and floored at zero, since
-    noisy inputs can push them slightly negative.
+    Takes float64 arrays (or scalars) of one shape and returns one score per
+    element. Complement cells are derived from the triple and floored at
+    zero, since noisy inputs can push them slightly negative.
     """
-    p_nx = max(0.0, 1.0 - p_x)
-    p_ny = max(0.0, 1.0 - p_y)
-    p_x_ny = max(0.0, p_x - p_xy)
-    p_y_nx = max(0.0, p_y - p_xy)
-    p_nx_ny = max(0.0, 1.0 - p_x - p_y + p_xy)
+    p_x, p_y, p_xy = (np.asarray(v, dtype=np.float64) for v in (p_x, p_y, p_xy))
+    p_nx = _floor0(1.0 - p_x)
+    p_ny = _floor0(1.0 - p_y)
+    p_x_ny = _floor0(p_x - p_xy)
+    p_y_nx = _floor0(p_y - p_xy)
+    p_nx_ny = _floor0(1.0 - p_x - p_y + p_xy)
     return (
         calc_single_mi(p_x, p_y, p_xy)
         + calc_single_mi(p_x, p_ny, p_x_ny)
@@ -63,51 +76,63 @@ def calc_mi(p_x: float, p_y: float, p_xy: float) -> float:
     )
 
 
-def direction(p_x: float, p_y: float, p_xy: float) -> Direction:
+_DIRECTIONS = np.array([Direction.ABSENCE, Direction.PRESENCE], dtype=object)
+
+
+def direction(p_x, p_y, p_xy):
     """Presence when the feature's odds inside the partition beat its odds outside.
 
-    Ties resolve to Absence because the comparison is strict.
+    Takes float64 arrays (or scalars) of one shape and returns a Direction
+    per element: an object array, or one Direction for scalars. Ties resolve
+    to Absence because the comparison is strict.
     """
-    if not 0.0 < p_y < 1.0:
+    p_x, p_y, p_xy = (np.asarray(v, dtype=np.float64) for v in (p_x, p_y, p_xy))
+    bad = p_y[~((0.0 < p_y) & (p_y < 1.0))]
+    if bad.size:
         raise ValueError(
-            f"direction needs 0 < p_y < 1, got {p_y}; single-partition input is degenerate"
+            f"direction needs 0 < p_y < 1, got {bad[0]}; single-partition input is degenerate"
         )
     inside = p_xy / p_y
     outside = (p_x - p_xy) / (1.0 - p_y)
-    return Direction.PRESENCE if inside > outside else Direction.ABSENCE
+    return _DIRECTIONS[(inside > outside).astype(np.intp)]
 
 
 def rank(tables: Mapping[tuple[str, str], ProbabilityTriple]) -> list[RankedResult]:
     """Score every pair and order globally by MI descending.
 
-    MI cells use the fixed probability floor ``TOL``. Ties break by
-    (partition, feature) so repeated runs emit identical files. Scores
-    pushed below zero by noise artifacts are clamped to zero. A partition
-    holding the whole total (p_y == 1) means no other partition survived, so
-    there is nothing to compare it against: the result is empty and a warning
-    is logged.
+    All pairs are scored at once on arrays. MI cells use the fixed
+    probability floor ``TOL``. Ties break by (partition, feature) so
+    repeated runs emit identical files. Scores pushed below zero by noise
+    artifacts are clamped to zero. A partition holding the whole total
+    (p_y == 1) means no other partition survived, so there is nothing to
+    compare it against: the result is empty and a warning is logged.
     """
     if not tables:
         return []
     if any(t.p_y == 1.0 for t in tables.values()):
         logger.warning("fewer than two partitions remain; one-vs-all ranking is empty")
         return []
-    n_features = len({f for f, _ in tables})
-    n_partitions = len({p for _, p in tables})
+    keys = list(tables)
+    features = [f for f, _ in keys]
+    partitions = [p for _, p in keys]
+    n_features = len(set(features))
+    n_partitions = len(set(partitions))
     if min(n_features, n_partitions) > CARDINALITY_WARNING:
         logger.warning(
             "ranking %d features against %d partitions; quality degrades when both sides are this large",
             n_features,
             n_partitions,
         )
-    scored = []
-    for (feature, partition), t in sorted(tables.items()):
-        mi = calc_mi(t.p_x, t.p_y, t.p_xy)
-        scored.append((max(0.0, mi), direction(t.p_x, t.p_y, t.p_xy), partition, feature))
-    scored.sort(key=lambda s: (-s[0], s[2], s[3]))
+    triples = [tables[k] for k in keys]
+    p_x = np.fromiter((t.p_x for t in triples), np.float64, len(keys))
+    p_y = np.fromiter((t.p_y for t in triples), np.float64, len(keys))
+    p_xy = np.fromiter((t.p_xy for t in triples), np.float64, len(keys))
+    mi = _floor0(calc_mi(p_x, p_y, p_xy))
+    # (partition, feature) is unique, so the sort never compares directions.
+    scored = sorted(zip((-mi).tolist(), partitions, features, direction(p_x, p_y, p_xy).tolist()))
     return [
-        RankedResult(partition=p, feature=f, mi=mi, direction=d, rank=i + 1)
-        for i, (mi, d, p, f) in enumerate(scored)
+        RankedResult(partition=p, feature=f, mi=-neg_mi, direction=d, rank=i + 1)
+        for i, (neg_mi, p, f, d) in enumerate(scored)
     ]
 
 
@@ -127,7 +152,7 @@ def flip(tables: Mapping[tuple[str, str], ProbabilityTriple]) -> list[RankedResu
 
 
 def rank_records(
-    records: Iterable[Record],
+    records: Columns | Iterable[Record],
     privacy: PrivacyConfig,
     accountant: BudgetAccountant | None = None,
     *,
@@ -142,11 +167,12 @@ def rank_records(
     disabled the exact positive sums are used directly and no randomness is
     consumed. swap ranks partitions per feature by flipping the released
     table, so it spends the same budget as ranking it. top_k, when given,
-    keeps the first top_k results and must be at least 1.
+    keeps the first top_k results and must be at least 1. A Record list is
+    converted to columns once; every stage runs on the columns.
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    prepared = prepare_records(records, privacy)
+    prepared = prepare_records(Columns.from_records(records), privacy)
     acc = accumulate(prepared)
     table = release_aggregate_table(acc, privacy, accountant, label_prefix=label_prefix)
     tables = build_probability_tables(table)
@@ -155,31 +181,32 @@ def rank_records(
 
 
 def binary_rank(
-    records: Iterable[Record],
+    records: Columns | Iterable[Record],
     partition: str,
     privacy: PrivacyConfig,
 ) -> list[RankedResult]:
     """One-vs-all ranking for a single partition label.
 
-    Records keep their partition when it matches and collapse into a rest
-    bucket otherwise, then flow through the standard pipeline.
+    Rows keep their partition when it matches and collapse into a rest
+    bucket otherwise, then flow through the standard pipeline. Only the
+    partition column is relabelled, before bounding; the other columns are
+    shared, and no Record is built.
     """
-    relabeled = [
-        r if r.partition == partition else Record(r.id, r.feature, REST_LABEL, r.observation)
-        for r in records
-    ]
-    return rank_records(relabeled, privacy)
+    cols = Columns.from_records(records)
+    labels = [p if p == partition else REST_LABEL for p in cols.partitions]
+    return rank_records(replace(cols, partitions=labels), privacy)
 
 
 @dataclass(frozen=True)
 class FoldSpec:
-    """One cascade stage: the records it ranks, its budget share, and its seeds.
+    """One cascade stage: the rows it ranks (records or columns), its budget
+    share, and its seeds.
 
     seeds None means the stage is labeled from the previous stage's top
     Presence features. top_k bounds how many features feed the next stage.
     """
 
-    records: Sequence[Record]
+    records: Columns | Sequence[Record]
     epsilon: float
     seeds: tuple[str, ...] | None = None
     top_k: int = 10
@@ -200,9 +227,14 @@ class FoldResult:
     next_seeds: tuple[str, ...]
 
 
-def _match_cohort(records: Sequence[Record], seeds: tuple[str, ...]) -> set[str]:
+def _match_cohort(cols: Columns, seeds: tuple[str, ...]) -> set[str]:
+    """Ids holding a positive observation of some seed feature."""
     seed_set = set(seeds)
-    return {r.id for r in records if r.feature in seed_set and r.observation > 0}
+    return {
+        rid
+        for rid, feature, value in zip(cols.ids, cols.features, cols.observations.tolist())
+        if feature in seed_set and value > 0
+    }
 
 
 def nfold(
@@ -217,7 +249,9 @@ def nfold(
     the previous stage's records (where those features live). The total
     budget is validated before any stage runs, then charged stage by stage.
     Every stage uses the run's seed; its noise is keyed apart by its
-    ``fold{i}/`` label, which is also its label on the ledger.
+    ``fold{i}/`` label, which is also its label on the ledger. Each stage's
+    records are converted to columns once, and a stage relabels its
+    partition column cohort-vs-rest before bounding.
     """
     if not folds:
         raise ValueError("at least one fold is required")
@@ -231,31 +265,31 @@ def nfold(
             raise BudgetExceededError(
                 f"folds need epsilon {want}, accountant has {accountant.remaining} left"
             )
+    stages = [Columns.from_records(fold.records) for fold in folds]
     out: list[FoldResult] = []
     prev: FoldResult | None = None
-    for i, fold in enumerate(folds, start=1):
+    for i, (fold, cols) in enumerate(zip(folds, stages), start=1):
         if fold.seeds is not None:
             seeds = tuple(fold.seeds)
-            match_records = fold.records
+            match_cols = cols
         else:
             assert prev is not None
             seeds = prev.next_seeds
-            match_records = folds[i - 2].records
+            match_cols = stages[i - 2]
         if not seeds:
             raise ValueError(f"fold {i} has no seed features")
-        cohort = _match_cohort(match_records, seeds)
+        cohort = _match_cohort(match_cols, seeds)
         if not cohort:
             raise ValueError(f"fold {i}: no ids matched the seed features")
-        relabeled = [
-            Record(r.id, r.feature, COHORT_LABEL if r.id in cohort else REST_LABEL, r.observation)
-            for r in fold.records
-        ]
-        cohort_ids = {r.id for r in fold.records if r.id in cohort}
-        rest_ids = {r.id for r in fold.records if r.id not in cohort}
+        labels = [COHORT_LABEL if rid in cohort else REST_LABEL for rid in cols.ids]
+        cohort_ids = {rid for rid in cols.ids if rid in cohort}
+        rest_ids = set(cols.ids) - cohort_ids
         if not cohort_ids or not rest_ids:
             raise ValueError(f"fold {i}: labeling is degenerate (one side is empty)")
         fold_privacy = replace(privacy, epsilon=fold.epsilon) if privacy.dp_enabled else privacy
-        ranked = rank_records(relabeled, fold_privacy, accountant, label_prefix=f"fold{i}/")
+        ranked = rank_records(
+            replace(cols, partitions=labels), fold_privacy, accountant, label_prefix=f"fold{i}/"
+        )
         next_seeds = tuple(
             r.feature
             for r in ranked

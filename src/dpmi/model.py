@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -35,14 +37,55 @@ class Record:
     observation: float
 
 
-def validate_record(row: Sequence) -> Record | str:
+@dataclass(eq=False, slots=True)
+class Columns:
+    """Input rows as columns, the form every pipeline stage works on.
+
+    Row i is (ids[i], features[i], partitions[i], observations[i]). Keys are
+    lists of str and the observations one float64 array, so a stage can
+    relabel, take or clamp a column without building a Record per row.
+    """
+
+    ids: list[str]
+    features: list[str]
+    partitions: list[str]
+    observations: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_records(cls, records: Columns | Iterable[Record]) -> Columns:
+        """The columns of a Record list; a Columns passes through unchanged."""
+        if isinstance(records, Columns):
+            return records
+        records = list(records)
+        return cls(
+            [r.id for r in records],
+            [r.feature for r in records],
+            [r.partition for r in records],
+            np.fromiter((r.observation for r in records), np.float64, len(records)),
+        )
+
+    def take(self, index: np.ndarray) -> Columns:
+        """The rows at ``index``, in that order."""
+        rows = index.tolist()
+        return Columns(
+            list(map(self.ids.__getitem__, rows)),
+            list(map(self.features.__getitem__, rows)),
+            list(map(self.partitions.__getitem__, rows)),
+            self.observations[index],
+        )
+
+
+def validate_record(row: Sequence) -> tuple[str, str, str, float] | str:
     """Parse a raw (id, feature, partition, observation) row.
 
-    Returns a Record on success, otherwise the reason for the first problem
-    found: "fields", "empty_key", "reserved", "parse", "non_finite" or
-    "negative". Keys are treated as opaque strings, except that a feature or
-    partition may not be the reserved OTHER_KEY; the observation must parse
-    as a finite number >= 0.
+    Returns the (id, feature, partition, observation) fields on success,
+    otherwise the reason for the first problem found: "fields", "empty_key",
+    "reserved", "parse", "non_finite" or "negative". Keys are treated as
+    opaque strings, except that a feature or partition may not be the
+    reserved OTHER_KEY; the observation must parse as a finite number >= 0.
     """
     if len(row) != 4:
         return "fields"
@@ -62,7 +105,7 @@ def validate_record(row: Sequence) -> Record | str:
         return "non_finite"
     if obs < 0:
         return "negative"
-    return Record(rid, feature, partition, obs)
+    return rid, feature, partition, obs
 
 
 @dataclass(frozen=True)
@@ -106,6 +149,15 @@ class PrivacyConfig:
             raise ValueError(f"budget_split must sum to 1 within {_SPLIT_TOL}, got {sum(split)!r}")
         if not INT64_MIN <= self.seed <= INT64_MAX:
             raise ValueError("seed must fit in a signed 64-bit integer")
+        try:
+            finite = math.isfinite(self.sensitivity)
+        except OverflowError:  # a limit past the float range
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"sensitivity overflows: clamp ({self.clamp_lo}, {self.clamp_hi}) times "
+                f"contribution_limit {self.contribution_limit} is not finite"
+            )
 
     @property
     def sensitivity(self) -> float:

@@ -7,7 +7,11 @@ loops: one full ``rank_records`` run for every (epsilon, trial) pair. The
 bounding oracle is a per-user loop over Python integers, ``clamp`` is the
 scalar reference for the column clamp in ``prepare_records``, and
 ``keyed_u64``/``keyed_uniform`` hash one key at a time from scratch, the
-reference for ``dp.keyed_u64s`` and ``dp.keyed_uniforms``.
+reference for ``dp.keyed_u64s`` and ``dp.keyed_uniforms``. ``calc_single_mi``,
+``calc_mi`` and ``direction`` are the scalar references for the array
+versions in ``dpmi.mi``, and ``binary_rank_oracle`` relabels Records by hand
+before ``rank_records``. ``records_of`` turns columns back into Records so
+tests can compare stage outputs row by row.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from dpmi.evaluation import (
     compare_rankings,
     nearest_rank_percentile,
 )
-from dpmi.mi import rank_records
+from dpmi.mi import REST_LABEL, TOL, rank_records
+from dpmi.model import Direction, Record
 
 _U64 = 2**64 - 1
 
@@ -47,6 +52,71 @@ def mi_2x2(p_x: float, p_y: float, p_xy: float) -> float:
         if cell > 0.0 and row > 0.0 and col > 0.0:
             total += cell * math.log(cell / (row * col))
     return total
+
+
+def calc_single_mi(p_x: float, p_y: float, p_xy: float) -> float:
+    """One cell's contribution: p_xy * ln(p_xy / max(p_x * p_y, TOL)).
+
+    Cells with p_xy below TOL contribute nothing, and the marginal product is
+    floored at TOL so sparse cells cannot underflow the logarithm.
+    """
+    if p_xy < TOL:
+        return 0.0
+    phi = p_x * p_y
+    if phi < TOL:
+        phi = TOL
+    return p_xy * math.log(p_xy / phi)
+
+
+def calc_mi(p_x: float, p_y: float, p_xy: float) -> float:
+    """Binary MI: the four-cell presence/absence decomposition of one pair.
+
+    Complement cells are derived from the triple and floored at zero, since
+    noisy inputs can push them slightly negative.
+    """
+    p_nx = max(0.0, 1.0 - p_x)
+    p_ny = max(0.0, 1.0 - p_y)
+    p_x_ny = max(0.0, p_x - p_xy)
+    p_y_nx = max(0.0, p_y - p_xy)
+    p_nx_ny = max(0.0, 1.0 - p_x - p_y + p_xy)
+    return (
+        calc_single_mi(p_x, p_y, p_xy)
+        + calc_single_mi(p_x, p_ny, p_x_ny)
+        + calc_single_mi(p_nx, p_y, p_y_nx)
+        + calc_single_mi(p_nx, p_ny, p_nx_ny)
+    )
+
+
+def direction(p_x: float, p_y: float, p_xy: float) -> Direction:
+    """Presence when the feature's odds inside the partition beat its odds outside.
+
+    Ties resolve to Absence because the comparison is strict.
+    """
+    if not 0.0 < p_y < 1.0:
+        raise ValueError(
+            f"direction needs 0 < p_y < 1, got {p_y}; single-partition input is degenerate"
+        )
+    inside = p_xy / p_y
+    outside = (p_x - p_xy) / (1.0 - p_y)
+    return Direction.PRESENCE if inside > outside else Direction.ABSENCE
+
+
+def records_of(cols) -> list[Record]:
+    """The rows of a ``Columns`` table as Records, in order."""
+    return [
+        Record(*row)
+        for row in zip(cols.ids, cols.features, cols.partitions, cols.observations.tolist())
+    ]
+
+
+def binary_rank_oracle(records, partition, privacy):
+    """One-vs-all ranking by rebuilding every Record outside ``partition``
+    into the rest bucket, then the full ``rank_records`` pipeline."""
+    relabeled = [
+        r if r.partition == partition else Record(r.id, r.feature, REST_LABEL, r.observation)
+        for r in records
+    ]
+    return rank_records(relabeled, privacy)
 
 
 def clamp(observation: float, lo: float, hi: float) -> float:

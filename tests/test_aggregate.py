@@ -15,7 +15,12 @@ from dpmi.aggregate import (
     table_digest,
 )
 from dpmi.dp import BudgetAccountant, prepare_records
-from dpmi.model import AggregateTable, PrivacyConfig, Record
+from dpmi.model import AggregateTable, Columns, PrivacyConfig, Record
+
+
+def _accumulate(records):
+    """``accumulate`` over the columns of a Record list."""
+    return accumulate(Columns.from_records(records))
 
 
 def _random_records(n, n_users=500, n_features=40, n_partitions=6, seed=0):
@@ -33,14 +38,14 @@ def _random_records(n, n_users=500, n_features=40, n_partitions=6, seed=0):
 
 class TestAccumulate:
     def test_singleton(self):
-        acc = accumulate([Record("u1", "f1", "p1", 0.5)])
+        acc = _accumulate([Record("u1", "f1", "p1", 0.5)])
         assert acc.joint_sums() == {("f1", "p1"): 0.5}
         assert acc.feature_sums() == {"f1": 0.5}
         assert acc.partition_sums() == {"p1": 0.5}
         assert acc.row_count == 1
 
     def test_additivity(self):
-        acc = accumulate([Record("u1", "f1", "p1", 0.5), Record("u2", "f1", "p1", 0.5)])
+        acc = _accumulate([Record("u1", "f1", "p1", 0.5), Record("u2", "f1", "p1", 0.5)])
         assert acc.joint_sums() == {("f1", "p1"): 1.0}
 
     @settings(deadline=None)
@@ -61,7 +66,7 @@ class TestAccumulate:
             )
         )
         shuffled = data.draw(st.permutations(records))
-        a, b = accumulate(records), accumulate(shuffled)
+        a, b = _accumulate(records), _accumulate(shuffled)
         assert a.joint_sums() == b.joint_sums()
         assert a.feature_sums() == b.feature_sums()
         assert a.partition_sums() == b.partition_sums()
@@ -118,7 +123,7 @@ class TestBuildProbabilityTables:
 
     def test_noiseless_probabilities_are_consistent(self):
         records = _random_records(5_000, seed=11)
-        acc = accumulate(records)
+        acc = _accumulate(records)
         cfg = PrivacyConfig(epsilon=1.0, seed=0, dp_enabled=False)
         table = release_aggregate_table(acc, cfg)
         triples = build_probability_tables(table)
@@ -147,7 +152,7 @@ class TestReleaseAggregateTable:
             Record("u2", "f2", "p2", 2.0),
             Record("u3", "f3", "p1", 0.0),
         ]
-        acc = accumulate(records)
+        acc = _accumulate(records)
         table = release_aggregate_table(acc, self._config(dp_enabled=False))
         assert table.joint == {("f1", "p1"): 1.0, ("f2", "p2"): 2.0}
         assert table.feature_marginals == {"f1": 1.0, "f2": 2.0}
@@ -156,7 +161,7 @@ class TestReleaseAggregateTable:
 
     def test_charges_split_before_release(self):
         records = [Record(f"u{i}", "f1", "p1" if i % 2 else "p2", 1.0) for i in range(400)]
-        acc = accumulate(records)
+        acc = _accumulate(records)
         accountant = BudgetAccountant(2.0)
         table = release_aggregate_table(acc, self._config(), accountant)
         labels = [label for label, _ in accountant.spent]
@@ -166,7 +171,7 @@ class TestReleaseAggregateTable:
 
     def test_released_tables_deterministic_and_noisy(self):
         records = [Record(f"u{i}", f"f{i % 5}", f"p{i % 3}", 1.0) for i in range(3000)]
-        acc = accumulate(records)
+        acc = _accumulate(records)
         t1 = release_aggregate_table(acc, self._config())
         t2 = release_aggregate_table(acc, self._config())
         assert t1.joint == t2.joint
@@ -178,7 +183,7 @@ class TestReleaseAggregateTable:
         # one rare feature: its marginal will be censored, the joint cell must go too
         records = [Record(f"u{i}", "common", f"p{i % 2}", 1.0) for i in range(2000)]
         records.append(Record("u_solo", "rare", "p0", 1.0))
-        acc = accumulate(records)
+        acc = _accumulate(records)
         table = release_aggregate_table(acc, self._config(epsilon=1.0, delta=1e-6))
         assert "rare" not in table.feature_marginals
         assert ("rare", "p0") not in table.joint
@@ -196,7 +201,8 @@ class TestReleaseAggregateTable:
         }
 
         def released_keys(records, privacy):
-            table = release_aggregate_table(accumulate(prepare_records(records, privacy)), privacy)
+            prepared = prepare_records(Columns.from_records(records), privacy)
+            table = release_aggregate_table(accumulate(prepared), privacy)
             return (
                 {("joint", key) for key in table.joint}
                 | {("feature", key) for key in table.feature_marginals}
@@ -216,7 +222,7 @@ class TestReleaseAggregateTable:
         # exactly u's 0.7; keying it by the exact table draws fresh noise
         base = [Record(f"u{i}", f"f{i % 5}", f"p{i % 3}", 1.0) for i in range(3000)]
         newcomer = Record("u_new", "f1", "p0", 0.7)
-        acc_d, acc_du = accumulate(base), accumulate(base + [newcomer])
+        acc_d, acc_du = _accumulate(base), _accumulate(base + [newcomer])
         exact_differences = 0
         for seed in range(50):
             privacy = self._config(epsilon=1.0, seed=seed)
@@ -232,7 +238,7 @@ class TestReleaseAggregateTable:
 
     def test_digest_tracks_every_cell_count_and_sum(self):
         def digest(records):
-            acc = accumulate(records)
+            acc = _accumulate(records)
             return table_digest(acc, acc.joint_sums())
 
         base = [Record(f"u{i}", f"f{i % 2}", "p0", 1.0) for i in range(4)]
@@ -243,13 +249,13 @@ class TestReleaseAggregateTable:
 
     def test_empty_after_censoring_raises(self):
         records = [Record("u1", "f1", "p1", 1.0)]
-        acc = accumulate(records)
+        acc = _accumulate(records)
         with pytest.raises(ValueError, match="total"):
             release_aggregate_table(acc, self._config(epsilon=0.5, delta=1e-9))
 
     def test_manifest_entries(self):
         records = [Record(f"u{i}", f"f{i % 4}", f"p{i % 2}", 1.0) for i in range(1000)]
-        acc = accumulate(records)
+        acc = _accumulate(records)
         manifest = []
         release_aggregate_table(acc, self._config(), manifest=manifest)
         assert [m["query"] for m in manifest] == ["joint", "feature_marginal", "partition_marginal"]
@@ -270,7 +276,7 @@ class TestReleaseAggregateTable:
         records = [Record(f"u{i}", f"f{i % 3}", f"p{i % 2}", 1e9) for i in range(12)]
         accountant = BudgetAccountant(epsilon)
         table = release_aggregate_table(
-            accumulate(records), self._config(epsilon=epsilon, budget_split=split), accountant
+            _accumulate(records), self._config(epsilon=epsilon, budget_split=split), accountant
         )
         assert accountant.spent_epsilon == table.epsilon_spent
         assert [label for label, _ in accountant.spent] == [
@@ -294,7 +300,7 @@ class TestReleaseAggregateTable:
         earlier_epsilon=st.floats(min_value=0.05, max_value=20.0),
     )
     def test_released_keys_come_from_the_exact_keys(self, records, epsilon, earlier_epsilon):
-        acc = accumulate(records)
+        acc = _accumulate(records)
         cfg = self._config(epsilon=epsilon, delta=0.1, clamp_hi=20.0)
 
         def release(config, memo=None):

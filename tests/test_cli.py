@@ -16,7 +16,13 @@ import pytest
 import dpmi
 from dpmi.cli import build_parser, main, read_aggregate_file, read_records
 
-from oracles import mi_2x2
+from oracles import mi_2x2, records_of
+
+
+def _read_rows(path, columns):
+    """``read_records`` with its columns turned back into Records."""
+    cols, rejects, read = read_records(path, columns)
+    return records_of(cols), rejects, read
 
 
 def _write(path, text):
@@ -119,14 +125,14 @@ class TestAggregateCommand:
             tmp_path / "in.tsv",
             "who\twhat\twhere\thowmuch\nu1\tf1\tp1\t2.0\nu2\tf2\tp2\t1.0\n",
         )
-        records, rejects, read = read_records(inp, ("who", "what", "where", "howmuch"))
+        records, rejects, read = _read_rows(inp, ("who", "what", "where", "howmuch"))
         assert read == 2 and not rejects
         assert records[0].feature == "f1"
 
     def test_reserved_key_rejected(self, tmp_path):
         text = SAMPLE + "u9\t__other__\tp1\t1.0\nu10\tf1\t__other__\t1.0\n"
         inp = _write(tmp_path / "in.tsv", text)
-        records, rejects, read = read_records(inp, ("id", "feature", "partition", "observation"))
+        records, rejects, read = _read_rows(inp, ("id", "feature", "partition", "observation"))
         assert read == 6
         assert rejects == {"reserved": 2}
         assert all("__other__" not in (r.feature, r.partition) for r in records)
@@ -137,7 +143,7 @@ class TestAggregateCommand:
             {"id": "u2", "feature": "f2", "partition": "p2", "observation": 1},
         ]
         inp = _write(tmp_path / "in.jsonl", "\n".join(json.dumps(r) for r in rows) + "\n")
-        records, rejects, read = read_records(inp, ("id", "feature", "partition", "observation"))
+        records, rejects, read = _read_rows(inp, ("id", "feature", "partition", "observation"))
         assert read == 2 and not rejects
         assert records[0].observation == 2.0
 
@@ -154,7 +160,7 @@ class TestAggregateCommand:
             {"id": "u5", "feature": "f1", "partition": "p1", "observation": True},
         ]
         inp = _write(tmp_path / "in.jsonl", "".join(json.dumps(r) + "\n" for r in good + bad))
-        records, rejects, read = read_records(inp, ("id", "feature", "partition", "observation"))
+        records, rejects, read = _read_rows(inp, ("id", "feature", "partition", "observation"))
         assert read == 7
         assert rejects == {"empty_key": 2, "parse": 3}
         assert [r.id for r in records] == ["u1", "u2"]
@@ -181,7 +187,7 @@ class TestAggregateCommand:
         jl = _write(tmp_path / "bom.jsonl", "\ufeff" + "".join(
             json.dumps(dict(zip(columns, ("u1", "f1", "p1", 1.0)))) + "\n" for _ in range(2)))
         for inp in (tsv, jl):
-            records, rejects, read = read_records(inp, columns)
+            records, rejects, read = _read_rows(inp, columns)
             assert not rejects and read == len(records) and records[0].id == "u1"
 
     def test_no_valid_rows_names_the_rejections(self, tmp_path, capsys):
@@ -292,6 +298,21 @@ class TestRankCommand:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "ValueError"
         assert payload["message"].startswith(f"{field} must be finite")
+
+    def test_overflowing_sensitivity_is_a_one_line_error(self, tmp_path, capsys):
+        # finite clamp bounds times the limit overflow the noise scale to inf
+        inp = _write(tmp_path / "three.tsv", "id\tfeature\tpartition\tobservation\n"
+                     "u1\tf1\tp1\t1.0\nu2\tf1\tp2\t1.0\nu3\tf2\tp1\t1.0\n")
+        rc = main(["rank", "--input", inp, "--output", str(tmp_path / "r.tsv"), "--seed", "1",
+                   "--clamp", "0,1e308", "--contribution-limit", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == (
+            "sensitivity overflows: clamp (0.0, 1e+308) times contribution_limit 10 is not finite"
+        )
 
     def test_oversized_json_numbers_are_rejected_rows(self, tmp_path, caplog):
         rows = [json.dumps({"id": f"u{i}", "feature": f"f{i % 3}", "partition": f"p{i % 2}",

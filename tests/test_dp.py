@@ -21,9 +21,9 @@ from dpmi.dp import (
     release_sums,
 )
 from dpmi.mi import rank_records
-from dpmi.model import PrivacyConfig, Record
+from dpmi.model import Columns, PrivacyConfig, Record
 
-from oracles import bound_contributions_oracle, clamp, keyed_u64, keyed_uniform
+from oracles import bound_contributions_oracle, clamp, keyed_u64, keyed_uniform, records_of
 
 
 # Key parts as the release and bounding pass them: strings (empty and
@@ -164,6 +164,16 @@ class TestBudgetAccountant:
         assert acc.spent_epsilon <= acc.total_epsilon + 1e-9
 
 
+def _bound(records, limit, seed):
+    """``bound_contributions`` over the columns of a Record list, as Records."""
+    return records_of(bound_contributions(Columns.from_records(records), limit, seed))
+
+
+def _prepare(records, privacy):
+    """``prepare_records`` over the columns of a Record list, as Records."""
+    return records_of(prepare_records(Columns.from_records(records), privacy))
+
+
 def _user_records(uid, n, feature="f", partition="p"):
     return [Record(uid, f"{feature}{i}", partition, 1.0) for i in range(n)]
 
@@ -171,48 +181,48 @@ def _user_records(uid, n, feature="f", partition="p"):
 class TestBoundContributions:
     def test_under_limit_keeps_record(self):
         recs = _user_records("u1", 1)
-        assert bound_contributions(recs, 1, seed=0) == recs
+        assert _bound(recs, 1, seed=0) == recs
 
     def test_forces_cardinality(self):
         recs = [Record("u1", "f", "p", 1.0)] * 5
-        out = bound_contributions(recs, 2, seed=0)
+        out = _bound(recs, 2, seed=0)
         assert len(out) == 2
 
     def test_deterministic_across_runs(self):
         recs = _user_records("u9", 1000)
-        first = bound_contributions(recs, 10, seed=123)
-        second = bound_contributions(recs, 10, seed=123)
+        first = _bound(recs, 10, seed=123)
+        second = _bound(recs, 10, seed=123)
         assert first == second
         assert len(first) == 10
 
     def test_seed_changes_selection(self):
         recs = _user_records("u9", 1000)
-        a = bound_contributions(recs, 10, seed=1)
-        b = bound_contributions(recs, 10, seed=2)
+        a = _bound(recs, 10, seed=1)
+        b = _bound(recs, 10, seed=2)
         assert a != b
 
     def test_interleaving_other_users_does_not_change_survivors(self):
         mine = _user_records("u1", 200)
         other = _user_records("u2", 200)
         interleaved = [r for pair in zip(mine, other) for r in pair]
-        solo = [r for r in bound_contributions(mine, 7, seed=42)]
-        mixed = [r for r in bound_contributions(interleaved, 7, seed=42) if r.id == "u1"]
+        solo = [r for r in _bound(mine, 7, seed=42)]
+        mixed = [r for r in _bound(interleaved, 7, seed=42) if r.id == "u1"]
         assert solo == mixed
 
     def test_output_sorted(self):
         recs = [Record("b", "f", "p", 1.0), Record("a", "f", "p", 1.0)]
-        out = bound_contributions(recs, 5, seed=0)
+        out = _bound(recs, 5, seed=0)
         assert [r.id for r in out] == ["a", "b"]
 
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):
-            bound_contributions([], 0, seed=0)
+            _bound([], 0, seed=0)
 
     @settings(deadline=None)
     @given(st.data(), st.integers(1, 4), st.integers(-(2**63), 2**63 - 1))
     def test_matches_oracle(self, data, limit, seed):
         records = data.draw(_record_lists())
-        assert _bits(bound_contributions(records, limit, seed)) == _bits(
+        assert _bits(_bound(records, limit, seed)) == _bits(
             bound_contributions_oracle(records, limit, seed)
         )
 
@@ -228,21 +238,21 @@ class TestBoundContributions:
             Record(r.id, r.feature, r.partition, clamp(r.observation, lo, hi))
             for r in bound_contributions_oracle(records, limit, seed)
         ]
-        assert _bits(prepare_records(records, privacy)) == _bits(expected)
+        assert _bits(_prepare(records, privacy)) == _bits(expected)
 
     @settings(deadline=None)
     @given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
     def test_removing_another_user_keeps_survivors(self, data, limit, seed):
         records = data.draw(_record_lists())
         gone = data.draw(st.sampled_from(_IDS))
-        full = bound_contributions(records, limit, seed)
-        neighbour = bound_contributions([r for r in records if r.id != gone], limit, seed)
+        full = _bound(records, limit, seed)
+        neighbour = _bound([r for r in records if r.id != gone], limit, seed)
         assert _bits(neighbour) == _bits([r for r in full if r.id != gone])
 
     def test_subsets_are_uniform(self):
         recs = _user_records("u1", 6)
         counts = Counter(
-            frozenset(r.feature for r in bound_contributions(recs, 2, seed))
+            frozenset(r.feature for r in _bound(recs, 2, seed))
             for seed in range(6000)
         )
         assert len(counts) == 15
@@ -286,7 +296,7 @@ def test_own_row_order_does_not_change_survivors():
     forward = [r for rows in users for r in rows]
     backward = [r for rows in users for r in reversed(rows)]
     privacy = PrivacyConfig(epsilon=4.0, contribution_limit=1, seed=11)
-    assert prepare_records(backward, privacy) == prepare_records(forward, privacy)
+    assert _prepare(backward, privacy) == _prepare(forward, privacy)
     ranked = rank_records(forward, privacy)
     assert ranked
     assert rank_records(backward, privacy) == ranked

@@ -4,8 +4,9 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpmi.dp import BudgetAccountant, BudgetExceededError
@@ -26,7 +27,8 @@ from dpmi.mi import (
 )
 from dpmi.model import Direction, PrivacyConfig, ProbabilityTriple, Record
 
-from oracles import mi_2x2, random_valid_triple
+import oracles
+from oracles import binary_rank_oracle, mi_2x2, random_valid_triple
 
 NO_DP = PrivacyConfig(epsilon=1.0, seed=0, dp_enabled=False)
 
@@ -100,6 +102,63 @@ class TestDirection:
     def test_degenerate_partition_raises(self):
         with pytest.raises(ValueError, match="p_y"):
             direction(0.5, 1.0, 0.5)
+
+
+def _bits(values):
+    """The float64 bit patterns, which tell -0.0 from 0.0 and any last-bit change."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+# Edge triples: p_xy < TOL, p_x * p_y < TOL, p_xy == min(p_x, p_y), p_x == 1,
+# complements that are signed zeros or slightly negative, and the TOL boundary.
+_EDGE_TRIPLES = [
+    (0.5, 0.5, TOL * 0.5),
+    (0.5, 0.5, 0.0),
+    (1e-9, 1e-9, 1e-9),
+    (1e-12, 0.5, 1e-12),
+    (0.3, 0.6, 0.3),
+    (0.6, 0.3, 0.3),
+    (1.0, 0.4, 0.4),
+    (1.0, 1.0, 1.0),
+    (-0.0, 0.5, 0.0),
+    (0.5, -0.0, 0.0),
+    (0.3, 0.5, 0.30000000000000004),
+    (0.7, 0.6, 0.29999999999999993),
+    (0.5, 0.5, TOL),
+]
+_PROBABILITY = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, -0.0, 1.0, TOL, TOL * 0.5, 1e-12, 0.5, 0.1 + 0.2]),
+)
+
+
+class TestArrayMiMatchesScalar:
+    """The array MI core equals the scalar reference bit for bit."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(_PROBABILITY, _PROBABILITY, _PROBABILITY), min_size=1, max_size=40))
+    @example(_EDGE_TRIPLES)
+    def test_calc_mi_bits(self, triples):
+        p_x, p_y, p_xy = (np.array(col) for col in zip(*triples))
+        assert _bits(calc_mi(p_x, p_y, p_xy)) == _bits([oracles.calc_mi(*t) for t in triples])
+        assert _bits(calc_single_mi(p_x, p_y, p_xy)) == _bits(
+            [oracles.calc_single_mi(*t) for t in triples]
+        )
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(_PROBABILITY, st.floats(min_value=1e-300, max_value=0.999999),
+                              _PROBABILITY), min_size=1, max_size=40))
+    @example([t for t in _EDGE_TRIPLES if 0.0 < t[1] < 1.0])
+    def test_direction_matches(self, triples):
+        p_x, p_y, p_xy = (np.array(col) for col in zip(*triples))
+        assert direction(p_x, p_y, p_xy).tolist() == [oracles.direction(*t) for t in triples]
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5])
+    def test_direction_rejects_p_y_outside_the_open_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=f"0 < p_y < 1, got {bad}"):
+            direction(np.array([0.5, 0.5]), np.array([0.5, bad]), np.array([0.25, 0.25]))
+        with pytest.raises(ValueError, match=f"0 < p_y < 1, got {bad}"):
+            oracles.direction(0.5, bad, 0.25)
 
 
 def _triple(p_x, p_y, p_xy):
@@ -287,6 +346,39 @@ class TestBatchedVsBinary:
                 if r.partition != p:
                     continue
                 assert r.mi == pytest.approx(batched_mi[(p, r.feature)], abs=1e-12)
+
+
+class TestBinaryRankRelabelsBeforeBounding:
+    """binary_rank relabels the partition column before bounding, exactly as
+    rebuilding each Record outside the partition and ranking those does."""
+
+    @staticmethod
+    def _records():
+        # users hold 1-5 rows spread over several partitions, so bounding to
+        # 2 rows sees the relabelled partitions in its canonical order
+        rng = random.Random(23)
+        return [
+            Record(f"u{i}", f"f{rng.randrange(6)}", f"p{rng.randrange(4)}", rng.random() * 1.5)
+            for i in range(600)
+            for _ in range(rng.randrange(1, 6))
+        ]
+
+    @pytest.mark.parametrize("seed", [5, 91])
+    def test_dp_on_equals_relabelled_records(self, seed):
+        records = self._records()
+        privacy = PrivacyConfig(epsilon=8.0, delta=1e-2, contribution_limit=2, seed=seed)
+        ranked = 0
+        for p in sorted({r.partition for r in records}):
+            got = binary_rank(records, p, privacy)
+            assert got == binary_rank_oracle(records, p, privacy)
+            ranked += len(got)
+        assert ranked
+
+    def test_dp_off_equals_relabelled_records(self):
+        records = self._records()
+        for p in sorted({r.partition for r in records}):
+            got = binary_rank(records, p, NO_DP)
+            assert got and got == binary_rank_oracle(records, p, NO_DP)
 
 
 def _two_stage_records():

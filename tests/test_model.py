@@ -12,7 +12,7 @@ from dpmi.model import PrivacyConfig, ProbabilityTriple, Record, validate_record
 class TestValidateRecord:
     def test_accepts_plain_row(self):
         rec = validate_record(("u1", "f1", "p1", "200.0"))
-        assert rec == Record("u1", "f1", "p1", 200.0)
+        assert rec == ("u1", "f1", "p1", 200.0)
 
     def test_rejects_negative_observation(self):
         assert validate_record(("u1", "f1", "p1", "-3")) == "negative"
@@ -31,15 +31,15 @@ class TestValidateRecord:
     def test_integer_past_the_float_range_is_non_finite(self):
         # JSON integers reach validate_record as int, which float() cannot always hold
         assert validate_record(("u1", "f1", "p1", 10**400)) == "non_finite"
-        assert validate_record(("u1", "f1", "p1", 10**300)) == Record("u1", "f1", "p1", 1e300)
+        assert validate_record(("u1", "f1", "p1", 10**300)) == ("u1", "f1", "p1", 1e300)
 
     def test_rejects_wrong_arity(self):
         assert validate_record(("u1", "f1", "p1")) == "fields"
 
     def test_zero_observation_is_valid(self):
         rec = validate_record(("u1", "f1", "p1", "0"))
-        assert isinstance(rec, Record)
-        assert rec.observation == 0.0
+        assert isinstance(rec, tuple)
+        assert rec[3] == 0.0
 
 
 class TestRecord:
@@ -109,6 +109,16 @@ class TestPrivacyConfig:
     def test_sensitivity(self):
         cfg = PrivacyConfig(epsilon=1.0, seed=1, clamp_lo=0.0, clamp_hi=2.0, contribution_limit=3)
         assert cfg.sensitivity == 6.0
+
+    @pytest.mark.parametrize("lo,hi,limit", [(0.0, 1e308, 10), (-1e308, 0.0, 2), (0.0, 1e300, 10**9),
+                                             (0.0, 1.0, 10**400)],
+                             ids=["huge_hi", "huge_lo", "huge_product", "huge_limit"])
+    def test_rejects_overflowing_sensitivity(self, lo, hi, limit):
+        # finite bounds times the limit can still overflow the noise scale to
+        # inf, and a limit past the float range cannot be converted at all
+        with pytest.raises(ValueError, match="sensitivity overflows") as err:
+            PrivacyConfig(epsilon=1.0, seed=1, clamp_lo=lo, clamp_hi=hi, contribution_limit=limit)
+        assert f"({lo}, {hi})" in str(err.value) and f"contribution_limit {limit}" in str(err.value)
 
     def test_sensitivity_with_positive_lower_clamp(self):
         # removing one user drops up to clamp_hi per row, not clamp_hi - clamp_lo

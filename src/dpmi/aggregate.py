@@ -1,10 +1,10 @@
 """Group-by and release stages.
 
-One pass over the input columns fills an accumulator that keeps each joint
-cell's value multiset rather than a running sum. A marginal's multiset is
-the union of its cells' multisets. Every sum comes from math.fsum, whose
-exactly-rounded result makes it bit-identical for any order of the input
-rows.
+The group-by sorts the rows once by their (feature, partition) cell code,
+so each joint cell's rows, and each feature's, form one slice of the
+sorted observations. Every sum is one math.fsum over its rows, and fsum is
+exactly rounded: its result depends only on the multiset of values, so it
+is bit-identical for any order of the input rows and any sort kind.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+
+import numpy as np
 
 from .dp import BudgetAccountant, censor_threshold, keyed_uniforms, release_sums
-from .model import AggregateTable, Columns, PrivacyConfig, ProbabilityTriple
+from .model import AggregateTable, Columns, PrivacyConfig, ProbabilityTables
 
 QUERY_JOINT = "joint"
 QUERY_FEATURE = "feature_marginal"
@@ -29,46 +30,69 @@ CONTAINMENT_MARGIN = 1e-12
 
 @dataclass
 class Accumulator:
-    """Observations grouped by (feature, partition) cell.
+    """Exact sums of the rows at the three grouping levels.
 
-    Each joint cell holds the list of its rows' observations as Python
-    floats, in row order; only the joint cells hold values. A feature's or a
-    partition's marginal sum is the fsum over the union of its cells' lists:
-    the same multiset a per-marginal list would hold, so the exactly rounded
-    sum has the same bits.
+    ``partial_joint`` maps each (feature, partition) cell that has rows to
+    the fsum of their observations, and ``cell_rows`` to their count; the
+    marginal maps do the same for each feature and each partition. Every
+    map is in key order.
     """
 
-    partial_joint: dict[tuple[str, str], list[float]] = field(default_factory=dict)
-    row_count: int = 0
+    partial_joint: dict[tuple[str, str], float]
+    cell_rows: dict[tuple[str, str], int]
+    feature_totals: dict[str, float]
+    partition_totals: dict[str, float]
+    row_count: int
 
     def joint_sums(self) -> dict[tuple[str, str], float]:
-        return {key: math.fsum(vals) for key, vals in sorted(self.partial_joint.items())}
+        return self.partial_joint
 
     def feature_sums(self) -> dict[str, float]:
-        return self._marginal_sums(0)
+        return self.feature_totals
 
     def partition_sums(self) -> dict[str, float]:
-        return self._marginal_sums(1)
+        return self.partition_totals
 
-    def _marginal_sums(self, axis: int) -> dict[str, float]:
-        cells: dict[str, list[list[float]]] = {}
-        for key, vals in self.partial_joint.items():
-            cells.setdefault(key[axis], []).append(vals)
-        return {key: math.fsum(chain.from_iterable(lists)) for key, lists in sorted(cells.items())}
+
+def _groups(codes: np.ndarray, values: list[float]) -> tuple[np.ndarray, list[float], list[int]]:
+    """Each run of equal sorted ``codes``: the code, its ``values``' fsum and the run length."""
+    if not len(codes):
+        return codes, [], []
+    bounds = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), len(codes)]
+    slices = map(values.__getitem__, map(slice, bounds, bounds[1:]))
+    return codes[bounds[:-1]], list(map(math.fsum, slices)), np.diff(bounds).tolist()
 
 
 def accumulate(cols: Columns) -> Accumulator:
-    """Group the rows of the columns in one pass.
+    """Group the rows of the columns by one sort of their cell codes.
 
-    Each row's observation goes to the value list of its (feature,
-    partition) cell. The columns must already be contribution-bounded and
-    clamped.
+    The cell code feature * P + partition orders cells as their (feature,
+    partition) keys, and a feature's cells are contiguous in that order, so
+    each joint cell and each feature marginal is an fsum over one slice of
+    the sorted observations. Each partition marginal is an fsum over its
+    own rows. The columns must already be contribution-bounded and clamped.
     """
-    acc = Accumulator(row_count=len(cols))
-    joint = acc.partial_joint
-    for key, value in zip(zip(cols.features, cols.partitions), cols.observations.tolist()):
-        joint.setdefault(key, []).append(value)
-    return acc
+    fkeys, pkeys = cols.feature_keys, cols.partition_keys
+    n_partitions = max(1, len(pkeys))
+    cell = cols.features * n_partitions + cols.partitions
+    order = np.argsort(cell)
+    cell, values = cell[order], cols.observations[order].tolist()
+    cells, sums, counts = _groups(cell, values)
+    features, feature_sums, _ = _groups(cell // n_partitions, values)
+    order = np.argsort(cols.partitions)
+    partitions, partition_sums, _ = _groups(
+        cols.partitions[order], cols.observations[order].tolist()
+    )
+    del order, cell, values
+    keys = list(zip(map(fkeys.__getitem__, (cells // n_partitions).tolist()),
+                    map(pkeys.__getitem__, (cells % n_partitions).tolist())))
+    return Accumulator(
+        partial_joint=dict(zip(keys, sums)),
+        cell_rows=dict(zip(keys, counts)),
+        feature_totals=dict(zip(map(fkeys.__getitem__, features.tolist()), feature_sums)),
+        partition_totals=dict(zip(map(pkeys.__getitem__, partitions.tolist()), partition_sums)),
+        row_count=len(cols),
+    )
 
 
 def table_digest(acc: Accumulator, joint: dict[tuple[str, str], float]) -> bytes:
@@ -82,7 +106,7 @@ def table_digest(acc: Accumulator, joint: dict[tuple[str, str], float]) -> bytes
     parts: list[bytes] = []
     for (feature, partition), total in joint.items():
         f, p = feature.encode("utf-8"), partition.encode("utf-8")
-        parts += (pack(len(f), len(p), len(acc.partial_joint[feature, partition]), total), f, p)
+        parts += (pack(len(f), len(p), acc.cell_rows[feature, partition], total), f, p)
     return hashlib.blake2b(b"".join(parts), digest_size=16).digest()
 
 
@@ -109,10 +133,9 @@ def release_aggregate_table(
     Noise is keyed by (seed, table_digest, label, cell), so a release on
     neighbouring data at the same seed draws fresh noise and does not reveal
     the difference. ``memo`` is a dict the caller keeps across releases of
-    this same ``acc`` (at several epsilons, say): it holds each query's exact
-    sums and, with DP on, each cell's keyed uniform, so the digest, the sums
-    and the draws are computed once for all of them. The released table is
-    the same with or without it.
+    this same ``acc`` (at several epsilons, say): with DP on it holds each
+    cell's keyed uniform, so the digest and the draws are computed once for
+    all of them. The released table is the same with or without it.
     """
     dp = privacy.dp_enabled
     memo = {} if memo is None else memo
@@ -121,17 +144,17 @@ def release_aggregate_table(
     if dp and accountant is not None:
         for name, eps_q in zip(names, shares):
             accountant.charge(name, eps_q)
-    memo_key = (privacy.seed, label_prefix, dp)
-    if memo_key not in memo:
-        exact_sums = (acc.joint_sums(), acc.feature_sums(), acc.partition_sums())
-        digest = table_digest(acc, exact_sums[0]) if dp else b""
+    exact_sums = (acc.joint_sums(), acc.feature_sums(), acc.partition_sums())
+    memo_key = (privacy.seed, label_prefix)
+    if dp and memo_key not in memo:
+        digest = table_digest(acc, exact_sums[0])
         memo[memo_key] = [
-            (e, keyed_uniforms(privacy.seed, (digest, n), e) if dp else None)
-            for e, n in zip(exact_sums, names)
+            keyed_uniforms(privacy.seed, (digest, n), e) for e, n in zip(exact_sums, names)
         ]
     sens = privacy.sensitivity
     tables = []
-    for name, eps_q, (exact, uniforms) in zip(names, shares, memo[memo_key]):
+    all_uniforms = memo[memo_key] if dp else (None, None, None)
+    for name, eps_q, exact, uniforms in zip(names, shares, exact_sums, all_uniforms):
         if dp:
             tau = censor_threshold(eps_q, privacy.delta, sens)
             released = release_sums(exact, sens, eps_q, tau, uniforms)
@@ -170,25 +193,27 @@ def release_aggregate_table(
     )
 
 
-def build_probability_tables(
-    table: AggregateTable,
-) -> dict[tuple[str, str], ProbabilityTriple]:
-    """Normalize released sums into per-pair probability triples.
+def build_probability_tables(table: AggregateTable) -> ProbabilityTables:
+    """Normalize released sums into the probability arrays of every joint pair.
 
     All three probability families share the released grand total as their
     denominator; AggregateTable guarantees it is positive and that every
-    joint cell has both marginals. Noise can leave p_xy above
-    min(p_x, p_y); such triples are repaired by pulling p_xy just below the
-    smaller marginal.
+    joint cell has both marginals. Pairs keep the joint table's order. Noise
+    can leave p_xy above min(p_x, p_y); such pairs are repaired by pulling
+    p_xy just below the smaller marginal.
     """
     total = table.total
-    out: dict[tuple[str, str], ProbabilityTriple] = {}
-    for feature, partition in sorted(table.joint):
-        p_x = min(table.feature_marginals[feature] / total, 1.0)
-        p_y = min(table.partition_marginals[partition] / total, 1.0)
-        p_xy = table.joint[(feature, partition)] / total
-        cap = min(p_x, p_y)
-        if p_xy > cap:
-            p_xy = cap * (1.0 - CONTAINMENT_MARGIN)
-        out[(feature, partition)] = ProbabilityTriple(p_x=p_x, p_y=p_y, p_xy=p_xy)
-    return out
+    features = [f for f, _ in table.joint]
+    partitions = [p for _, p in table.joint]
+    n = len(features)
+    p_x = np.fromiter(map(table.feature_marginals.__getitem__, features), np.float64, n) / total
+    p_y = np.fromiter(map(table.partition_marginals.__getitem__, partitions), np.float64, n) / total
+    p_x, p_y = np.minimum(p_x, 1.0), np.minimum(p_y, 1.0)
+    p_xy = np.fromiter(table.joint.values(), np.float64, n) / total
+    cap = np.minimum(p_x, p_y)
+    p_xy = np.where(p_xy > cap, cap * (1.0 - CONTAINMENT_MARGIN), p_xy)
+    return ProbabilityTables(
+        features, partitions, p_x, p_y, p_xy,
+        n_features=len(table.feature_marginals),
+        n_partitions=len(table.partition_marginals),
+    )

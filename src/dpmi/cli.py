@@ -97,10 +97,10 @@ def read_records(path: str, columns) -> tuple[Columns, Counter, int]:
     """Read and validate one input file.
 
     A file whose first non-empty line starts with ``{`` is JSON lines, any
-    other is delimited. Returns (the valid rows as columns, rejection counts
-    by reason, rows read). Each valid row's fields are appended to the
-    columns, and no Record is built. A missing mapped column is a hard error
-    naming the column.
+    other is delimited. Returns (the valid rows as coded columns, rejection
+    counts by reason, rows read). Each valid row's fields are appended to
+    lists that are encoded once at the end, and no Record is built. A
+    missing mapped column is a hard error naming the column.
     """
     ids: list[str] = []
     features: list[str] = []
@@ -126,7 +126,8 @@ def read_records(path: str, columns) -> tuple[Columns, Counter, int]:
                 features.append(feature)
                 partitions.append(partition)
                 observations.append(value)
-    return Columns(ids, features, partitions, np.array(observations, np.float64)), rejects, rows_read
+    cols = Columns.from_keys(ids, features, partitions, np.array(observations, np.float64))
+    return cols, rejects, rows_read
 
 
 # ---------------------------------------------------------------------------

@@ -132,27 +132,14 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _encode(keys: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct keys in sorted order, and each key's index among them.
-
-    Codes follow Python string order. A dict does the encoding because numpy
-    ``U`` arrays drop trailing NULs and would merge ``"u"`` with ``"u\\x00"``.
-    """
-    distinct = sorted(set(keys))
-    index = {key: i for i, key in enumerate(distinct)}
-    return distinct, np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
-
-
 def _bounded_order(cols: Columns, limit: int, seed: int) -> np.ndarray:
     """Indices of the rows that survive bounding, in output order."""
-    ids, user = _encode(cols.ids)
-    _, feature = _encode(cols.features)
-    _, partition = _encode(cols.partitions)
-    obs = cols.observations
-    # Canonical order: by user, then by the user's own rows; the sign bit
-    # orders -0.0 after 0.0, so no tie depends on the input order.
-    order = np.lexsort((np.signbit(obs), obs, partition, feature, user))
-    counts = np.bincount(user, minlength=len(ids))
+    user, obs = cols.ids, cols.observations
+    # Canonical order: by user, then by the user's own rows. Codes follow
+    # string order, and the sign bit orders -0.0 after 0.0, so no tie
+    # depends on the input order.
+    order = np.lexsort((np.signbit(obs), obs, cols.partitions, cols.features, user))
+    counts = np.bincount(user, minlength=len(cols.id_keys))
     is_over = counts > limit
     over = np.flatnonzero(is_over)
     if not len(over):
@@ -162,7 +149,8 @@ def _bounded_order(cols: Columns, limit: int, seed: int) -> np.ndarray:
     rows = np.flatnonzero(is_over[user[order]])
     sizes = counts[over]
     j = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    keys = np.fromiter(keyed_u64s(seed, ("bound",), [ids[u] for u in over.tolist()]), np.uint64)
+    ids = map(cols.id_keys.__getitem__, over.tolist())
+    keys = np.fromiter(keyed_u64s(seed, ("bound",), ids), np.uint64)
     counter = (j.astype(np.uint64) + np.uint64(1)) * _GOLDEN_GAMMA
     priority = _splitmix64(np.repeat(keys, sizes) + counter)
     # Within each user, lowest priority first (ties keep canonical order), so

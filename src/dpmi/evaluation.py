@@ -237,7 +237,8 @@ def runtime_compare(
     ``threads`` is accepted and ignored.
     """
     cols = Columns.from_records(records)
-    partitions = sorted(set(cols.partitions))
+    rows = np.bincount(cols.partitions, minlength=len(cols.partition_keys)).tolist()
+    partitions = [key for key, n in zip(cols.partition_keys, rows) if n]
     if len(partitions) < 2:
         raise ValueError(f"need at least 2 partitions, got {len(partitions)}")
     nodp = PrivacyConfig(epsilon=1.0, dp_enabled=False)

@@ -11,13 +11,21 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .aggregate import accumulate, build_probability_tables, release_aggregate_table
 from .dp import BudgetAccountant, BudgetExceededError, prepare_records
-from .model import Columns, Direction, PrivacyConfig, ProbabilityTriple, RankedResult, Record
+from .model import (
+    Columns,
+    Direction,
+    PrivacyConfig,
+    ProbabilityTables,
+    RankedResult,
+    Record,
+    encode,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -97,58 +105,65 @@ def direction(p_x, p_y, p_xy):
     return _DIRECTIONS[(inside > outside).astype(np.intp)]
 
 
-def rank(tables: Mapping[tuple[str, str], ProbabilityTriple]) -> list[RankedResult]:
+def rank(tables: ProbabilityTables, *, compared: str = "partitions") -> list[RankedResult]:
     """Score every pair and order globally by MI descending.
 
     All pairs are scored at once on arrays. MI cells use the fixed
     probability floor ``TOL``. Ties break by (partition, feature) so
     repeated runs emit identical files. Scores pushed below zero by noise
-    artifacts are clamped to zero. A partition holding the whole total
-    (p_y == 1) means no other partition survived, so there is nothing to
-    compare it against: the result is empty and a warning is logged.
+    artifacts are clamped to zero. When fewer than two partitions were
+    released, a partition has nothing to be compared against: the result is
+    empty and a warning, naming the ``compared`` side, is logged. So it is
+    when a partition's probability is capped at 1, which leaves it no rest.
     """
-    if not tables:
+    if not len(tables):
         return []
-    if any(t.p_y == 1.0 for t in tables.values()):
-        logger.warning("fewer than two partitions remain; one-vs-all ranking is empty")
+    if tables.n_partitions < 2:
+        logger.warning("fewer than two %s remain; one-vs-all ranking is empty", compared)
         return []
-    keys = list(tables)
-    features = [f for f, _ in keys]
-    partitions = [p for _, p in keys]
-    n_features = len(set(features))
-    n_partitions = len(set(partitions))
-    if min(n_features, n_partitions) > CARDINALITY_WARNING:
+    if (tables.p_y == 1.0).any():
+        logger.warning("one of the %s holds the whole total; one-vs-all ranking is empty", compared)
+        return []
+    feature_keys, feature_codes = encode(tables.features)
+    partition_keys, partition_codes = encode(tables.partitions)
+    if min(len(feature_keys), len(partition_keys)) > CARDINALITY_WARNING:
         logger.warning(
             "ranking %d features against %d partitions; quality degrades when both sides are this large",
-            n_features,
-            n_partitions,
+            len(feature_keys),
+            len(partition_keys),
         )
-    triples = [tables[k] for k in keys]
-    p_x = np.fromiter((t.p_x for t in triples), np.float64, len(keys))
-    p_y = np.fromiter((t.p_y for t in triples), np.float64, len(keys))
-    p_xy = np.fromiter((t.p_xy for t in triples), np.float64, len(keys))
+    p_x, p_y, p_xy = tables.p_x, tables.p_y, tables.p_xy
     mi = _floor0(calc_mi(p_x, p_y, p_xy))
-    # (partition, feature) is unique, so the sort never compares directions.
-    scored = sorted(zip((-mi).tolist(), partitions, features, direction(p_x, p_y, p_xy).tolist()))
-    return [
-        RankedResult(partition=p, feature=f, mi=-neg_mi, direction=d, rank=i + 1)
-        for i, (neg_mi, p, f, d) in enumerate(scored)
-    ]
+    # (partition, feature) is unique, so the order is total.
+    order = np.lexsort((feature_codes, partition_codes, -mi))
+    rows = order.tolist()
+    columns = (
+        list(map(tables.partitions.__getitem__, rows)),
+        list(map(tables.features.__getitem__, rows)),
+        mi[order].tolist(),
+        direction(p_x, p_y, p_xy)[order].tolist(),
+        range(1, len(rows) + 1),
+    )
+    del rows, order, mi, feature_codes, partition_codes
+    # RankedResult's fields in order: partition, feature, mi, direction, rank
+    return list(map(RankedResult, *columns))
 
 
-def transpose_tables(
-    tables: Mapping[tuple[str, str], ProbabilityTriple],
-) -> dict[tuple[str, str], ProbabilityTriple]:
-    """Swap the feature and partition roles in a probability-table map."""
-    return {
-        (partition, feature): ProbabilityTriple(p_x=t.p_y, p_y=t.p_x, p_xy=t.p_xy)
-        for (feature, partition), t in tables.items()
-    }
+def transpose_tables(tables: ProbabilityTables) -> ProbabilityTables:
+    """Swap the feature and partition roles of every pair."""
+    return ProbabilityTables(
+        tables.partitions, tables.features, tables.p_y, tables.p_x, tables.p_xy,
+        n_features=tables.n_partitions, n_partitions=tables.n_features,
+    )
 
 
-def flip(tables: Mapping[tuple[str, str], ProbabilityTriple]) -> list[RankedResult]:
-    """Rank partitions per feature, reusing MI symmetry on the transposed table."""
-    return rank(transpose_tables(tables))
+def flip(tables: ProbabilityTables) -> list[RankedResult]:
+    """Rank partitions per feature, reusing MI symmetry on the transposed table.
+
+    With fewer than two released features the result is empty, as rank's is
+    with fewer than two partitions.
+    """
+    return rank(transpose_tables(tables), compared="features")
 
 
 def rank_records(
@@ -189,12 +204,20 @@ def binary_rank(
 
     Rows keep their partition when it matches and collapse into a rest
     bucket otherwise, then flow through the standard pipeline. Only the
-    partition column is relabelled, before bounding; the other columns are
-    shared, and no Record is built.
+    partition code array is relabelled, before bounding; the other columns
+    are shared, and no Record is built.
     """
     cols = Columns.from_records(records)
-    labels = [p if p == partition else REST_LABEL for p in cols.partitions]
-    return rank_records(replace(cols, partitions=labels), privacy)
+    inside = np.array([key == partition for key in cols.partition_keys], bool)[cols.partitions]
+    return rank_records(_relabel(cols, inside, partition), privacy)
+
+
+def _relabel(cols: Columns, inside: np.ndarray, label: str) -> Columns:
+    """The columns with the rows where ``inside`` holds in partition ``label``
+    and every other row in REST_LABEL."""
+    keys = sorted({label, REST_LABEL})
+    codes = np.where(inside, keys.index(label), keys.index(REST_LABEL))
+    return replace(cols, partitions=codes, partition_keys=keys)
 
 
 @dataclass(frozen=True)
@@ -230,11 +253,9 @@ class FoldResult:
 def _match_cohort(cols: Columns, seeds: tuple[str, ...]) -> set[str]:
     """Ids holding a positive observation of some seed feature."""
     seed_set = set(seeds)
-    return {
-        rid
-        for rid, feature, value in zip(cols.ids, cols.features, cols.observations.tolist())
-        if feature in seed_set and value > 0
-    }
+    is_seed = np.array([key in seed_set for key in cols.feature_keys], bool)
+    rows = is_seed[cols.features] & (cols.observations > 0)
+    return set(map(cols.id_keys.__getitem__, cols.ids[rows].tolist()))
 
 
 def nfold(
@@ -281,14 +302,18 @@ def nfold(
         cohort = _match_cohort(match_cols, seeds)
         if not cohort:
             raise ValueError(f"fold {i}: no ids matched the seed features")
-        labels = [COHORT_LABEL if rid in cohort else REST_LABEL for rid in cols.ids]
-        cohort_ids = {rid for rid in cols.ids if rid in cohort}
-        rest_ids = set(cols.ids) - cohort_ids
-        if not cohort_ids or not rest_ids:
+        in_cohort = np.array([key in cohort for key in cols.id_keys], bool)
+        present = np.bincount(cols.ids, minlength=len(cols.id_keys)) > 0
+        cohort_size = int(np.count_nonzero(in_cohort & present))
+        rest_size = int(np.count_nonzero(present)) - cohort_size
+        if not cohort_size or not rest_size:
             raise ValueError(f"fold {i}: labeling is degenerate (one side is empty)")
         fold_privacy = replace(privacy, epsilon=fold.epsilon) if privacy.dp_enabled else privacy
         ranked = rank_records(
-            replace(cols, partitions=labels), fold_privacy, accountant, label_prefix=f"fold{i}/"
+            _relabel(cols, in_cohort[cols.ids], COHORT_LABEL),
+            fold_privacy,
+            accountant,
+            label_prefix=f"fold{i}/",
         )
         next_seeds = tuple(
             r.feature
@@ -298,8 +323,8 @@ def nfold(
         result = FoldResult(
             index=i,
             seeds=seeds,
-            cohort_size=len(cohort_ids),
-            rest_size=len(rest_ids),
+            cohort_size=cohort_size,
+            rest_size=rest_size,
             epsilon=fold.epsilon if privacy.dp_enabled else 0.0,
             results=ranked,
             next_seeds=next_seeds,

@@ -37,22 +37,57 @@ class Record:
     observation: float
 
 
+def encode(keys: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct keys in sorted order, and each key's index among them.
+
+    Codes follow Python string order, so sorting by code sorts by key. A dict
+    does the encoding because numpy ``U`` arrays drop trailing NULs and would
+    merge ``"u"`` with ``"u\\x00"``. The distinct keys keep their first-seen
+    order until the sort, which is fast on input already grouped by key.
+    """
+    index = dict.fromkeys(keys)
+    distinct = sorted(index)
+    index.update(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+
+
 @dataclass(eq=False, slots=True)
 class Columns:
-    """Input rows as columns, the form every pipeline stage works on.
+    """Input rows as coded columns, the form every pipeline stage works on.
 
-    Row i is (ids[i], features[i], partitions[i], observations[i]). Keys are
-    lists of str and the observations one float64 array, so a stage can
-    relabel, take or clamp a column without building a Record per row.
+    Ids, features and partitions are each an int64 code array plus the
+    sorted list of distinct keys it indexes: row i's feature is
+    ``feature_keys[features[i]]``. Codes follow string order, so a stage can
+    sort, group or relabel rows on the integer codes and still order them as
+    their keys. A key list may hold keys that no row uses any more, after a
+    take or a relabel. The observations are one float64 array.
     """
 
-    ids: list[str]
-    features: list[str]
-    partitions: list[str]
+    ids: np.ndarray
+    id_keys: list[str]
+    features: np.ndarray
+    feature_keys: list[str]
+    partitions: np.ndarray
+    partition_keys: list[str]
     observations: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.observations)
+
+    @classmethod
+    def from_keys(
+        cls,
+        ids: Sequence[str],
+        features: Sequence[str],
+        partitions: Sequence[str],
+        observations: np.ndarray,
+    ) -> Columns:
+        """The coded columns of three key columns and the observations."""
+        id_keys, id_codes = encode(ids)
+        feature_keys, feature_codes = encode(features)
+        partition_keys, partition_codes = encode(partitions)
+        return cls(id_codes, id_keys, feature_codes, feature_keys, partition_codes,
+                   partition_keys, observations)
 
     @classmethod
     def from_records(cls, records: Columns | Iterable[Record]) -> Columns:
@@ -60,7 +95,7 @@ class Columns:
         if isinstance(records, Columns):
             return records
         records = list(records)
-        return cls(
+        return cls.from_keys(
             [r.id for r in records],
             [r.feature for r in records],
             [r.partition for r in records],
@@ -68,13 +103,10 @@ class Columns:
         )
 
     def take(self, index: np.ndarray) -> Columns:
-        """The rows at ``index``, in that order."""
-        rows = index.tolist()
+        """The rows at ``index``, in that order; the key lists are shared."""
         return Columns(
-            list(map(self.ids.__getitem__, rows)),
-            list(map(self.features.__getitem__, rows)),
-            list(map(self.partitions.__getitem__, rows)),
-            self.observations[index],
+            self.ids[index], self.id_keys, self.features[index], self.feature_keys,
+            self.partitions[index], self.partition_keys, self.observations[index],
         )
 
 
@@ -202,18 +234,39 @@ class AggregateTable:
                 raise ValueError(f"joint partition {partition!r} missing from partition_marginals")
 
 
-@dataclass(frozen=True, slots=True)
-class ProbabilityTriple:
-    """Normalized joint and marginal probabilities for one (feature, partition) pair."""
+@dataclass(frozen=True, eq=False)
+class ProbabilityTables:
+    """Normalized joint and marginal probabilities of (feature, partition) pairs.
 
-    p_x: float
-    p_y: float
-    p_xy: float
+    Pair i is (features[i], partitions[i]), with feature probability p_x[i],
+    partition probability p_y[i] and joint probability p_xy[i]. Every
+    probability lies in (0, 1]. n_features and n_partitions count the keys
+    of the released marginal tables, which may hold keys that no pair does.
+    """
+
+    features: list[str]
+    partitions: list[str]
+    p_x: np.ndarray
+    p_y: np.ndarray
+    p_xy: np.ndarray
+    n_features: int
+    n_partitions: int
 
     def __post_init__(self) -> None:
-        for name, value in (("p_x", self.p_x), ("p_y", self.p_y), ("p_xy", self.p_xy)):
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
+        n = len(self.features)
+        if len(self.partitions) != n:
+            raise ValueError(f"{n} features but {len(self.partitions)} partitions")
+        for name in ("p_x", "p_y", "p_xy"):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            if values.shape != (n,):
+                raise ValueError(f"{name} has shape {values.shape}, expected ({n},)")
+            bad = values[~((0.0 < values) & (values <= 1.0))]
+            if bad.size:
+                raise ValueError(f"{name} must lie in (0, 1], got {bad[0]}")
+            object.__setattr__(self, name, values)
+
+    def __len__(self) -> int:
+        return len(self.features)
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,15 +10,18 @@ scalar reference for the column clamp in ``prepare_records``, and
 reference for ``dp.keyed_u64s`` and ``dp.keyed_uniforms``. ``calc_single_mi``,
 ``calc_mi`` and ``direction`` are the scalar references for the array
 versions in ``dpmi.mi``, and ``binary_rank_oracle`` relabels Records by hand
-before ``rank_records``. ``records_of`` turns columns back into Records so
-tests can compare stage outputs row by row.
+before ``rank_records``. ``ListAccumulator`` is the reference group-by for
+``aggregate.accumulate``: one list of values per joint cell, and each
+marginal the fsum over its cells' lists. ``records_of`` turns columns back
+into Records so tests can compare stage outputs row by row.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from statistics import fmean
 
 import numpy as np
@@ -102,11 +105,47 @@ def direction(p_x: float, p_y: float, p_xy: float) -> Direction:
 
 
 def records_of(cols) -> list[Record]:
-    """The rows of a ``Columns`` table as Records, in order."""
+    """The rows of a ``Columns`` table as Records, in order, with every code decoded."""
     return [
-        Record(*row)
-        for row in zip(cols.ids, cols.features, cols.partitions, cols.observations.tolist())
+        Record(cols.id_keys[i], cols.feature_keys[f], cols.partition_keys[p], obs)
+        for i, f, p, obs in zip(cols.ids.tolist(), cols.features.tolist(),
+                                cols.partitions.tolist(), cols.observations.tolist())
     ]
+
+
+@dataclass
+class ListAccumulator:
+    """Observations grouped by (feature, partition) cell, as value lists.
+
+    Each joint cell holds its rows' observations in row order. A feature's
+    or a partition's marginal sum is the fsum over the union of its cells'
+    lists, the same multiset as its own rows.
+    """
+
+    partial_joint: dict[tuple[str, str], list[float]] = field(default_factory=dict)
+    row_count: int = 0
+
+    @classmethod
+    def of(cls, records) -> ListAccumulator:
+        acc = cls(row_count=len(records))
+        for r in records:
+            acc.partial_joint.setdefault((r.feature, r.partition), []).append(r.observation)
+        return acc
+
+    def joint_sums(self) -> dict[tuple[str, str], float]:
+        return {key: math.fsum(vals) for key, vals in sorted(self.partial_joint.items())}
+
+    def feature_sums(self) -> dict[str, float]:
+        return self._marginal_sums(0)
+
+    def partition_sums(self) -> dict[str, float]:
+        return self._marginal_sums(1)
+
+    def _marginal_sums(self, axis: int) -> dict[str, float]:
+        cells: dict[str, list[list[float]]] = {}
+        for key, vals in self.partial_joint.items():
+            cells.setdefault(key[axis], []).append(vals)
+        return {key: math.fsum(chain.from_iterable(lists)) for key, lists in sorted(cells.items())}
 
 
 def binary_rank_oracle(records, partition, privacy):

@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from dpmi.aggregate import (
 )
 from dpmi.dp import BudgetAccountant, prepare_records
 from dpmi.model import AggregateTable, Columns, PrivacyConfig, Record
+
+from oracles import ListAccumulator, records_of
 
 
 def _accumulate(records):
@@ -80,6 +83,43 @@ class TestAccumulate:
             }
 
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_sort_sliced_sums_match_the_per_cell_lists(self, data):
+        # "u" and "u\x00" are distinct keys, -0.0 and 0.0 distinct values,
+        # and a take or bounding leaves keys in the key lists with no row
+        keys = ["u", "u\x00", "v"]
+        records = data.draw(
+            st.lists(
+                st.builds(
+                    Record,
+                    st.sampled_from(["a", "b", "c", "d"]),
+                    st.sampled_from(keys),
+                    st.sampled_from(keys),
+                    st.one_of(st.just(-0.0), st.just(0.0), st.floats(0.0, 1e16)),
+                ),
+                max_size=40,
+            )
+        )
+        cols = Columns.from_records(data.draw(st.permutations(records)))
+        subset = data.draw(st.lists(st.integers(0, max(0, len(records) - 1)), max_size=20))
+        privacy = PrivacyConfig(epsilon=1.0, clamp_lo=-1.0, clamp_hi=1e16, seed=5,
+                                contribution_limit=data.draw(st.integers(1, 3)))
+        taken = cols.take(np.array(subset if records else [], np.int64))
+        for table in (cols, taken, prepare_records(cols, privacy)):
+            got, want = accumulate(table), ListAccumulator.of(records_of(table))
+            for sums, expected in ((got.joint_sums(), want.joint_sums()),
+                                   (got.feature_sums(), want.feature_sums()),
+                                   (got.partition_sums(), want.partition_sums())):
+                assert [(k, v.hex()) for k, v in sums.items()] == [
+                    (k, v.hex()) for k, v in expected.items()
+                ]
+            assert list(got.cell_rows.items()) == [
+                (k, len(want.partial_joint[k])) for k in sorted(want.partial_joint)
+            ]
+            assert got.row_count == want.row_count == len(table)
+
+
 class TestBuildProbabilityTables:
     def test_direct_division(self):
         table = AggregateTable(
@@ -88,9 +128,10 @@ class TestBuildProbabilityTables:
             partition_marginals={"p": 2.0, "q": 2.0},
             total=4.0,
         )
-        triples = build_probability_tables(table)
-        t = triples[("f", "p")]
-        assert (t.p_x, t.p_y, t.p_xy) == (0.5, 0.5, 0.5)
+        t = build_probability_tables(table)
+        assert (t.features, t.partitions) == (["f"], ["p"])
+        assert (t.p_x.tolist(), t.p_y.tolist(), t.p_xy.tolist()) == ([0.5], [0.5], [0.5])
+        assert (t.n_features, t.n_partitions) == (1, 2)
 
     def test_containment_repair(self):
         # noisy joint exceeds its feature marginal; p_xy pulled just under p_x
@@ -100,9 +141,9 @@ class TestBuildProbabilityTables:
             partition_marginals={"p": 6.0, "q": 4.0},
             total=10.0,
         )
-        t = build_probability_tables(table)[("f", "p")]
-        assert t.p_xy < 0.25
-        assert t.p_xy == pytest.approx(0.25, rel=1e-11)
+        (p_xy,) = build_probability_tables(table).p_xy.tolist()
+        assert p_xy < 0.25
+        assert p_xy == pytest.approx(0.25, rel=1e-11)
 
     def test_pair_with_censored_marginal_dropped(self):
         table = AggregateTable(
@@ -118,19 +159,20 @@ class TestBuildProbabilityTables:
             partition_marginals={"p": 3.0, "q": 1.0},
             total=4.0,
         )
-        assert build_probability_tables(stripped) == {}
-        assert ("f", "p") in build_probability_tables(table)
+        assert len(build_probability_tables(stripped)) == 0
+        kept = build_probability_tables(table)
+        assert ("f", "p") in zip(kept.features, kept.partitions)
 
     def test_noiseless_probabilities_are_consistent(self):
         records = _random_records(5_000, seed=11)
         acc = _accumulate(records)
         cfg = PrivacyConfig(epsilon=1.0, seed=0, dp_enabled=False)
         table = release_aggregate_table(acc, cfg)
-        triples = build_probability_tables(table)
-        total_joint = math.fsum(t.p_xy for t in triples.values())
+        t = build_probability_tables(table)
+        total_joint = math.fsum(t.p_xy.tolist())
         assert total_joint <= 1.0 + 1e-9
-        for t in triples.values():
-            assert t.p_xy <= min(t.p_x, t.p_y) + 1e-12
+        for p_x, p_y, p_xy in zip(t.p_x.tolist(), t.p_y.tolist(), t.p_xy.tolist()):
+            assert p_xy <= min(p_x, p_y) + 1e-12
 
 
 class TestReleaseAggregateTable:

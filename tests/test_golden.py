@@ -2,9 +2,11 @@
 
 Each case runs one subcommand through ``cli.main`` on a seeded TSV and
 compares the sha256 of the output file and of its manifest with the digests
-below. A change that alters these bytes on purpose updates the digests and
-names the changed outputs, and why, in CHANGES.md; any other digest
-mismatch is a regression.
+below. The later cases pin the paths no single command covers: ranking a
+saved DP aggregate file, a two-stage DP fold, and ``eval``'s two files. A
+change that alters these bytes on purpose updates the digests and names the
+changed outputs, and why, in CHANGES.md; any other digest mismatch is a
+regression.
 """
 
 import hashlib
@@ -69,3 +71,60 @@ def test_output_bytes_match_the_pinned_digests(tmp_path, command, mode):
     assert main([command, "--input", inp, "--output", out, *flags]) == 0
     got = (_sha256(out), _sha256(out + ".manifest.jsonl"))
     assert got == GOLDEN[(command, mode)]
+
+
+# command -> (sha256 of the output, sha256 of <output>.manifest.jsonl), for
+# rank and flip reading the aggregate file that `aggregate` released with DP
+GOLDEN_FROM_AGGREGATE = {
+    "rank": ("1eec6c1f8bc5f20197765457127c8eca29b2a9551fbbc22a2431695c93d8b0e9",
+             "a56405d4a407a8a1f636163dd67deb939b180327158847e1bab50ffb78b5d514"),
+    "flip": ("fbf84d3e487176060cdce541aaebe67499905cc683fe6f77a085efa08f846506",
+             "a56405d4a407a8a1f636163dd67deb939b180327158847e1bab50ffb78b5d514"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_FROM_AGGREGATE))
+def test_ranking_a_saved_dp_aggregate_matches_the_pinned_digests(tmp_path, command):
+    inp = _seeded_tsv(tmp_path / "in.tsv")
+    agg = str(tmp_path / "agg.jsonl")
+    assert main(["aggregate", "--input", inp, "--output", agg, *DP]) == 0
+    out = str(tmp_path / f"{command}.out")
+    assert main([command, "--aggregate", agg, "--output", out]) == 0
+    got = (_sha256(out), _sha256(out + ".manifest.jsonl"))
+    assert got == GOLDEN_FROM_AGGREGATE[command]
+
+
+# file -> sha256, for a two-stage DP fold: stage 1 seeded from the p0 stripe,
+# stage 2 from stage 1's top Presence features
+GOLDEN_FOLD = {
+    "folds.fold1.tsv": "ac0b201381d556d1843808120b83def30c2ad64b2872698ac1043381f9334198",
+    "folds.fold2.tsv": "565202940b6ecd44dfa3a845131e3980c0fa9dfd47c3c4c85c07a7992472b784",
+    "folds.manifest.jsonl": "0bf8a0f4a442f2f6a6a543af5080d1de05689e364c239ea3b64daf1c37e0d346",
+}
+
+
+def test_two_stage_dp_fold_matches_the_pinned_digests(tmp_path, monkeypatch):
+    stage1 = _seeded_tsv(tmp_path / "stage1.tsv")
+    stage2 = _seeded_tsv(tmp_path / "stage2.tsv", seed=20240918)
+    monkeypatch.chdir(tmp_path)  # the manifest records each stage's output path
+    argv = ["fold", "--input", stage1, "--input", stage2, "--output", "folds",
+            "--epsilon", "4.0", "--fold-epsilons", "2.0,2.0", "--seeds", "f00,f06",
+            "--delta", "1e-3", "--contribution-limit", "2", "--seed", "7"]
+    assert main(argv) == 0
+    assert {name: _sha256(tmp_path / name) for name in GOLDEN_FOLD} == GOLDEN_FOLD
+
+
+# file -> sha256, for `eval` sweeping three epsilons over two trials
+GOLDEN_EVAL = {
+    "sweep.tsv": "beed68f80d3b2999a0bd60f745377ad7295e9d4c4f7b86e65f8fd344295301f5",
+    "stability.tsv": "1ccd136187b2c070462cfa845fb0551aa694b475d79730d749e475ea610a2de6",
+}
+
+
+def test_eval_files_match_the_pinned_digests(tmp_path):
+    inp = _seeded_tsv(tmp_path / "in.tsv")
+    out = tmp_path / "eval"
+    argv = ["eval", "--input", inp, "--output", str(out), "--epsilons", "0.5,2,8",
+            "--trials", "2", "--top-k", "100", "--delta", "0.2", "--seed", "7"]
+    assert main(argv) == 0
+    assert {name: _sha256(out / name) for name in GOLDEN_EVAL} == GOLDEN_EVAL

@@ -25,7 +25,7 @@ from dpmi.mi import (
     rank_records,
     transpose_tables,
 )
-from dpmi.model import Direction, PrivacyConfig, ProbabilityTriple, Record
+from dpmi.model import Direction, PrivacyConfig, ProbabilityTables, Record
 
 import oracles
 from oracles import binary_rank_oracle, mi_2x2, random_valid_triple
@@ -161,35 +161,64 @@ class TestArrayMiMatchesScalar:
             oracles.direction(0.5, bad, 0.25)
 
 
-def _triple(p_x, p_y, p_xy):
-    return ProbabilityTriple(p_x=p_x, p_y=p_y, p_xy=p_xy)
+def _tables(triples, n_features=2, n_partitions=2):
+    """The ProbabilityTables of a {(feature, partition): (p_x, p_y, p_xy)} map.
+
+    By default each released marginal table holds at least two keys, as a
+    p_y below 1 implies, even where the pairs hold fewer.
+    """
+    features, partitions = [f for f, _ in triples], [p for _, p in triples]
+    p_x, p_y, p_xy = (list(col) for col in zip(*triples.values())) if triples else ([], [], [])
+    return ProbabilityTables(features, partitions, p_x, p_y, p_xy,
+                             n_features=n_features, n_partitions=n_partitions)
 
 
 class TestRank:
     def test_empty_input(self):
-        assert rank({}) == []
+        assert rank(_tables({})) == []
 
     def test_single_pair_rank_one(self):
-        results = rank({("f", "p"): _triple(0.5, 0.5, 0.4)})
+        results = rank(_tables({("f", "p"): (0.5, 0.5, 0.4)}))
         assert len(results) == 1
         assert results[0].rank == 1
 
+    def test_one_partition_ranks_empty(self, caplog):
+        # one released partition, and one released feature: neither leaves
+        # a second key on the side the ranking compares
+        one_partition = _tables({("f", "p"): (0.5, 0.5, 0.4), ("g", "p"): (0.5, 0.5, 0.3)},
+                                n_partitions=1)
+        one_feature = _tables({("f", "p"): (0.5, 0.5, 0.4), ("f", "q"): (0.5, 0.5, 0.1)},
+                              n_features=1)
+        with caplog.at_level("WARNING", logger="dpmi.mi"):
+            assert rank(one_partition) == []
+            assert flip(one_feature) == []
+        warnings = [rec.message for rec in caplog.records]
+        assert warnings == ["fewer than two partitions remain; one-vs-all ranking is empty",
+                            "fewer than two features remain; one-vs-all ranking is empty"]
+
+    def test_capped_marginal_ranks_empty(self, caplog):
+        # two partitions, but one holds the whole total: no rest to compare with
+        tables = _tables({("f", "p"): (0.5, 1.0, 0.4), ("f", "q"): (0.5, 0.5, 0.1)})
+        with caplog.at_level("WARNING", logger="dpmi.mi"):
+            assert rank(tables) == []
+        assert any("holds the whole total" in rec.message for rec in caplog.records)
+
     def test_order_forced_by_mi(self):
         tables = {
-            ("weak", "p"): _triple(0.5, 0.5, 0.26),
-            ("strong", "p"): _triple(0.5, 0.5, 0.49),
+            ("weak", "p"): (0.5, 0.5, 0.26),
+            ("strong", "p"): (0.5, 0.5, 0.49),
         }
-        results = rank(tables)
+        results = rank(_tables(tables))
         assert [r.feature for r in results] == ["strong", "weak"]
         assert [r.rank for r in results] == [1, 2]
 
     def test_tie_break_is_lexicographic(self):
         tables = {
-            ("b", "z"): _triple(0.5, 0.5, 0.4),
-            ("a", "z"): _triple(0.5, 0.5, 0.4),
-            ("a", "y"): _triple(0.5, 0.5, 0.4),
+            ("b", "z"): (0.5, 0.5, 0.4),
+            ("a", "z"): (0.5, 0.5, 0.4),
+            ("a", "y"): (0.5, 0.5, 0.4),
         }
-        results = rank(tables)
+        results = rank(_tables(tables))
         assert [(r.partition, r.feature) for r in results] == [("y", "a"), ("z", "a"), ("z", "b")]
 
     def test_warns_when_both_sides_huge(self, monkeypatch, caplog):
@@ -197,10 +226,10 @@ class TestRank:
 
         monkeypatch.setattr(mi_module, "CARDINALITY_WARNING", 1)
         tables = {
-            (f"f{i}", f"p{j}"): _triple(0.4, 0.4, 0.3) for i in range(3) for j in range(3)
+            (f"f{i}", f"p{j}"): (0.4, 0.4, 0.3) for i in range(3) for j in range(3)
         }
         with caplog.at_level("WARNING", logger="dpmi.mi"):
-            rank(tables)
+            rank(_tables(tables))
         assert any("degrades" in rec.message for rec in caplog.records)
 
     def test_ranks_are_permutation(self):
@@ -208,8 +237,8 @@ class TestRank:
         tables = {}
         for i in range(50):
             p_x, p_y, p_xy = random_valid_triple(rng, lo=0.05, hi=0.6)
-            tables[(f"f{i}", f"p{i % 4}")] = _triple(p_x, p_y, p_xy)
-        results = rank(tables)
+            tables[(f"f{i}", f"p{i % 4}")] = (p_x, p_y, p_xy)
+        results = rank(_tables(tables))
         assert sorted(r.rank for r in results) == list(range(1, 51))
         assert all(
             results[i].mi >= results[i + 1].mi for i in range(len(results) - 1)
@@ -288,11 +317,11 @@ class TestRankRecords:
 class TestFlip:
     def test_symmetric_table_flip_equals_original(self):
         tables = {
-            ("f1", "p1"): _triple(0.5, 0.5, 0.4),
-            ("f2", "p2"): _triple(0.5, 0.5, 0.1),
+            ("f1", "p1"): (0.5, 0.5, 0.4),
+            ("f2", "p2"): (0.5, 0.5, 0.1),
         }
-        original = rank(tables)
-        flipped = flip(tables)
+        original = rank(_tables(tables))
+        flipped = flip(_tables(tables))
         assert sorted(r.mi for r in original) == pytest.approx(sorted(r.mi for r in flipped))
 
     def test_flip_mi_multiset_matches_swapped_records(self):
@@ -309,10 +338,23 @@ class TestFlip:
             for a, b in zip(direct, via_flip):
                 assert a == b
 
+    def test_one_surviving_feature_flips_empty_whatever_the_noise(self, caplog):
+        # f2's three users are censored, so f1 is the only feature left: the
+        # transposed p_y is f1's noisy marginal over the partition total,
+        # which may or may not reach 1, yet every seed must give no ranking
+        records = [Record(f"u{i}", "f1", f"p{i % 3}", 1.0) for i in range(3000)]
+        records += [Record(f"v{i}", "f2", "p0", 1.0) for i in range(3)]
+        with caplog.at_level("WARNING", logger="dpmi.mi"):
+            for seed in range(40):
+                privacy = PrivacyConfig(epsilon=1.0, delta=1e-3, seed=seed)
+                assert rank_records(records, privacy, swap=True) == []
+        warnings = {rec.message for rec in caplog.records}
+        assert warnings == {"fewer than two features remain; one-vs-all ranking is empty"}
+
     def test_transpose_swaps_roles(self):
-        tables = {("f", "p"): _triple(0.3, 0.6, 0.2)}
-        t = transpose_tables(tables)[("p", "f")]
-        assert (t.p_x, t.p_y, t.p_xy) == (0.6, 0.3, 0.2)
+        t = transpose_tables(_tables({("f", "p"): (0.3, 0.6, 0.2)}))
+        assert (t.features, t.partitions) == (["p"], ["f"])
+        assert (t.p_x.tolist(), t.p_y.tolist(), t.p_xy.tolist()) == ([0.6], [0.3], [0.2])
 
     def test_one_feature_appears_once_per_partition_in_flip(self):
         # a shared tool distinguishing several segments shows up once per segment

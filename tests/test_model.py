@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from dpmi.model import PrivacyConfig, ProbabilityTriple, Record, validate_record
+from dpmi.model import PrivacyConfig, ProbabilityTables, Record, validate_record
 
 
 class TestValidateRecord:
@@ -128,13 +128,17 @@ class TestPrivacyConfig:
         assert cfg.sensitivity == 2.0
 
 
-class TestProbabilityTriple:
+class TestProbabilityTables:
     def test_accepts_valid(self):
-        ProbabilityTriple(0.5, 0.5, 0.25)
+        tables = ProbabilityTables(["f", "g"], ["p", "p"], [0.5, 1.0], [0.5, 0.5], [0.25, 0.5],
+                                   n_features=2, n_partitions=2)
+        assert len(tables) == 2
 
     @pytest.mark.parametrize("bad", [dict(p_x=0.0), dict(p_y=1.5), dict(p_xy=-0.1)])
     def test_rejects_out_of_range(self, bad):
-        kwargs = dict(p_x=0.5, p_y=0.5, p_xy=0.25)
-        kwargs.update(bad)
-        with pytest.raises(ValueError):
-            ProbabilityTriple(**kwargs)
+        # the bad value sits in the second pair; the first is valid
+        ((name, value),) = bad.items()
+        kwargs = dict(p_x=[0.5, 0.5], p_y=[0.5, 0.5], p_xy=[0.25, 0.25])
+        kwargs[name] = [0.25, value]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must lie in (0, 1], got {value}")):
+            ProbabilityTables(["f", "g"], ["p", "p"], **kwargs, n_features=2, n_partitions=2)

@@ -12,16 +12,15 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dp import BudgetAccountant, censor_threshold, keyed_uniforms, release_sums
 from .model import AggregateTable, Columns, PrivacyConfig, ProbabilityTables
 
-QUERY_JOINT = "joint"
-QUERY_FEATURE = "feature_marginal"
-QUERY_PARTITION = "partition_marginal"
+# The three release queries' labels, in release order.
+QUERIES = ("joint", "feature_marginal", "partition_marginal")
 
 # Noise can leave a joint sum above one of its marginals; repaired joints are
 # pulled this far below the smaller marginal probability.
@@ -35,7 +34,7 @@ class Accumulator:
     ``partial_joint`` maps each (feature, partition) cell that has rows to
     the fsum of their observations, and ``cell_rows`` to their count; the
     marginal maps do the same for each feature and each partition. Every
-    map is in key order.
+    map is in key order, and none changes once ``uniforms`` has drawn.
     """
 
     partial_joint: dict[tuple[str, str], float]
@@ -43,15 +42,24 @@ class Accumulator:
     feature_totals: dict[str, float]
     partition_totals: dict[str, float]
     row_count: int
+    _draws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def joint_sums(self) -> dict[tuple[str, str], float]:
-        return self.partial_joint
+    def uniforms(self, seed: int, label_prefix: str) -> list[dict]:
+        """Each query's keyed uniform per cell, drawn once per (seed, label_prefix).
 
-    def feature_sums(self) -> dict[str, float]:
-        return self.feature_totals
-
-    def partition_sums(self) -> dict[str, float]:
-        return self.partition_totals
+        The draws are keyed by (seed, table_digest, label, cell), so they
+        belong to this table alone; its releases at several epsilons reuse
+        them, and a neighbouring table's accumulator draws its own.
+        """
+        key = (seed, label_prefix)
+        if key not in self._draws:
+            digest = table_digest(self)
+            sums = (self.partial_joint, self.feature_totals, self.partition_totals)
+            self._draws[key] = [
+                keyed_uniforms(seed, (digest, label_prefix + q), cells)
+                for q, cells in zip(QUERIES, sums)
+            ]
+        return self._draws[key]
 
 
 def _groups(codes: np.ndarray, values: list[float]) -> tuple[np.ndarray, list[float], list[int]]:
@@ -95,16 +103,15 @@ def accumulate(cols: Columns) -> Accumulator:
     )
 
 
-def table_digest(acc: Accumulator, joint: dict[tuple[str, str], float]) -> bytes:
+def table_digest(acc: Accumulator) -> bytes:
     """blake2b of the exact joint table, which keys the release noise.
 
-    ``joint`` is ``acc.joint_sums()``, whose sums and key order are reused.
     Each cell adds its keys' byte lengths, its row count, its sum's bits and
     its keys, so any change to the table changes the digest.
     """
     pack = struct.Struct("<IIqd").pack
     parts: list[bytes] = []
-    for (feature, partition), total in joint.items():
+    for (feature, partition), total in acc.partial_joint.items():
         f, p = feature.encode("utf-8"), partition.encode("utf-8")
         parts += (pack(len(f), len(p), acc.cell_rows[feature, partition], total), f, p)
     return hashlib.blake2b(b"".join(parts), digest_size=16).digest()
@@ -112,58 +119,47 @@ def table_digest(acc: Accumulator, joint: dict[tuple[str, str], float]) -> bytes
 
 def release_aggregate_table(
     acc: Accumulator,
-    privacy: PrivacyConfig,
+    privacy: PrivacyConfig | None,
     accountant: BudgetAccountant | None = None,
     *,
     label_prefix: str = "",
     manifest: list | None = None,
-    memo: dict | None = None,
 ) -> AggregateTable:
     """Run the three releases (joint, feature, partition) and assemble the table.
 
-    With privacy enabled, each query is charged its budget_split share before
-    release and gets its own censoring threshold. With privacy disabled each
-    query spends epsilon 0, has no threshold, and keeps the positive exact
-    sums. The grand total is derived from the released partition marginals,
-    so it consumes no extra budget. Joint cells whose feature or partition
-    marginal did not survive are removed here, keeping the table internally
-    consistent. When ``manifest`` is given, one dict per query is appended
-    describing epsilon, threshold, and censoring counts.
+    With a privacy config, each query is charged its budget_split share
+    before release, gets its own censoring threshold, and draws its noise
+    from ``acc.uniforms``. With privacy None each query spends epsilon 0,
+    has no threshold, and keeps the positive exact sums. The grand total is
+    derived from the released partition marginals, so it consumes no extra
+    budget. Joint cells whose feature or partition marginal did not survive
+    are removed here, keeping the table internally consistent. When
+    ``manifest`` is given, one dict per query is appended describing
+    epsilon, threshold, and censoring counts.
 
     Noise is keyed by (seed, table_digest, label, cell), so a release on
     neighbouring data at the same seed draws fresh noise and does not reveal
-    the difference. ``memo`` is a dict the caller keeps across releases of
-    this same ``acc`` (at several epsilons, say): with DP on it holds each
-    cell's keyed uniform, so the digest and the draws are computed once for
-    all of them. The released table is the same with or without it.
+    the difference. The draws live on ``acc``, so releases of one table at
+    several epsilons compute them once, and no release can use another
+    table's.
     """
-    dp = privacy.dp_enabled
-    memo = {} if memo is None else memo
-    shares = [w * privacy.epsilon if dp else 0.0 for w in privacy.budget_split]
-    names = [label_prefix + q for q in (QUERY_JOINT, QUERY_FEATURE, QUERY_PARTITION)]
-    if dp and accountant is not None:
-        for name, eps_q in zip(names, shares):
-            accountant.charge(name, eps_q)
-    exact_sums = (acc.joint_sums(), acc.feature_sums(), acc.partition_sums())
-    memo_key = (privacy.seed, label_prefix)
-    if dp and memo_key not in memo:
-        digest = table_digest(acc, exact_sums[0])
-        memo[memo_key] = [
-            keyed_uniforms(privacy.seed, (digest, n), e) for e, n in zip(exact_sums, names)
-        ]
-    sens = privacy.sensitivity
-    tables = []
-    all_uniforms = memo[memo_key] if dp else (None, None, None)
-    for name, eps_q, exact, uniforms in zip(names, shares, exact_sums, all_uniforms):
-        if dp:
-            tau = censor_threshold(eps_q, privacy.delta, sens)
-            released = release_sums(exact, sens, eps_q, tau, uniforms)
-        else:
-            tau = None
-            released = {key: value for key, value in exact.items() if value > 0}
-        tables.append(released)
-        if manifest is not None:
-            survivors = sum(1 for key in exact if key in released)
+    names = [label_prefix + q for q in QUERIES]
+    exact_sums = (acc.partial_joint, acc.feature_totals, acc.partition_totals)
+    if privacy is None:
+        shares, thresholds = (0.0, 0.0, 0.0), (None, None, None)
+        tables = [{key: value for key, value in exact.items() if value > 0} for exact in exact_sums]
+    else:
+        shares = [w * privacy.epsilon for w in privacy.budget_split]
+        if accountant is not None:
+            for name, eps_q in zip(names, shares):
+                accountant.charge(name, eps_q)
+        sens = privacy.sensitivity
+        thresholds = [censor_threshold(eps_q, privacy.delta, sens) for eps_q in shares]
+        draws = acc.uniforms(privacy.seed, label_prefix)
+        tables = [release_sums(exact, sens, eps_q, tau, uniforms)
+                  for exact, eps_q, tau, uniforms in zip(exact_sums, shares, thresholds, draws)]
+    if manifest is not None:
+        for name, eps_q, tau, exact, released in zip(names, shares, thresholds, exact_sums, tables):
             manifest.append(
                 {
                     "query": name,
@@ -171,11 +167,10 @@ def release_aggregate_table(
                     "threshold": tau,
                     "cells_exact": len(exact),
                     "cells_released": len(released),
-                    "cells_censored": len(exact) - survivors,
+                    "cells_censored": len(exact) - len(released),
                 }
             )
     released_joint, released_feats, released_parts = tables
-
     released_joint = {
         (f, p): value
         for (f, p), value in released_joint.items()

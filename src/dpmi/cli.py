@@ -327,14 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _privacy_from_args(args) -> PrivacyConfig:
-    dp_enabled = not args.no_dp
-    # ranking a saved aggregate releases nothing, so it needs no seed
-    if dp_enabled and args.seed is None and not getattr(args, "aggregate", None):
-        raise ValueError("--seed is required when privacy is enabled (pass --no-dp to opt out)")
+def _privacy_from_args(args) -> PrivacyConfig | None:
+    """The run's privacy config; None with --no-dp, which reads no privacy flag."""
     top_k = getattr(args, "top_k", None)  # aggregate takes no --top-k
     if top_k is not None and top_k < 1:
         raise ValueError(f"--top-k must be >= 1, got {top_k}")
+    if args.no_dp:
+        return None
+    # ranking a saved aggregate releases nothing, so it needs no seed
+    if args.seed is None and not getattr(args, "aggregate", None):
+        raise ValueError("--seed is required when privacy is enabled (pass --no-dp to opt out)")
     return PrivacyConfig(
         epsilon=args.epsilon,
         delta=args.delta,
@@ -343,7 +345,6 @@ def _privacy_from_args(args) -> PrivacyConfig:
         contribution_limit=args.contribution_limit,
         budget_split=args.budget_split,
         seed=args.seed if args.seed is not None else 0,
-        dp_enabled=dp_enabled,
     )
 
 
@@ -374,7 +375,7 @@ def cmd_aggregate(args) -> int:
     records, counts = _ingest(_single_input(args), args)
     prepared = prepare_records(records, privacy)
     acc = accumulate(prepared)
-    accountant = BudgetAccountant(privacy.epsilon) if privacy.dp_enabled else None
+    accountant = BudgetAccountant(privacy.epsilon) if privacy is not None else None
     release_events: list = []
     table = release_aggregate_table(acc, privacy, accountant, manifest=release_events)
     write_aggregate_file(table, args.output)
@@ -422,7 +423,7 @@ def cmd_rank(args) -> int:
             results = results[: args.top_k]
     else:
         records, _ = _ingest(_single_input(args), args)
-        if privacy.dp_enabled:
+        if privacy is not None:
             accountant = BudgetAccountant(privacy.epsilon)
         results = rank_records(records, privacy, accountant, swap=swap, top_k=args.top_k)
     write_results(results, args.output, args.output_format)
@@ -437,7 +438,7 @@ def cmd_fold(args) -> int:
         raise ValueError("fold needs at least one --input")
     fold_epsilons = args.fold_epsilons
     if fold_epsilons is None:
-        fold_epsilons = [privacy.epsilon / len(args.input)] * len(args.input)
+        fold_epsilons = [args.epsilon / len(args.input)] * len(args.input)
     if len(fold_epsilons) != len(args.input):
         raise ValueError(
             f"got {len(fold_epsilons)} fold epsilons for {len(args.input)} inputs"
@@ -450,7 +451,7 @@ def cmd_fold(args) -> int:
         FoldSpec(records=records, epsilon=eps, seeds=seeds if i == 0 else None, top_k=args.fold_top_k)
         for i, ((records, _), eps) in enumerate(zip(ingested, fold_epsilons))
     ]
-    accountant = BudgetAccountant(privacy.epsilon) if privacy.dp_enabled else None
+    accountant = BudgetAccountant(privacy.epsilon) if privacy is not None else None
     manifest_path = args.output + ".manifest.jsonl"
     try:
         fold_results = nfold(folds, privacy, accountant)
@@ -481,7 +482,7 @@ def cmd_fold(args) -> int:
     events.append(
         {
             "event": "summary",
-            "epsilon_total": privacy.epsilon,
+            "epsilon_total": args.epsilon,
             "epsilon_spent": accountant.spent_epsilon if accountant else 0.0,
             "folds": len(fold_results),
         }
@@ -505,8 +506,10 @@ def _build_synth_records(kv: dict, seed: int) -> list[Record]:
 
 def cmd_eval(args) -> int:
     privacy = _privacy_from_args(args)
+    if privacy is None and not args.runtime:
+        raise ValueError("eval sweeps measure DP noise and refuse --no-dp; only --runtime takes it")
     if args.synth is not None:
-        records = _build_synth_records(args.synth, privacy.seed)
+        records = _build_synth_records(args.synth, args.seed or 0)
     else:
         records, _ = _ingest(_single_input(args), args)
     os.makedirs(args.output, exist_ok=True)

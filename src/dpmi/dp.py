@@ -179,13 +179,13 @@ def bound_contributions(cols: Columns, limit: int, seed: int) -> Columns:
     return cols.take(_bounded_order(cols, limit, seed))
 
 
-def prepare_records(cols: Columns, privacy: PrivacyConfig) -> Columns:
-    """Contribution-bound and clamp the columns when privacy is enabled; no-op otherwise.
+def prepare_records(cols: Columns, privacy: PrivacyConfig | None) -> Columns:
+    """Contribution-bound and clamp the columns; with privacy None, return them as they are.
 
     The survivors are an index take and the clamp writes their observation
     array, so no row is rebuilt.
     """
-    if not privacy.dp_enabled:
+    if privacy is None:
         return cols
     bounded = bound_contributions(cols, privacy.contribution_limit, privacy.seed)
     lo, hi = privacy.clamp_lo, privacy.clamp_hi

@@ -104,23 +104,22 @@ def _private_rankings(
     """Yield (trial, epsilon, private ranking) for every trial and epsilon.
 
     Trial t runs with seed + t. Bounding, clamping and the group-by depend on
-    the seed and not on epsilon, so each trial does them once, and its
-    releases share one memo: the exact sums are finalised, and each cell's
-    keyed uniform drawn, once per trial. Each finite epsilon then releases,
+    the seed and not on epsilon, so each trial does them once, and every
+    epsilon releases the trial's one accumulator, which draws each cell's
+    keyed uniform once and keeps it. Each finite epsilon then releases,
     normalises and ranks; the result equals ``rank_records`` with that
     epsilon and seed. An infinite epsilon yields the noiseless baseline.
     """
     for trial in range(trials):
         acc = None
-        memo: dict = {}
         for eps in epsilons:
             if math.isinf(eps):
                 yield trial, eps, baseline
                 continue
-            cfg = replace(privacy, epsilon=eps, dp_enabled=True, seed=privacy.seed + trial)
+            cfg = replace(privacy, epsilon=eps, seed=privacy.seed + trial)
             if acc is None:
                 acc = accumulate(prepare_records(cols, cfg))
-            table = release_aggregate_table(acc, cfg, memo=memo)
+            table = release_aggregate_table(acc, cfg)
             yield trial, eps, rank(build_probability_tables(table))
 
 
@@ -144,7 +143,7 @@ def epsilon_sweep(
     """
     _check_sweep_args(epsilons, trials)
     cols = Columns.from_records(records)
-    baseline = rank_records(cols, replace(privacy, dp_enabled=False))
+    baseline = rank_records(cols, None)
     percentiles: dict[float, list[dict[int, float]]] = {eps: [] for eps in epsilons}
     dropped: dict[float, list[int]] = {eps: [] for eps in epsilons}
     for _, eps, private in _private_rankings(cols, privacy, epsilons, trials, baseline):
@@ -189,7 +188,7 @@ def head_tail_stability(
     if buckets < 1:
         raise ValueError(f"buckets must be >= 1, got {buckets}")
     cols = Columns.from_records(records)
-    baseline = rank_records(cols, replace(privacy, dp_enabled=False))
+    baseline = rank_records(cols, None)
     head = baseline[:top_k]
     if len(head) < buckets:
         raise ValueError(f"need at least {buckets} baseline pairs, got {len(head)}")
@@ -230,7 +229,7 @@ def runtime_compare(
     """Wall-clock of one batched multi-partition ranking vs sequential
     one-vs-all reruns over the same records.
 
-    Privacy is disabled on both sides, so only the compute paths differ.
+    Both sides run without privacy, so only the compute paths differ.
     Records are converted to columns once, before either clock starts, and
     both sides are timed from that one table. The per-partition result
     lists are kept so callers can check that both paths agree on MI values.
@@ -241,15 +240,14 @@ def runtime_compare(
     partitions = [key for key, n in zip(cols.partition_keys, rows) if n]
     if len(partitions) < 2:
         raise ValueError(f"need at least 2 partitions, got {len(partitions)}")
-    nodp = PrivacyConfig(epsilon=1.0, dp_enabled=False)
     start = time.perf_counter()
-    batched = rank_records(cols, nodp)
+    batched = rank_records(cols, None)
     batched_seconds = time.perf_counter() - start
     binary_results: dict[str, list[RankedResult]] = {}
     binary_seconds = 0.0
     for partition in partitions:
         start = time.perf_counter()
-        binary_results[partition] = binary_rank(cols, partition, nodp)
+        binary_results[partition] = binary_rank(cols, partition, None)
         binary_seconds += time.perf_counter() - start
     return RuntimeComparison(
         rows=len(cols),

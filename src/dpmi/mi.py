@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .aggregate import accumulate, build_probability_tables, release_aggregate_table
-from .dp import BudgetAccountant, BudgetExceededError, prepare_records
+from .dp import _BUDGET_SLACK, BudgetAccountant, BudgetExceededError, prepare_records
 from .model import (
     Columns,
     Direction,
@@ -168,7 +168,7 @@ def flip(tables: ProbabilityTables) -> list[RankedResult]:
 
 def rank_records(
     records: Columns | Iterable[Record],
-    privacy: PrivacyConfig,
+    privacy: PrivacyConfig | None,
     accountant: BudgetAccountant | None = None,
     *,
     swap: bool = False,
@@ -177,13 +177,13 @@ def rank_records(
 ) -> list[RankedResult]:
     """Full pipeline from records to a ranked results list.
 
-    With privacy enabled: bound contributions, clamp, aggregate, release the
-    three tables under the split budget, normalize, rank. With privacy
-    disabled the exact positive sums are used directly and no randomness is
-    consumed. swap ranks partitions per feature by flipping the released
-    table, so it spends the same budget as ranking it. top_k, when given,
-    keeps the first top_k results and must be at least 1. A Record list is
-    converted to columns once; every stage runs on the columns.
+    With a privacy config: bound contributions, clamp, aggregate, release
+    the three tables under the split budget, normalize, rank. With privacy
+    None the exact positive sums are ranked and no randomness is consumed.
+    swap ranks partitions per feature by flipping the released table, so it
+    spends the same budget as ranking it. top_k, when given, keeps the first
+    top_k results and must be at least 1. A Record list is converted to
+    columns once; every stage runs on the columns.
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -198,7 +198,7 @@ def rank_records(
 def binary_rank(
     records: Columns | Iterable[Record],
     partition: str,
-    privacy: PrivacyConfig,
+    privacy: PrivacyConfig | None,
 ) -> list[RankedResult]:
     """One-vs-all ranking for a single partition label.
 
@@ -260,15 +260,15 @@ def _match_cohort(cols: Columns, seeds: tuple[str, ...]) -> set[str]:
 
 def nfold(
     folds: Sequence[FoldSpec],
-    privacy: PrivacyConfig,
+    privacy: PrivacyConfig | None,
     accountant: BudgetAccountant | None = None,
 ) -> list[FoldResult]:
     """Run the cascade: each stage labels ids cohort-vs-rest and ranks binary MI.
 
     Stage 1's cohort comes from matching its explicit seeds in its own
     records; later stages match the previous stage's top Presence features in
-    the previous stage's records (where those features live). The total
-    budget is validated before any stage runs, then charged stage by stage.
+    the previous stage's records (where those features live). With DP, each
+    stage's epsilon and their total are checked before any stage runs.
     Every stage uses the run's seed; its noise is keyed apart by its
     ``fold{i}/`` label, which is also its label on the ledger. Each stage's
     records are converted to columns once, and a stage relabels its
@@ -278,18 +278,24 @@ def nfold(
         raise ValueError("at least one fold is required")
     if folds[0].seeds is None:
         raise ValueError("the first fold needs explicit seeds")
-    if privacy.dp_enabled:
+    configs: list[PrivacyConfig | None] = [None] * len(folds)
+    if privacy is not None:
+        for i, fold in enumerate(folds):
+            try:
+                configs[i] = replace(privacy, epsilon=fold.epsilon)
+            except ValueError as exc:
+                raise ValueError(f"fold {i + 1}: {exc}") from None
         if accountant is None:
             accountant = BudgetAccountant(privacy.epsilon)
         want = math.fsum(f.epsilon for f in folds)
-        if want > accountant.remaining + 1e-9:
+        if want > accountant.remaining + _BUDGET_SLACK:
             raise BudgetExceededError(
                 f"folds need epsilon {want}, accountant has {accountant.remaining} left"
             )
     stages = [Columns.from_records(fold.records) for fold in folds]
     out: list[FoldResult] = []
     prev: FoldResult | None = None
-    for i, (fold, cols) in enumerate(zip(folds, stages), start=1):
+    for i, (fold, cols, fold_privacy) in enumerate(zip(folds, stages, configs), start=1):
         if fold.seeds is not None:
             seeds = tuple(fold.seeds)
             match_cols = cols
@@ -308,7 +314,6 @@ def nfold(
         rest_size = int(np.count_nonzero(present)) - cohort_size
         if not cohort_size or not rest_size:
             raise ValueError(f"fold {i}: labeling is degenerate (one side is empty)")
-        fold_privacy = replace(privacy, epsilon=fold.epsilon) if privacy.dp_enabled else privacy
         ranked = rank_records(
             _relabel(cols, in_cohort[cols.ids], COHORT_LABEL),
             fold_privacy,
@@ -325,7 +330,7 @@ def nfold(
             seeds=seeds,
             cohort_size=cohort_size,
             rest_size=rest_size,
-            epsilon=fold.epsilon if privacy.dp_enabled else 0.0,
+            epsilon=fold.epsilon if privacy is not None else 0.0,
             results=ranked,
             next_seeds=next_seeds,
         )

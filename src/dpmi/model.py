@@ -142,7 +142,7 @@ def validate_record(row: Sequence) -> tuple[str, str, str, float] | str:
 
 @dataclass(frozen=True)
 class PrivacyConfig:
-    """Knobs for the differentially private release path.
+    """Knobs of a differentially private run; a stage given None runs without DP.
 
     budget_split gives the (joint, feature-marginal, partition-marginal)
     shares of epsilon; the three tables are released as separate queries, so
@@ -158,12 +158,11 @@ class PrivacyConfig:
     contribution_limit: int = 1
     budget_split: tuple[float, float, float] = (0.5, 0.25, 0.25)
     seed: int = 0
-    dp_enabled: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "budget_split", tuple(self.budget_split))
-        if self.dp_enabled and not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0 with privacy on, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0 < self.delta <= 0.5:
             raise ValueError(f"delta must lie in (0, 0.5], got {self.delta}")
         if not (math.isfinite(self.clamp_lo) and math.isfinite(self.clamp_hi)):

@@ -195,7 +195,7 @@ def percentile_nearest_rank(values, pct: float) -> float:
 
 def epsilon_sweep_oracle(records, privacy, epsilons=(), trials=5, top_k=10000):
     """Sweep rows from one private ``rank_records`` run per (epsilon, trial)."""
-    baseline = rank_records(records, replace(privacy, dp_enabled=False))
+    baseline = rank_records(records, None)
     rows = []
     for eps in epsilons:
         cells = []
@@ -203,7 +203,7 @@ def epsilon_sweep_oracle(records, privacy, epsilons=(), trials=5, top_k=10000):
             if math.isinf(eps):
                 private = baseline
             else:
-                cfg = replace(privacy, epsilon=eps, dp_enabled=True, seed=privacy.seed + trial)
+                cfg = replace(privacy, epsilon=eps, seed=privacy.seed + trial)
                 private = rank_records(records, cfg)
             cells.append(compare_rankings(baseline, private, top_k))
         rows.append(
@@ -218,12 +218,12 @@ def epsilon_sweep_oracle(records, privacy, epsilons=(), trials=5, top_k=10000):
 
 def head_tail_stability_oracle(records, privacy, epsilon=1.0, trials=5, top_k=100, buckets=10):
     """Stability rows from one private ``rank_records`` run per trial."""
-    baseline = rank_records(records, replace(privacy, dp_enabled=False))
+    baseline = rank_records(records, None)
     head = baseline[:top_k]
     edges = [round(j * len(head) / buckets) for j in range(buckets + 1)]
     per_bucket = [[] for _ in range(buckets)]
     for trial in range(trials):
-        cfg = replace(privacy, epsilon=epsilon, dp_enabled=True, seed=privacy.seed + trial)
+        cfg = replace(privacy, epsilon=epsilon, seed=privacy.seed + trial)
         private = rank_records(records, cfg)
         private_rank = {(r.partition, r.feature): r.rank for r in private}
         for b in range(buckets):

@@ -20,7 +20,7 @@ from dpmi.cli import main as cli_main
 from nfold_synth import two_stage_dataset
 from oracles import keyed_uniform, mi_2x2, random_valid_triple
 
-NO_DP = PrivacyConfig(epsilon=1.0, seed=0, dp_enabled=False)
+NO_DP = None
 
 
 def _report(num, name, ok, detail=""):

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpmi import aggregate
 from dpmi.aggregate import (
     accumulate,
     build_probability_tables,
     release_aggregate_table,
     table_digest,
 )
-from dpmi.dp import BudgetAccountant, prepare_records
+from dpmi.dp import BudgetAccountant, keyed_uniforms, prepare_records
 from dpmi.model import AggregateTable, Columns, PrivacyConfig, Record
 
 from oracles import ListAccumulator, records_of
@@ -42,14 +43,14 @@ def _random_records(n, n_users=500, n_features=40, n_partitions=6, seed=0):
 class TestAccumulate:
     def test_singleton(self):
         acc = _accumulate([Record("u1", "f1", "p1", 0.5)])
-        assert acc.joint_sums() == {("f1", "p1"): 0.5}
-        assert acc.feature_sums() == {"f1": 0.5}
-        assert acc.partition_sums() == {"p1": 0.5}
+        assert acc.partial_joint == {("f1", "p1"): 0.5}
+        assert acc.feature_totals == {"f1": 0.5}
+        assert acc.partition_totals == {"p1": 0.5}
         assert acc.row_count == 1
 
     def test_additivity(self):
         acc = _accumulate([Record("u1", "f1", "p1", 0.5), Record("u2", "f1", "p1", 0.5)])
-        assert acc.joint_sums() == {("f1", "p1"): 1.0}
+        assert acc.partial_joint == {("f1", "p1"): 1.0}
 
     @settings(deadline=None)
     @given(st.data())
@@ -70,13 +71,13 @@ class TestAccumulate:
         )
         shuffled = data.draw(st.permutations(records))
         a, b = _accumulate(records), _accumulate(shuffled)
-        assert a.joint_sums() == b.joint_sums()
-        assert a.feature_sums() == b.feature_sums()
-        assert a.partition_sums() == b.partition_sums()
+        assert a.partial_joint == b.partial_joint
+        assert a.feature_totals == b.feature_totals
+        assert a.partition_totals == b.partition_totals
         assert a.row_count == b.row_count
         # the marginals, summed over the joint cells, equal the fsum of each
         # marginal's own rows
-        for sums, key in ((a.feature_sums(), "feature"), (a.partition_sums(), "partition")):
+        for sums, key in ((a.feature_totals, "feature"), (a.partition_totals, "partition")):
             keys = {getattr(r, key) for r in records}
             assert sums == {
                 k: math.fsum(r.observation for r in records if getattr(r, key) == k) for k in keys
@@ -108,9 +109,9 @@ class TestAccumulate:
         taken = cols.take(np.array(subset if records else [], np.int64))
         for table in (cols, taken, prepare_records(cols, privacy)):
             got, want = accumulate(table), ListAccumulator.of(records_of(table))
-            for sums, expected in ((got.joint_sums(), want.joint_sums()),
-                                   (got.feature_sums(), want.feature_sums()),
-                                   (got.partition_sums(), want.partition_sums())):
+            for sums, expected in ((got.partial_joint, want.joint_sums()),
+                                   (got.feature_totals, want.feature_sums()),
+                                   (got.partition_totals, want.partition_sums())):
                 assert [(k, v.hex()) for k, v in sums.items()] == [
                     (k, v.hex()) for k, v in expected.items()
                 ]
@@ -166,8 +167,7 @@ class TestBuildProbabilityTables:
     def test_noiseless_probabilities_are_consistent(self):
         records = _random_records(5_000, seed=11)
         acc = _accumulate(records)
-        cfg = PrivacyConfig(epsilon=1.0, seed=0, dp_enabled=False)
-        table = release_aggregate_table(acc, cfg)
+        table = release_aggregate_table(acc, None)
         t = build_probability_tables(table)
         total_joint = math.fsum(t.p_xy.tolist())
         assert total_joint <= 1.0 + 1e-9
@@ -195,7 +195,7 @@ class TestReleaseAggregateTable:
             Record("u3", "f3", "p1", 0.0),
         ]
         acc = _accumulate(records)
-        table = release_aggregate_table(acc, self._config(dp_enabled=False))
+        table = release_aggregate_table(acc, None)
         assert table.joint == {("f1", "p1"): 1.0, ("f2", "p2"): 2.0}
         assert table.feature_marginals == {"f1": 1.0, "f2": 2.0}
         assert table.total == 3.0
@@ -218,7 +218,7 @@ class TestReleaseAggregateTable:
         t2 = release_aggregate_table(acc, self._config())
         assert t1.joint == t2.joint
         assert t1.total == t2.total
-        exact = acc.joint_sums()
+        exact = acc.partial_joint
         assert any(t1.joint[k] != exact[k] for k in t1.joint)
 
     def test_joint_cells_without_surviving_marginal_are_removed(self):
@@ -278,10 +278,30 @@ class TestReleaseAggregateTable:
             exact_differences += sum(abs(x - 0.7) <= 1e-9 for x in differences)
         assert exact_differences == 0
 
+    def test_one_table_draws_its_uniforms_once(self, monkeypatch):
+        # six releases of one accumulator at one seed draw the three queries'
+        # uniforms once; a neighbouring table's accumulator draws its own
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return keyed_uniforms(*args)
+
+        monkeypatch.setattr(aggregate, "keyed_uniforms", counted)
+        base = [Record(f"u{i}", f"f{i % 5}", f"p{i % 3}", 1.0) for i in range(3000)]
+        acc = _accumulate(base)
+        for epsilon in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
+            release_aggregate_table(acc, self._config(epsilon=epsilon))
+        assert len(calls) == 3
+        release_aggregate_table(_accumulate(base + [Record("u_new", "f1", "p0", 0.7)]),
+                                self._config(epsilon=1.0))
+        assert len(calls) == 6
+        assert {digest for digest, _ in calls[:3]}.isdisjoint(digest for digest, _ in calls[3:])
+
     def test_digest_tracks_every_cell_count_and_sum(self):
         def digest(records):
             acc = _accumulate(records)
-            return table_digest(acc, acc.joint_sums())
+            return table_digest(acc)
 
         base = [Record(f"u{i}", f"f{i % 2}", "p0", 1.0) for i in range(4)]
         assert digest(list(reversed(base))) == digest(base)
@@ -345,20 +365,19 @@ class TestReleaseAggregateTable:
         acc = _accumulate(records)
         cfg = self._config(epsilon=epsilon, delta=0.1, clamp_hi=20.0)
 
-        def release(config, memo=None):
+        def release(source, config):
             try:
-                return release_aggregate_table(acc, config, memo=memo)
+                return release_aggregate_table(source, config)
             except ValueError as exc:
                 assert "no partitions survived" in str(exc)
                 return None
 
-        table = release(cfg)
-        # a memo filled by a release at another epsilon changes nothing
-        memo = {}
-        release(replace(cfg, epsilon=earlier_epsilon), memo)
-        assert release(cfg, memo) == table
+        table = release(_accumulate(records), cfg)
+        # a release at another epsilon first changes nothing
+        release(acc, replace(cfg, epsilon=earlier_epsilon))
+        assert release(acc, cfg) == table
         if table is None:
             return
-        assert set(table.feature_marginals) <= set(acc.feature_sums())
-        assert set(table.partition_marginals) <= set(acc.partition_sums())
-        assert set(table.joint) <= set(acc.joint_sums())
+        assert set(table.feature_marginals) <= set(acc.feature_totals)
+        assert set(table.partition_marginals) <= set(acc.partition_totals)
+        assert set(table.joint) <= set(acc.partial_joint)

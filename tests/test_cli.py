@@ -555,6 +555,22 @@ class TestFoldCommand:
         assert ledger["spent_epsilon"] == pytest.approx(0.5, abs=1e-9)
         assert not [p for p in os.listdir(tmp_path) if p.startswith("out.fold")]
 
+    @pytest.mark.parametrize("epsilon,fold_epsilons", [
+        ("4", "2,0"), ("4", "2,-1"), ("1.5", "2,-0.5"),
+    ])
+    def test_bad_stage_epsilon_releases_nothing(self, tmp_path, capsys, epsilon, fold_epsilons):
+        f1, f2 = self._stage_files(tmp_path)
+        assert main([
+            "fold", "--input", f1, "--input", f2, "--output", str(tmp_path / "out"),
+            "--epsilon", epsilon, f"--fold-epsilons={fold_epsilons}",
+            "--seeds", "seed_kw", "--delta", "1e-2", "--contribution-limit", "2", "--seed", "11",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and payload["message"].startswith("fold 2: ")
+        assert not [p for p in os.listdir(tmp_path) if p.startswith("out")]
+
     def test_overflowing_folds_error(self, tmp_path, capsys):
         f1, f2 = self._stage_files(tmp_path)
         rc = main([
@@ -624,6 +640,19 @@ class TestEvalCommand:
         fields = lines[1].split("\t")
         assert fields[0] == "2000" and fields[1] == "3"
         assert float(fields[4]) > 0
+
+    def test_sweep_refuses_no_dp(self, tmp_path, capsys):
+        # a DP sweep at seed 0 would not be what --no-dp asked for
+        out = tmp_path / "e"
+        assert main([
+            "eval", "--synth", "users=1000,features=40,partitions=4,strength=0.9",
+            "--epsilons", "1", "--trials", "1", "--no-dp", "--output", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and "--no-dp" in payload["message"]
+        assert not out.exists()
 
     def test_partitions_flag_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -19,7 +19,7 @@ from dpmi.model import Direction, PrivacyConfig, RankedResult, Record
 
 from oracles import epsilon_sweep_oracle, head_tail_stability_oracle, percentile_nearest_rank
 
-NO_DP = PrivacyConfig(epsilon=1.0, seed=0, dp_enabled=False)
+NO_DP = None
 
 
 def _multi_row_records(users=1500, features=30, partitions=4, seed=0):

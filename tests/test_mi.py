@@ -30,7 +30,7 @@ from dpmi.model import Direction, PrivacyConfig, ProbabilityTables, Record
 import oracles
 from oracles import binary_rank_oracle, mi_2x2, random_valid_triple
 
-NO_DP = PrivacyConfig(epsilon=1.0, seed=0, dp_enabled=False)
+NO_DP = None
 
 
 class TestCalcSingleMi:
@@ -476,6 +476,22 @@ class TestNfold:
         with pytest.raises(BudgetExceededError):
             nfold(folds, privacy, accountant=accountant)
         assert accountant.spent_epsilon == 0.0
+
+    @pytest.mark.parametrize("total,stage_epsilons", [
+        (4.0, (2.0, 0.0)), (4.0, (2.0, -1.0)), (1.5, (2.0, -0.5)),
+    ])
+    def test_bad_stage_epsilon_fails_before_any_fold(self, total, stage_epsilons):
+        # (2, -0.5) sums to the budget; every stage's config is built first
+        stage1, stage2 = _two_stage_records()
+        privacy = PrivacyConfig(epsilon=total, delta=1e-2, contribution_limit=2, seed=3)
+        accountant = BudgetAccountant(total)
+        folds = [
+            FoldSpec(records=stage1, epsilon=stage_epsilons[0], seeds=("seed_kw",)),
+            FoldSpec(records=stage2, epsilon=stage_epsilons[1], seeds=None),
+        ]
+        with pytest.raises(ValueError, match="^fold 2: epsilon"):
+            nfold(folds, privacy, accountant=accountant)
+        assert accountant.spent == []
 
     def test_later_stage_releases_under_the_run_seed(self):
         # stage 2 is rank_records on its relabelled records at the run's seed,

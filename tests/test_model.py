@@ -77,14 +77,9 @@ class TestPrivacyConfig:
         with pytest.raises(ValueError, match="epsilon"):
             PrivacyConfig(epsilon=0.0, seed=1)
 
-    def test_epsilon_unchecked_when_disabled(self):
-        cfg = PrivacyConfig(epsilon=0.0, seed=1, dp_enabled=False)
-        assert not cfg.dp_enabled
-
     def test_rejects_infinite_epsilon_when_enabled(self):
         with pytest.raises(ValueError, match="epsilon must be finite"):
             PrivacyConfig(epsilon=math.inf, seed=1)
-        assert PrivacyConfig(epsilon=math.inf, seed=1, dp_enabled=False).epsilon == math.inf
 
     @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
     def test_rejects_infinite_clamp(self, lo, hi):

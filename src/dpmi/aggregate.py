@@ -13,6 +13,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -130,12 +131,11 @@ def release_aggregate_table(
     With a privacy config, each query is charged its budget_split share
     before release, gets its own censoring threshold, and draws its noise
     from ``acc.uniforms``. With privacy None each query spends epsilon 0,
-    has no threshold, and keeps the positive exact sums. The grand total is
-    derived from the released partition marginals, so it consumes no extra
-    budget. Joint cells whose feature or partition marginal did not survive
-    are removed here, keeping the table internally consistent. When
-    ``manifest`` is given, one dict per query is appended describing
-    epsilon, threshold, and censoring counts.
+    has no threshold, and keeps the positive exact sums. Joint cells whose
+    feature or partition marginal did not survive are removed here, keeping
+    the table internally consistent. When ``manifest`` is given, one dict
+    per query is appended describing epsilon, threshold, and censoring
+    counts.
 
     Noise is keyed by (seed, table_digest, label, cell), so a release on
     neighbouring data at the same seed draws fresh noise and does not reveal
@@ -176,14 +176,10 @@ def release_aggregate_table(
         for (f, p), value in released_joint.items()
         if f in released_feats and p in released_parts
     }
-    total = math.fsum(released_parts[key] for key in sorted(released_parts))
-    if not total > 0:
-        raise ValueError("no partitions survived the release; total is not positive")
     return AggregateTable(
         joint=released_joint,
         feature_marginals=released_feats,
         partition_marginals=released_parts,
-        total=total,
         epsilon_spent=math.fsum(shares),
     )
 
@@ -193,22 +189,28 @@ def build_probability_tables(table: AggregateTable) -> ProbabilityTables:
 
     All three probability families share the released grand total as their
     denominator; AggregateTable guarantees it is positive and that every
-    joint cell has both marginals. Pairs keep the joint table's order. Noise
-    can leave p_xy above min(p_x, p_y); such pairs are repaired by pulling
-    p_xy just below the smaller marginal.
+    joint cell has both marginals. Each marginal is normalized once per key
+    and indexed by the pairs' codes into its sorted keys. Pairs keep the
+    joint table's order. Noise can leave p_xy above min(p_x, p_y); such
+    pairs are repaired by pulling p_xy just below the smaller marginal.
     """
     total = table.total
-    features = [f for f, _ in table.joint]
-    partitions = [p for _, p in table.joint]
-    n = len(features)
-    p_x = np.fromiter(map(table.feature_marginals.__getitem__, features), np.float64, n) / total
-    p_y = np.fromiter(map(table.partition_marginals.__getitem__, partitions), np.float64, n) / total
-    p_x, p_y = np.minimum(p_x, 1.0), np.minimum(p_y, 1.0)
-    p_xy = np.fromiter(table.joint.values(), np.float64, n) / total
+    pair_features, pair_partitions = [f for f, _ in table.joint], [p for _, p in table.joint]
+    feature_keys, features, p_x = _coded(table.feature_marginals, pair_features, total)
+    partition_keys, partitions, p_y = _coded(table.partition_marginals, pair_partitions, total)
+    p_xy = np.fromiter(table.joint.values(), np.float64, len(table.joint)) / total
     cap = np.minimum(p_x, p_y)
     p_xy = np.where(p_xy > cap, cap * (1.0 - CONTAINMENT_MARGIN), p_xy)
-    return ProbabilityTables(
-        features, partitions, p_x, p_y, p_xy,
-        n_features=len(table.feature_marginals),
-        n_partitions=len(table.partition_marginals),
-    )
+    return ProbabilityTables(features, feature_keys, partitions, partition_keys, p_x, p_y, p_xy)
+
+
+def _coded(
+    marginals: Mapping[str, float], pair_keys: list[str], total: float
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The sorted marginal keys, each pair key's code among them, and each
+    pair's marginal probability, capped at 1."""
+    keys = sorted(marginals)
+    index = dict(zip(keys, range(len(keys))))
+    codes = np.fromiter(map(index.__getitem__, pair_keys), np.int64, len(pair_keys))
+    probability = np.fromiter(map(marginals.__getitem__, keys), np.float64, len(keys)) / total
+    return keys, codes, np.minimum(probability, 1.0)[codes]

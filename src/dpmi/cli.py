@@ -195,7 +195,6 @@ def read_aggregate_file(path: str) -> AggregateTable:
     joint: dict = {}
     feats: dict = {}
     parts: dict = {}
-    total = 0.0
     spent = 0.0
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -210,13 +209,11 @@ def read_aggregate_file(path: str) -> AggregateTable:
                 feats[obj["feature"]] = obj["value"]
             elif kind == "partition_marginal":
                 parts[obj["partition"]] = obj["value"]
-            elif kind == "total":
-                total = obj["value"]
             elif kind == "meta":
                 spent = obj.get("epsilon_spent", 0.0)
-            else:
+            elif kind != "total":  # the total is derived from the partition marginals
                 raise ValueError(f"{path}: unknown table row {obj!r}")
-    return AggregateTable(joint, feats, parts, total, spent)
+    return AggregateTable(joint, feats, parts, spent)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="JOINT,FEATURE,PARTITION")
     common.add_argument("--no-dp", action="store_true", help="disable the privacy mechanisms")
     common.add_argument("--seed", type=int, default=None,
-                        help="required unless --no-dp or --aggregate")
+                        help="required unless --no-dp, --aggregate or eval --runtime")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored; every run is single-threaded")
     common.add_argument("--output", required=True)
@@ -328,14 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _privacy_from_args(args) -> PrivacyConfig | None:
-    """The run's privacy config; None with --no-dp, which reads no privacy flag."""
+    """The run's privacy config; None for a run that releases nothing (--no-dp, a
+    saved --aggregate, eval --runtime), which reads no privacy flag and no seed."""
     top_k = getattr(args, "top_k", None)  # aggregate takes no --top-k
     if top_k is not None and top_k < 1:
         raise ValueError(f"--top-k must be >= 1, got {top_k}")
-    if args.no_dp:
+    if args.no_dp or getattr(args, "aggregate", None) or getattr(args, "runtime", False):
         return None
-    # ranking a saved aggregate releases nothing, so it needs no seed
-    if args.seed is None and not getattr(args, "aggregate", None):
+    if args.seed is None:
         raise ValueError("--seed is required when privacy is enabled (pass --no-dp to opt out)")
     return PrivacyConfig(
         epsilon=args.epsilon,
@@ -344,7 +341,7 @@ def _privacy_from_args(args) -> PrivacyConfig | None:
         clamp_hi=args.clamp[1],
         contribution_limit=args.contribution_limit,
         budget_split=args.budget_split,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
 
 
@@ -415,16 +412,12 @@ def _ledger_event(accountant: BudgetAccountant | None) -> dict:
 def cmd_rank(args) -> int:
     privacy = _privacy_from_args(args)
     swap = args.command == "flip"
-    accountant = None
+    accountant = BudgetAccountant(privacy.epsilon) if privacy is not None else None
     if args.aggregate:
         tables = build_probability_tables(read_aggregate_file(args.aggregate))
-        results = flip(tables) if swap else rank(tables)
-        if args.top_k is not None:
-            results = results[: args.top_k]
+        results = (flip(tables) if swap else rank(tables))[: args.top_k]
     else:
         records, _ = _ingest(_single_input(args), args)
-        if privacy is not None:
-            accountant = BudgetAccountant(privacy.epsilon)
         results = rank_records(records, privacy, accountant, swap=swap, top_k=args.top_k)
     write_results(results, args.output, args.output_format)
     write_manifest(args.output + ".manifest.jsonl", [_ledger_event(accountant)])
@@ -482,7 +475,7 @@ def cmd_fold(args) -> int:
     events.append(
         {
             "event": "summary",
-            "epsilon_total": args.epsilon,
+            "epsilon_total": accountant.total_epsilon if accountant else 0.0,
             "epsilon_spent": accountant.spent_epsilon if accountant else 0.0,
             "folds": len(fold_results),
         }
@@ -506,7 +499,7 @@ def _build_synth_records(kv: dict, seed: int) -> list[Record]:
 
 def cmd_eval(args) -> int:
     privacy = _privacy_from_args(args)
-    if privacy is None and not args.runtime:
+    if args.no_dp and not args.runtime:
         raise ValueError("eval sweeps measure DP noise and refuse --no-dp; only --runtime takes it")
     if args.synth is not None:
         records = _build_synth_records(args.synth, args.seed or 0)

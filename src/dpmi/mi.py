@@ -24,7 +24,6 @@ from .model import (
     ProbabilityTables,
     RankedResult,
     Record,
-    encode,
 )
 
 logger = logging.getLogger(__name__)
@@ -109,42 +108,40 @@ def rank(tables: ProbabilityTables, *, compared: str = "partitions") -> list[Ran
     """Score every pair and order globally by MI descending.
 
     All pairs are scored at once on arrays. MI cells use the fixed
-    probability floor ``TOL``. Ties break by (partition, feature) so
-    repeated runs emit identical files. Scores pushed below zero by noise
-    artifacts are clamped to zero. When fewer than two partitions were
-    released, a partition has nothing to be compared against: the result is
-    empty and a warning, naming the ``compared`` side, is logged. So it is
-    when a partition's probability is capped at 1, which leaves it no rest.
+    probability floor ``TOL``. Ties break by (partition, feature), which
+    the pair codes order as their keys, so repeated runs emit identical
+    files. Scores pushed below zero by noise artifacts are clamped to zero.
+    When fewer than two partitions were released, a partition has nothing
+    to be compared against: the result is empty and a warning, naming the
+    ``compared`` side, is logged. So it is when a partition's probability
+    is capped at 1, which leaves it no rest. The cardinality warning counts
+    the released keys of each side.
     """
     if not len(tables):
         return []
-    if tables.n_partitions < 2:
+    if len(tables.partition_keys) < 2:
         logger.warning("fewer than two %s remain; one-vs-all ranking is empty", compared)
         return []
     if (tables.p_y == 1.0).any():
         logger.warning("one of the %s holds the whole total; one-vs-all ranking is empty", compared)
         return []
-    feature_keys, feature_codes = encode(tables.features)
-    partition_keys, partition_codes = encode(tables.partitions)
-    if min(len(feature_keys), len(partition_keys)) > CARDINALITY_WARNING:
+    if min(len(tables.feature_keys), len(tables.partition_keys)) > CARDINALITY_WARNING:
         logger.warning(
             "ranking %d features against %d partitions; quality degrades when both sides are this large",
-            len(feature_keys),
-            len(partition_keys),
+            len(tables.feature_keys),
+            len(tables.partition_keys),
         )
     p_x, p_y, p_xy = tables.p_x, tables.p_y, tables.p_xy
     mi = _floor0(calc_mi(p_x, p_y, p_xy))
     # (partition, feature) is unique, so the order is total.
-    order = np.lexsort((feature_codes, partition_codes, -mi))
-    rows = order.tolist()
+    order = np.lexsort((tables.features, tables.partitions, -mi))
     columns = (
-        list(map(tables.partitions.__getitem__, rows)),
-        list(map(tables.features.__getitem__, rows)),
+        list(map(tables.partition_keys.__getitem__, tables.partitions[order].tolist())),
+        list(map(tables.feature_keys.__getitem__, tables.features[order].tolist())),
         mi[order].tolist(),
         direction(p_x, p_y, p_xy)[order].tolist(),
-        range(1, len(rows) + 1),
+        range(1, len(order) + 1),
     )
-    del rows, order, mi, feature_codes, partition_codes
     # RankedResult's fields in order: partition, feature, mi, direction, rank
     return list(map(RankedResult, *columns))
 
@@ -152,8 +149,8 @@ def rank(tables: ProbabilityTables, *, compared: str = "partitions") -> list[Ran
 def transpose_tables(tables: ProbabilityTables) -> ProbabilityTables:
     """Swap the feature and partition roles of every pair."""
     return ProbabilityTables(
-        tables.partitions, tables.features, tables.p_y, tables.p_x, tables.p_xy,
-        n_features=tables.n_partitions, n_partitions=tables.n_features,
+        tables.partitions, tables.partition_keys, tables.features, tables.feature_keys,
+        tables.p_y, tables.p_x, tables.p_xy,
     )
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -149,6 +149,7 @@ class PrivacyConfig:
     each share must be positive.
     delta drives only the censoring threshold, never the noise itself; it
     lies in (0, 1/2], where the threshold is at least the sensitivity.
+    seed, the secret key of the noise draws, has no default.
     """
 
     epsilon: float
@@ -157,7 +158,7 @@ class PrivacyConfig:
     clamp_hi: float = 1.0
     contribution_limit: int = 1
     budget_split: tuple[float, float, float] = (0.5, 0.25, 0.25)
-    seed: int = 0
+    seed: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "budget_split", tuple(self.budget_split))
@@ -205,19 +206,15 @@ class AggregateTable:
     """Released (post-noise, post-censoring) sums at the three grouping levels.
 
     Marginals are released separately from the joint sums, so a marginal is
-    not in general the sum of its surviving joint cells. ``total`` is derived
-    from the released partition marginals and costs no extra budget.
+    not in general the sum of its surviving joint cells.
     """
 
     joint: Mapping[tuple[str, str], float]
     feature_marginals: Mapping[str, float]
     partition_marginals: Mapping[str, float]
-    total: float
     epsilon_spent: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.total > 0:
-            raise ValueError(f"released total must be > 0, got {self.total}")
         for name, table in (
             ("joint", self.joint),
             ("feature_marginals", self.feature_marginals),
@@ -226,35 +223,45 @@ class AggregateTable:
             for key, value in table.items():
                 if not value > 0:
                     raise ValueError(f"{name}[{key!r}] must be > 0, got {value}")
+        if not self.total > 0:
+            raise ValueError("no partitions survived the release; total is not positive")
         for feature, partition in self.joint:
             if feature not in self.feature_marginals:
                 raise ValueError(f"joint feature {feature!r} missing from feature_marginals")
             if partition not in self.partition_marginals:
                 raise ValueError(f"joint partition {partition!r} missing from partition_marginals")
 
+    @property
+    def total(self) -> float:
+        """The grand total, derived, not stored: the released partition marginals' fsum."""
+        return math.fsum(self.partition_marginals.values())
+
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityTables:
     """Normalized joint and marginal probabilities of (feature, partition) pairs.
 
-    Pair i is (features[i], partitions[i]), with feature probability p_x[i],
-    partition probability p_y[i] and joint probability p_xy[i]. Every
-    probability lies in (0, 1]. n_features and n_partitions count the keys
-    of the released marginal tables, which may hold keys that no pair does.
+    Pairs are coded as Columns rows are: pair i is (feature_keys[features[i]],
+    partition_keys[partitions[i]]), with feature probability p_x[i],
+    partition probability p_y[i] and joint probability p_xy[i]. The key
+    lists are sorted and hold every key of the released marginal tables,
+    which may hold keys that no pair does. Every probability lies in (0, 1].
     """
 
-    features: list[str]
-    partitions: list[str]
+    features: np.ndarray
+    feature_keys: list[str]
+    partitions: np.ndarray
+    partition_keys: list[str]
     p_x: np.ndarray
     p_y: np.ndarray
     p_xy: np.ndarray
-    n_features: int
-    n_partitions: int
 
     def __post_init__(self) -> None:
         n = len(self.features)
         if len(self.partitions) != n:
             raise ValueError(f"{n} features but {len(self.partitions)} partitions")
+        for name in ("features", "partitions"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         for name in ("p_x", "p_y", "p_xy"):
             values = np.asarray(getattr(self, name), dtype=np.float64)
             if values.shape != (n,):

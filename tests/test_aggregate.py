@@ -127,12 +127,11 @@ class TestBuildProbabilityTables:
             joint={("f", "p"): 2.0},
             feature_marginals={"f": 2.0},
             partition_marginals={"p": 2.0, "q": 2.0},
-            total=4.0,
         )
         t = build_probability_tables(table)
-        assert (t.features, t.partitions) == (["f"], ["p"])
+        assert (t.features.tolist(), t.partitions.tolist()) == ([0], [0])
         assert (t.p_x.tolist(), t.p_y.tolist(), t.p_xy.tolist()) == ([0.5], [0.5], [0.5])
-        assert (t.n_features, t.n_partitions) == (1, 2)
+        assert (t.feature_keys, t.partition_keys) == (["f"], ["p", "q"])
 
     def test_containment_repair(self):
         # noisy joint exceeds its feature marginal; p_xy pulled just under p_x
@@ -140,7 +139,6 @@ class TestBuildProbabilityTables:
             joint={("f", "p"): 3.0},
             feature_marginals={"f": 2.5},
             partition_marginals={"p": 6.0, "q": 4.0},
-            total=10.0,
         )
         (p_xy,) = build_probability_tables(table).p_xy.tolist()
         assert p_xy < 0.25
@@ -151,18 +149,17 @@ class TestBuildProbabilityTables:
             joint={("f", "p"): 1.0},
             feature_marginals={"f": 2.0},
             partition_marginals={"p": 3.0, "q": 1.0},
-            total=4.0,
         )
         # feature marginal censored after table construction: simulate via dict copy
         stripped = AggregateTable(
             joint={},
             feature_marginals={"g": 2.0},
             partition_marginals={"p": 3.0, "q": 1.0},
-            total=4.0,
         )
         assert len(build_probability_tables(stripped)) == 0
         kept = build_probability_tables(table)
-        assert ("f", "p") in zip(kept.features, kept.partitions)
+        pairs = zip(kept.features.tolist(), kept.partitions.tolist())
+        assert ("f", "p") in {(kept.feature_keys[f], kept.partition_keys[p]) for f, p in pairs}
 
     def test_noiseless_probabilities_are_consistent(self):
         records = _random_records(5_000, seed=11)

@@ -409,6 +409,78 @@ class TestRankCommand:
             assert main([command, "--aggregate", agg, "--output", saved]) == 0
             assert open(saved).read() == open(direct).read()
 
+    def test_saved_aggregate_reads_no_privacy_flag(self, tmp_path):
+        # ranking a saved table releases nothing, so no privacy flag is checked
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        agg = str(tmp_path / "agg.jsonl")
+        assert main(["aggregate", "--input", inp, "--output", agg, "--no-dp"]) == 0
+        for command in ("rank", "flip"):
+            plain, flagged = str(tmp_path / f"{command}.tsv"), str(tmp_path / f"{command}2.tsv")
+            assert main([command, "--aggregate", agg, "--output", plain]) == 0
+            assert main([command, "--aggregate", agg, "--output", flagged, "--delta", "5",
+                         "--epsilon", "-1", "--clamp", "1,0", "--budget-split", "1,0,0"]) == 0
+            assert open(flagged).read() == open(plain).read()
+
+    def test_saved_aggregate_top_k_is_a_prefix(self, tmp_path):
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        agg = str(tmp_path / "agg.jsonl")
+        full, top = str(tmp_path / "full.tsv"), str(tmp_path / "top.tsv")
+        assert main(["aggregate", "--input", inp, "--output", agg, "--no-dp"]) == 0
+        assert main(["rank", "--aggregate", agg, "--output", full]) == 0
+        assert main(["rank", "--aggregate", agg, "--output", top, "--top-k", "3"]) == 0
+        full_lines = open(full).read().splitlines()
+        assert len(full_lines) > 4
+        assert open(top).read().splitlines() == full_lines[:4]  # header + 3 rows
+
+    @pytest.mark.parametrize("edit", ["wrong", "missing"])
+    def test_saved_total_row_is_derived(self, tmp_path, edit):
+        # the total is the sum of the partition marginals, whatever the row says
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        agg = tmp_path / "agg.jsonl"
+        assert main(["aggregate", "--input", inp, "--output", str(agg), "--no-dp"]) == 0
+        rows = [json.loads(line) for line in agg.read_text().splitlines()]
+        (total,) = [row for row in rows if row["table"] == "total"]
+        if edit == "wrong":
+            total["value"] *= 3
+        else:
+            rows.remove(total)
+        edited = _write(tmp_path / "edited.jsonl", "".join(json.dumps(r) + "\n" for r in rows))
+        want, got = str(tmp_path / "want.tsv"), str(tmp_path / "got.tsv")
+        assert main(["rank", "--aggregate", str(agg), "--output", want]) == 0
+        assert main(["rank", "--aggregate", edited, "--output", got]) == 0
+        assert open(got, "rb").read() == open(want, "rb").read()
+
+    @pytest.mark.parametrize("table,key,value,message", [
+        ("feature_marginal", {"feature": "f3"}, None,
+         "joint feature 'f3' missing from feature_marginals"),
+        ("partition_marginal", {"partition": "p1"}, None,
+         "joint partition 'p1' missing from partition_marginals"),
+        ("joint", {"feature": "f1", "partition": "p1"}, 0.0,
+         "joint[('f1', 'p1')] must be > 0, got 0.0"),
+        ("feature_marginal", {"feature": "f2"}, -1.5,
+         "feature_marginals['f2'] must be > 0, got -1.5"),
+        ("partition_marginal", {"partition": "p2"}, 0.0,
+         "partition_marginals['p2'] must be > 0, got 0.0"),
+    ])
+    def test_hand_edited_aggregate_is_a_one_line_error(self, tmp_path, capsys, table, key,
+                                                       value, message):
+        # a row is dropped (value None) or set to a value that no release gives
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        agg = tmp_path / "agg.jsonl"
+        assert main(["aggregate", "--input", inp, "--output", str(agg), "--no-dp"]) == 0
+        rows = [json.loads(line) for line in agg.read_text().splitlines()]
+        (row,) = [r for r in rows if r["table"] == table and key.items() <= r.items()]
+        if value is None:
+            rows.remove(row)
+        else:
+            row["value"] = value
+        edited = _write(tmp_path / "edited.jsonl", "".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        assert main(["rank", "--aggregate", edited, "--output", str(tmp_path / "r.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
     def test_seed_required_with_dp(self, tmp_path, capsys):
         inp = _write(tmp_path / "toy.tsv", TOY)
         rc = main(["rank", "--input", inp, "--output", str(tmp_path / "r.tsv")])
@@ -533,6 +605,19 @@ class TestFoldCommand:
         summary = next(m for m in manifest if m["event"] == "summary")
         assert ledger["spent_epsilon"] == summary["epsilon_spent"]
 
+    def test_no_dp_manifest_totals_zero(self, tmp_path):
+        # without DP no budget exists, whatever --epsilon says
+        f1, f2 = self._stage_files(tmp_path)
+        base = str(tmp_path / "out")
+        assert main([
+            "fold", "--input", f1, "--input", f2, "--output", base,
+            "--epsilon", "3.0", "--seeds", "seed_kw", "--no-dp",
+        ]) == 0
+        manifest = _read_manifest(base + ".manifest.jsonl")
+        summary = next(m for m in manifest if m["event"] == "summary")
+        assert (summary["epsilon_total"], summary["epsilon_spent"]) == (0.0, 0.0)
+        assert manifest[-1]["total_epsilon"] == 0.0
+
     def test_failed_later_stage_records_the_spent_budget(self, tmp_path, capsys):
         # stage 2 shares no id with stage 1, so its labeling is degenerate
         # after stage 1 has released
@@ -640,6 +725,17 @@ class TestEvalCommand:
         fields = lines[1].split("\t")
         assert fields[0] == "2000" and fields[1] == "3"
         assert float(fields[4]) > 0
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "1", "--delta", "5"]])
+    def test_runtime_reads_no_privacy_flag(self, tmp_path, flags):
+        # timing batched against binary runs releases nothing
+        out = str(tmp_path / "rt")
+        assert main([
+            "eval", "--synth", "users=2000,features=50,partitions=4",
+            "--runtime", "--output", out, *flags,
+        ]) == 0
+        fields = open(f"{out}/runtime.tsv").read().splitlines()[1].split("\t")
+        assert fields[:2] == ["2000", "4"]
 
     def test_sweep_refuses_no_dp(self, tmp_path, capsys):
         # a DP sweep at seed 0 would not be what --no-dp asked for

@@ -165,12 +165,21 @@ def _tables(triples, n_features=2, n_partitions=2):
     """The ProbabilityTables of a {(feature, partition): (p_x, p_y, p_xy)} map.
 
     By default each released marginal table holds at least two keys, as a
-    p_y below 1 implies, even where the pairs hold fewer.
+    p_y below 1 implies, even where the pairs hold fewer: the key lists are
+    padded with keys that no pair uses.
     """
-    features, partitions = [f for f, _ in triples], [p for _, p in triples]
+    feature_keys = _released_keys([f for f, _ in triples], n_features)
+    partition_keys = _released_keys([p for _, p in triples], n_partitions)
+    features = [feature_keys.index(f) for f, _ in triples]
+    partitions = [partition_keys.index(p) for _, p in triples]
     p_x, p_y, p_xy = (list(col) for col in zip(*triples.values())) if triples else ([], [], [])
-    return ProbabilityTables(features, partitions, p_x, p_y, p_xy,
-                             n_features=n_features, n_partitions=n_partitions)
+    return ProbabilityTables(features, feature_keys, partitions, partition_keys, p_x, p_y, p_xy)
+
+
+def _released_keys(keys, n):
+    """The sorted distinct keys, then unused keys up to n in all; "~" sorts last."""
+    distinct = sorted(set(keys))
+    return distinct + [f"~unused{i}" for i in range(n - len(distinct))]
 
 
 class TestRank:
@@ -352,8 +361,12 @@ class TestFlip:
         assert warnings == {"fewer than two features remain; one-vs-all ranking is empty"}
 
     def test_transpose_swaps_roles(self):
-        t = transpose_tables(_tables({("f", "p"): (0.3, 0.6, 0.2)}))
-        assert (t.features, t.partitions) == (["p"], ["f"])
+        tables = _tables({("f", "p"): (0.3, 0.6, 0.2)})
+        t = transpose_tables(tables)
+        assert (t.feature_keys, t.partition_keys) == (tables.partition_keys, tables.feature_keys)
+        assert (t.features.tolist(), t.partitions.tolist()) == (
+            tables.partitions.tolist(), tables.features.tolist())
+        assert (t.feature_keys[t.features[0]], t.partition_keys[t.partitions[0]]) == ("p", "f")
         assert (t.p_x.tolist(), t.p_y.tolist(), t.p_xy.tolist()) == ([0.6], [0.3], [0.2])
 
     def test_one_feature_appears_once_per_partition_in_flip(self):

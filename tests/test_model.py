@@ -56,6 +56,11 @@ class TestRecord:
 
 
 class TestPrivacyConfig:
+    def test_seed_has_no_default(self):
+        # the seed keys the noise, so a default would be a published key
+        with pytest.raises(TypeError, match="seed"):
+            PrivacyConfig(epsilon=1.0)
+
     def test_default_split_sums_to_one(self):
         cfg = PrivacyConfig(epsilon=1.0, seed=1)
         assert sum(cfg.budget_split) == pytest.approx(1.0, abs=1e-12)
@@ -125,8 +130,8 @@ class TestPrivacyConfig:
 
 class TestProbabilityTables:
     def test_accepts_valid(self):
-        tables = ProbabilityTables(["f", "g"], ["p", "p"], [0.5, 1.0], [0.5, 0.5], [0.25, 0.5],
-                                   n_features=2, n_partitions=2)
+        tables = ProbabilityTables([0, 1], ["f", "g"], [0, 0], ["p", "q"],
+                                   [0.5, 1.0], [0.5, 0.5], [0.25, 0.5])
         assert len(tables) == 2
 
     @pytest.mark.parametrize("bad", [dict(p_x=0.0), dict(p_y=1.5), dict(p_xy=-0.1)])
@@ -136,4 +141,4 @@ class TestProbabilityTables:
         kwargs = dict(p_x=[0.5, 0.5], p_y=[0.5, 0.5], p_xy=[0.25, 0.25])
         kwargs[name] = [0.25, value]
         with pytest.raises(ValueError, match=re.escape(f"{name} must lie in (0, 1], got {value}")):
-            ProbabilityTables(["f", "g"], ["p", "p"], **kwargs, n_features=2, n_partitions=2)
+            ProbabilityTables([0, 1], ["f", "g"], [0, 0], ["p", "q"], **kwargs)

@@ -2,15 +2,18 @@
 
 Subcommands: aggregate, rank, flip, fold, eval. Users run commands and read
 the emitted files; there is no interactive mode. Numbers in output files are
-written with 12 significant digits so repeated runs are byte identical. The
-DPMI_LOG environment variable sets the log level.
+written with 12 significant digits so repeated runs are byte identical. Every
+subcommand but eval writes <output>.manifest.jsonl; a DP run that fails after a
+release writes its ledger alone there. DPMI_LOG sets the log level.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
+import math
 import os
 import sys
 from collections import Counter
@@ -191,29 +194,41 @@ def write_aggregate_file(table: AggregateTable, path: str) -> None:
         fh.write(json.dumps({"table": "meta", "epsilon_spent": table.epsilon_spent}) + "\n")
 
 
+# each aggregate-file table's key fields, in AggregateTable's field order
+AGGREGATE_KEYS = {"joint": ("feature", "partition"), "feature_marginal": ("feature",),
+                  "partition_marginal": ("partition",)}
+
+
 def read_aggregate_file(path: str) -> AggregateTable:
-    joint: dict = {}
-    feats: dict = {}
-    parts: dict = {}
+    """Read a file write_aggregate_file wrote. A repeated (table, key) row, a
+    key that is not a string, or a value that is not a finite number is an
+    error naming the file, line and key."""
+    tables: dict = {kind: {} for kind in AGGREGATE_KEYS}
     spent = 0.0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            obj = json.loads(line, parse_int=float)  # so an oversized integer reads as inf
             kind = obj.get("table")
-            if kind == "joint":
-                joint[(obj["feature"], obj["partition"])] = obj["value"]
-            elif kind == "feature_marginal":
-                feats[obj["feature"]] = obj["value"]
-            elif kind == "partition_marginal":
-                parts[obj["partition"]] = obj["value"]
-            elif kind == "meta":
+            if kind == "meta":
                 spent = obj.get("epsilon_spent", 0.0)
+            elif kind in AGGREGATE_KEYS:
+                keys = tuple(obj.get(name) for name in AGGREGATE_KEYS[kind])
+                key = keys if kind == "joint" else keys[0]
+                value = obj.get("value")
+                where = f"{path} line {lineno}: {kind} {key!r}"
+                if not all(isinstance(k, str) for k in keys):  # a missing key field reads None
+                    raise ValueError(f"{where} needs string keys")
+                if not isinstance(value, float) or not math.isfinite(value):  # a bool is no float
+                    raise ValueError(f"{where} needs a finite number value, got {value!r}")
+                if key in tables[kind]:
+                    raise ValueError(f"{where} repeats an earlier row")
+                tables[kind][key] = value
             elif kind != "total":  # the total is derived from the partition marginals
                 raise ValueError(f"{path}: unknown table row {obj!r}")
-    return AggregateTable(joint, feats, parts, spent)
+    return AggregateTable(*tables.values(), spent)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fold.add_argument("--fold-epsilons", type=_parse_floats, required=False, default=None,
                         metavar="E1,E2,...", help="per-stage budget shares, one per --input")
-    p_fold.add_argument("--seeds", default=None, help="comma-separated seed features for stage 1")
+    p_fold.add_argument("--seeds", default="", help="comma-separated seed features for stage 1")
     p_fold.add_argument("--fold-top-k", type=int, default=10,
                         help="how many Presence features feed the next stage")
     p_fold.set_defaults(func=cmd_fold)
@@ -367,12 +382,10 @@ def _ingest(path: str, args) -> tuple[Columns, dict]:
 # subcommands
 
 
-def cmd_aggregate(args) -> int:
-    privacy = _privacy_from_args(args)
+def cmd_aggregate(args, privacy, accountant) -> list[dict]:
     records, counts = _ingest(_single_input(args), args)
     prepared = prepare_records(records, privacy)
     acc = accumulate(prepared)
-    accountant = BudgetAccountant(privacy.epsilon) if privacy is not None else None
     release_events: list = []
     table = release_aggregate_table(acc, privacy, accountant, manifest=release_events)
     write_aggregate_file(table, args.output)
@@ -388,9 +401,8 @@ def cmd_aggregate(args) -> int:
             "partitions": len(table.partition_marginals),
         }
     )
-    write_manifest(args.output + ".manifest.jsonl", events)
     logger.info("aggregate written to %s (%d joint cells)", args.output, len(table.joint))
-    return 0
+    return events
 
 
 def _ledger_event(accountant: BudgetAccountant | None) -> dict:
@@ -409,10 +421,8 @@ def _ledger_event(accountant: BudgetAccountant | None) -> dict:
     }
 
 
-def cmd_rank(args) -> int:
-    privacy = _privacy_from_args(args)
+def cmd_rank(args, privacy, accountant) -> list[dict]:
     swap = args.command == "flip"
-    accountant = BudgetAccountant(privacy.epsilon) if privacy is not None else None
     if args.aggregate:
         tables = build_probability_tables(read_aggregate_file(args.aggregate))
         results = (flip(tables) if swap else rank(tables))[: args.top_k]
@@ -420,13 +430,11 @@ def cmd_rank(args) -> int:
         records, _ = _ingest(_single_input(args), args)
         results = rank_records(records, privacy, accountant, swap=swap, top_k=args.top_k)
     write_results(results, args.output, args.output_format)
-    write_manifest(args.output + ".manifest.jsonl", [_ledger_event(accountant)])
     logger.info("%d ranked pairs written to %s", len(results), args.output)
-    return 0
+    return [_ledger_event(accountant)]
 
 
-def cmd_fold(args) -> int:
-    privacy = _privacy_from_args(args)
+def cmd_fold(args, privacy, accountant) -> list[dict]:
     if not args.input:
         raise ValueError("fold needs at least one --input")
     fold_epsilons = args.fold_epsilons
@@ -436,25 +444,16 @@ def cmd_fold(args) -> int:
         raise ValueError(
             f"got {len(fold_epsilons)} fold epsilons for {len(args.input)} inputs"
         )
-    if not args.seeds:
-        raise ValueError("--seeds is required for the first fold")
     seeds = tuple(s for s in args.seeds.split(",") if s)
     ingested = [_ingest(path, args) for path in args.input]
     folds = [
-        FoldSpec(records=records, epsilon=eps, seeds=seeds if i == 0 else None, top_k=args.fold_top_k)
-        for i, ((records, _), eps) in enumerate(zip(ingested, fold_epsilons))
+        FoldSpec(records=records, epsilon=eps, top_k=args.fold_top_k)
+        for (records, _), eps in zip(ingested, fold_epsilons)
     ]
-    accountant = BudgetAccountant(privacy.epsilon) if privacy is not None else None
-    manifest_path = args.output + ".manifest.jsonl"
-    try:
-        fold_results = nfold(folds, privacy, accountant)
-        stage_results = [fr.results[: args.top_k] for fr in fold_results]
-        if args.output_format == "tsv":  # refuse any stage before writing a file
-            _check_tsv_keys([r for results in stage_results for r in results])
-    except Exception:
-        if accountant is not None and accountant.spent:  # stages that released spent budget
-            write_manifest(manifest_path, [_ledger_event(accountant)])
-        raise
+    fold_results = nfold(folds, seeds, privacy, accountant)
+    stage_results = [fr.results[: args.top_k] for fr in fold_results]
+    if args.output_format == "tsv":  # refuse any stage before writing a file
+        _check_tsv_keys([r for results in stage_results for r in results])
     events = []
     for fr, results, (_, counts) in zip(fold_results, stage_results, ingested):
         out_path = f"{args.output}.fold{fr.index}.{args.output_format}"
@@ -472,17 +471,9 @@ def cmd_fold(args) -> int:
                 **counts,
             }
         )
-    events.append(
-        {
-            "event": "summary",
-            "epsilon_total": accountant.total_epsilon if accountant else 0.0,
-            "epsilon_spent": accountant.spent_epsilon if accountant else 0.0,
-            "folds": len(fold_results),
-        }
-    )
-    events.append(_ledger_event(accountant))
-    write_manifest(manifest_path, events)
-    return 0
+    ledger = _ledger_event(accountant)
+    summary = {"epsilon_total": ledger["total_epsilon"], "epsilon_spent": ledger["spent_epsilon"]}
+    return [*events, {"event": "summary", **summary, "folds": len(fold_results)}, ledger]
 
 
 def _build_synth_records(kv: dict, seed: int) -> list[Record]:
@@ -497,8 +488,7 @@ def _build_synth_records(kv: dict, seed: int) -> list[Record]:
     return synth_generate(users, features, partitions, strength, seed, zipf_exponent=zipf)
 
 
-def cmd_eval(args) -> int:
-    privacy = _privacy_from_args(args)
+def cmd_eval(args, privacy, accountant) -> None:
     if args.no_dp and not args.runtime:
         raise ValueError("eval sweeps measure DP noise and refuse --no-dp; only --runtime takes it")
     if args.synth is not None:
@@ -510,7 +500,7 @@ def cmd_eval(args) -> int:
         rt = runtime_compare(records)
         write_runtime_tsv(rt, os.path.join(args.output, "runtime.tsv"))
         logger.info("runtime ratio %.2f over %d partitions", rt.ratio, rt.partitions)
-        return 0
+        return
     top_k = args.top_k if args.top_k is not None else 10000
     sweep_rows = epsilon_sweep(records, privacy, args.epsilons, args.trials, top_k)
     write_sweep_tsv(sweep_rows, os.path.join(args.output, "sweep.tsv"))
@@ -518,7 +508,6 @@ def cmd_eval(args) -> int:
         records, privacy, args.stability_epsilon, args.trials, min(top_k, 100)
     )
     write_stability_tsv(stability_rows, os.path.join(args.output, "stability.tsv"))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +519,19 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
+    manifest_path = args.output + ".manifest.jsonl"
+    accountant = None
     try:
-        return args.func(args)
+        privacy = _privacy_from_args(args)
+        accountant = BudgetAccountant(privacy.epsilon) if privacy is not None else None
+        events = args.func(args, privacy, accountant)
+        if events is not None:  # eval writes no manifest
+            write_manifest(manifest_path, events)
+        return 0
     except Exception as exc:  # single-line machine-parsable failure
+        if accountant is not None and accountant.spent:  # a release spent budget
+            with contextlib.suppress(OSError):  # the error line stays the whole of stderr
+                write_manifest(manifest_path, [_ledger_event(accountant)])
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )

@@ -219,16 +219,12 @@ def _relabel(cols: Columns, inside: np.ndarray, label: str) -> Columns:
 
 @dataclass(frozen=True)
 class FoldSpec:
-    """One cascade stage: the rows it ranks (records or columns), its budget
-    share, and its seeds.
-
-    seeds None means the stage is labeled from the previous stage's top
-    Presence features. top_k bounds how many features feed the next stage.
+    """One cascade stage: the rows it ranks (records or columns) and its budget
+    share. top_k bounds how many features feed the next stage.
     """
 
     records: Columns | Sequence[Record]
     epsilon: float
-    seeds: tuple[str, ...] | None = None
     top_k: int = 10
 
     def __post_init__(self) -> None:
@@ -257,14 +253,15 @@ def _match_cohort(cols: Columns, seeds: tuple[str, ...]) -> set[str]:
 
 def nfold(
     folds: Sequence[FoldSpec],
+    seeds: Sequence[str],
     privacy: PrivacyConfig | None,
     accountant: BudgetAccountant | None = None,
 ) -> list[FoldResult]:
     """Run the cascade: each stage labels ids cohort-vs-rest and ranks binary MI.
 
-    Stage 1's cohort comes from matching its explicit seeds in its own
-    records; later stages match the previous stage's top Presence features in
-    the previous stage's records (where those features live). With DP, each
+    Stage 1's cohort comes from matching ``seeds`` in its own records; each
+    later stage matches the previous stage's top Presence features in the
+    previous stage's records (where those features live). With DP, each
     stage's epsilon and their total are checked before any stage runs.
     Every stage uses the run's seed; its noise is keyed apart by its
     ``fold{i}/`` label, which is also its label on the ledger. Each stage's
@@ -273,8 +270,6 @@ def nfold(
     """
     if not folds:
         raise ValueError("at least one fold is required")
-    if folds[0].seeds is None:
-        raise ValueError("the first fold needs explicit seeds")
     configs: list[PrivacyConfig | None] = [None] * len(folds)
     if privacy is not None:
         for i, fold in enumerate(folds):
@@ -290,18 +285,13 @@ def nfold(
                 f"folds need epsilon {want}, accountant has {accountant.remaining} left"
             )
     stages = [Columns.from_records(fold.records) for fold in folds]
+    seeds = tuple(seeds)
     out: list[FoldResult] = []
-    prev: FoldResult | None = None
-    for i, (fold, cols, fold_privacy) in enumerate(zip(folds, stages, configs), start=1):
-        if fold.seeds is not None:
-            seeds = tuple(fold.seeds)
-            match_cols = cols
-        else:
-            assert prev is not None
-            seeds = prev.next_seeds
-            match_cols = stages[i - 2]
+    for i, (fold, cols, match_cols, fold_privacy) in enumerate(
+        zip(folds, stages, [stages[0], *stages], configs), start=1
+    ):
         if not seeds:
-            raise ValueError(f"fold {i} has no seed features")
+            raise ValueError(f"fold {i} has no seeds to match")
         cohort = _match_cohort(match_cols, seeds)
         if not cohort:
             raise ValueError(f"fold {i}: no ids matched the seed features")
@@ -332,5 +322,5 @@ def nfold(
             next_seeds=next_seeds,
         )
         out.append(result)
-        prev = result
+        seeds = next_seeds
     return out

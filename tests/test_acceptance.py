@@ -230,10 +230,10 @@ def test_criterion_11_nfold_recovery():
         )
         accountant = BudgetAccountant(4.0)
         folds = [
-            FoldSpec(records=stage1, epsilon=2.0, seeds=seeds, top_k=12),
-            FoldSpec(records=stage2, epsilon=2.0, seeds=None, top_k=10),
+            FoldSpec(records=stage1, epsilon=2.0, top_k=12),
+            FoldSpec(records=stage2, epsilon=2.0, top_k=10),
         ]
-        results = nfold(folds, privacy, accountant=accountant)
+        results = nfold(folds, seeds, privacy, accountant=accountant)
         assert accountant.spent_epsilon == pytest.approx(4.0)
         recovered = len(set(results[1].next_seeds) & planted) / len(planted)
         recoveries.append(recovered)

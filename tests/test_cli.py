@@ -481,6 +481,64 @@ class TestRankCommand:
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": "ValueError", "message": message}
 
+    @pytest.mark.parametrize("table,key,edit,message", [
+        ("partition_marginal", {"partition": "p1"}, "repeat",
+         "partition_marginal 'p1' repeats an earlier row"),
+        ("joint", {"feature": "f1", "partition": "p1"}, "repeat",
+         "joint ('f1', 'p1') repeats an earlier row"),
+        ("feature_marginal", {"feature": "f2"}, "3.0",
+         "feature_marginal 'f2' needs a finite number value, got '3.0'"),
+        ("feature_marginal", {"feature": "f2"}, None,
+         "feature_marginal 'f2' needs a finite number value, got None"),
+        ("joint", {"feature": "f1", "partition": "p1"}, "drop value",
+         "joint ('f1', 'p1') needs a finite number value, got None"),
+        ("partition_marginal", {"partition": "p2"}, True,
+         "partition_marginal 'p2' needs a finite number value, got True"),
+        ("joint", {"feature": "f1", "partition": "p1"}, math.inf,
+         "joint ('f1', 'p1') needs a finite number value, got inf"),
+        ("partition_marginal", {"partition": "p1"}, math.inf,
+         "partition_marginal 'p1' needs a finite number value, got inf"),
+        ("feature_marginal", {"feature": "f1"}, math.nan,
+         "feature_marginal 'f1' needs a finite number value, got nan"),
+        ("feature_marginal", {"feature": "f1"}, 10**400,  # too large for a float
+         "feature_marginal 'f1' needs a finite number value, got inf"),
+        ("joint", {"feature": "f1", "partition": "p1"}, "drop partition",
+         "joint ('f1', None) needs string keys"),
+        ("feature_marginal", {"feature": "f2"}, "drop feature",
+         "feature_marginal None needs string keys"),
+        ("partition_marginal", {"partition": "p2"}, "number key",
+         "partition_marginal 2.0 needs string keys"),
+    ], ids=["repeat-partition", "repeat-joint", "string", "null", "missing", "bool",
+            "inf-joint", "inf-partition", "nan", "huge-int", "no-partition-field", "no-feature-field",
+            "number-key"])
+    def test_saved_row_refusals_name_file_line_and_key(self, tmp_path, capsys, table, key,
+                                                       edit, message):
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        agg = tmp_path / "agg.jsonl"
+        assert main(["aggregate", "--input", inp, "--output", str(agg), "--no-dp"]) == 0
+        rows = [json.loads(line) for line in agg.read_text().splitlines()]
+        (row,) = [r for r in rows if r["table"] == table and key.items() <= r.items()]
+        if edit == "repeat":  # a later copy with another value
+            rows.append({**row, "value": row["value"] * 7})
+            row = rows[-1]
+        elif isinstance(edit, str) and edit.startswith("drop "):
+            del row[edit[len("drop "):]]
+        elif edit == "number key":
+            row["partition"] = 2
+        else:
+            row["value"] = edit
+        lineno = next(i for i, r in enumerate(rows, start=1) if r is row)
+        edited = _write(tmp_path / "edited.jsonl", "".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        for command in ("rank", "flip"):
+            assert main([command, "--aggregate", edited, "--output", str(tmp_path / "r.tsv")]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert json.loads(err) == {
+                "error": "ValueError", "message": f"{edited} line {lineno}: {message}",
+            }
+        assert not (tmp_path / "r.tsv").exists()
+
     def test_seed_required_with_dp(self, tmp_path, capsys):
         inp = _write(tmp_path / "toy.tsv", TOY)
         rc = main(["rank", "--input", inp, "--output", str(tmp_path / "r.tsv")])
@@ -501,6 +559,87 @@ class TestRankCommand:
             ]) == 0
             outs.append(open(out).read())
         assert outs[0] == outs[1] == outs[2]
+
+
+TAB_KEY = "f\t1"
+
+
+def _dp_input(tmp_path, case):
+    """A DP input that fails only after its three releases were charged."""
+    if case == "censored":  # two rows: no noisy sum clears the threshold
+        return _write(tmp_path / "two.tsv", "id\tfeature\tpartition\tobservation\n"
+                      "u1\tf1\tp1\t1.0\nu2\tf2\tp2\t1.0\n")
+    # comma-delimited, so a feature key may hold the tab a TSV row cannot
+    lines = ["id,feature,partition,observation"]
+    lines += [f"u{i},{TAB_KEY if i % 2 else 'f2'},p{i % 3},1.0" for i in range(600)]
+    return _write(tmp_path / "tabbed.csv", "\n".join(lines) + "\n")
+
+
+class TestFailureLedger:
+    """A DP run that fails after a release still records the budget it spent."""
+
+    @pytest.mark.parametrize("command,case", [
+        ("rank", "censored"), ("flip", "censored"), ("aggregate", "censored"),
+        ("rank", "tabbed"), ("flip", "tabbed"),
+    ])
+    def test_failure_after_release_writes_the_ledger(self, tmp_path, capsys, command, case):
+        says = "no partitions survived" if case == "censored" else repr(TAB_KEY)
+        inp = _dp_input(tmp_path, case)
+        out = tmp_path / "out"
+        assert main([command, "--input", inp, "--output", str(out), "--epsilon", "1.2",
+                     "--delta", "1e-3", "--seed", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert says in json.loads(err)["message"]
+        (ledger,) = _read_manifest(str(out) + ".manifest.jsonl")
+        assert ledger["event"] == "ledger" and ledger["total_epsilon"] == 1.2
+        assert [label for label, _ in ledger["charges"]] == [
+            "joint", "feature_marginal", "partition_marginal"
+        ]
+        assert math.fsum(eps for _, eps in ledger["charges"]) == pytest.approx(1.2, abs=1e-9)
+        assert ledger["spent_epsilon"] == pytest.approx(1.2, abs=1e-9)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rank", "flip"])
+    def test_no_dp_failure_writes_no_manifest(self, tmp_path, capsys, command):
+        inp = _dp_input(tmp_path, "tabbed")
+        assert main([command, "--input", inp, "--output", str(tmp_path / "out"), "--no-dp"]) == 1
+        assert repr(TAB_KEY) in json.loads(capsys.readouterr().err)["message"]
+        assert not [p for p in os.listdir(tmp_path) if p.startswith("out")]
+
+    @pytest.mark.parametrize("command,flags,says", [
+        ("rank", ["--seed", "5", "--top-k", "0"], "--top-k"),
+        ("flip", ["--seed", "5", "--top-k", "0"], "--top-k"),
+        ("rank", [], "--seed"),
+        ("flip", [], "--seed"),
+        ("aggregate", [], "--seed"),
+        ("rank", ["--seed", "5", "--input", "bad"], "no valid rows"),
+        ("flip", ["--seed", "5", "--input", "bad"], "no valid rows"),
+        ("aggregate", ["--seed", "5", "--input", "bad"], "no valid rows"),
+    ], ids=["rank-top-k", "flip-top-k", "rank-seed", "flip-seed", "aggregate-seed",
+            "rank-no-rows", "flip-no-rows", "aggregate-no-rows"])
+    def test_failure_before_any_charge_writes_no_manifest(self, tmp_path, capsys, command,
+                                                          flags, says):
+        bad = _write(tmp_path / "bad.tsv", "id\tfeature\tpartition\tobservation\n"
+                     "u1\tf1\tp1\tnot_a_number\nu2\tf2\tp2\t-1\n")
+        flags = [bad if flag == "bad" else flag for flag in flags]
+        if "--input" not in flags:
+            flags += ["--input", _dp_input(tmp_path, "tabbed")]
+        assert main([command, "--output", str(tmp_path / "out"), *flags]) == 1
+        assert says in json.loads(capsys.readouterr().err)["message"]
+        assert not [p for p in os.listdir(tmp_path) if p.startswith("out")]
+
+    def test_unwritable_ledger_keeps_the_one_line_error(self, tmp_path, capsys):
+        inp = _dp_input(tmp_path, "censored")
+        out = str(tmp_path / "out")
+        argv = ["rank", "--input", inp, "--output", out, "--delta", "1e-3", "--seed", "5"]
+        assert main(argv) == 1
+        want = capsys.readouterr().err
+        os.remove(out + ".manifest.jsonl")
+        os.mkdir(out + ".manifest.jsonl")  # opening it for writing fails
+        assert main(argv) == 1
+        assert capsys.readouterr().err == want
+        assert json.loads(want)["error"] == "ValueError"
 
 
 class TestFoldCommand:
@@ -576,6 +715,14 @@ class TestFoldCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert repr(tabbed) in json.loads(err)["message"]
+        assert not [p for p in os.listdir(tmp_path) if p.startswith("out")]
+
+    def test_missing_seeds_is_a_one_line_error(self, tmp_path, capsys):
+        f1, _ = self._stage_files(tmp_path)
+        assert main(["fold", "--input", f1, "--output", str(tmp_path / "out"), "--no-dp"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "fold 1 has no seeds to match",
+        }
         assert not [p for p in os.listdir(tmp_path) if p.startswith("out")]
 
     def test_fold_top_k_below_one_errors(self, tmp_path, capsys):

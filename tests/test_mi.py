@@ -456,8 +456,8 @@ def _two_stage_records():
 class TestNfold:
     def test_single_fold_matches_manual_binary_rank(self):
         stage1, _ = _two_stage_records()
-        folds = [FoldSpec(records=stage1, epsilon=1.0, seeds=("seed_kw",), top_k=5)]
-        result = nfold(folds, NO_DP)[0]
+        folds = [FoldSpec(records=stage1, epsilon=1.0, top_k=5)]
+        result = nfold(folds, ("seed_kw",), NO_DP)[0]
         cohort = {r.id for r in stage1 if r.feature == "seed_kw" and r.observation > 0}
         relabeled = [
             Record(r.id, r.feature, COHORT_LABEL if r.id in cohort else "__rest__", r.observation)
@@ -471,10 +471,10 @@ class TestNfold:
         privacy = PrivacyConfig(epsilon=1.0, delta=1e-2, contribution_limit=2, seed=3)
         accountant = BudgetAccountant(1.0)
         folds = [
-            FoldSpec(records=stage1, epsilon=0.5, seeds=("seed_kw",), top_k=6),
-            FoldSpec(records=stage2, epsilon=0.5, seeds=None, top_k=4),
+            FoldSpec(records=stage1, epsilon=0.5, top_k=6),
+            FoldSpec(records=stage2, epsilon=0.5, top_k=4),
         ]
-        results = nfold(folds, privacy, accountant=accountant)
+        results = nfold(folds, ("seed_kw",), privacy, accountant=accountant)
         assert len(results) == 2
         assert accountant.spent_epsilon == pytest.approx(1.0)
 
@@ -483,11 +483,11 @@ class TestNfold:
         privacy = PrivacyConfig(epsilon=1.0, delta=1e-2, contribution_limit=2, seed=3)
         accountant = BudgetAccountant(1.0)
         folds = [
-            FoldSpec(records=stage1, epsilon=0.7, seeds=("seed_kw",)),
-            FoldSpec(records=stage2, epsilon=0.7, seeds=None),
+            FoldSpec(records=stage1, epsilon=0.7),
+            FoldSpec(records=stage2, epsilon=0.7),
         ]
         with pytest.raises(BudgetExceededError):
-            nfold(folds, privacy, accountant=accountant)
+            nfold(folds, ("seed_kw",), privacy, accountant=accountant)
         assert accountant.spent_epsilon == 0.0
 
     @pytest.mark.parametrize("total,stage_epsilons", [
@@ -499,11 +499,11 @@ class TestNfold:
         privacy = PrivacyConfig(epsilon=total, delta=1e-2, contribution_limit=2, seed=3)
         accountant = BudgetAccountant(total)
         folds = [
-            FoldSpec(records=stage1, epsilon=stage_epsilons[0], seeds=("seed_kw",)),
-            FoldSpec(records=stage2, epsilon=stage_epsilons[1], seeds=None),
+            FoldSpec(records=stage1, epsilon=stage_epsilons[0]),
+            FoldSpec(records=stage2, epsilon=stage_epsilons[1]),
         ]
         with pytest.raises(ValueError, match="^fold 2: epsilon"):
-            nfold(folds, privacy, accountant=accountant)
+            nfold(folds, ("seed_kw",), privacy, accountant=accountant)
         assert accountant.spent == []
 
     def test_later_stage_releases_under_the_run_seed(self):
@@ -512,10 +512,10 @@ class TestNfold:
         stage1, stage2 = _two_stage_records()
         privacy = PrivacyConfig(epsilon=4.0, delta=1e-2, contribution_limit=2, seed=3)
         folds = [
-            FoldSpec(records=stage1, epsilon=1.5, seeds=("seed_kw",), top_k=6),
-            FoldSpec(records=stage2, epsilon=2.5, seeds=None, top_k=4),
+            FoldSpec(records=stage1, epsilon=1.5, top_k=6),
+            FoldSpec(records=stage2, epsilon=2.5, top_k=4),
         ]
-        first, second = nfold(folds, privacy)
+        first, second = nfold(folds, ("seed_kw",), privacy)
         assert first.next_seeds
         seeds = set(first.next_seeds)
         cohort = {r.id for r in stage1 if r.feature in seeds and r.observation > 0}
@@ -530,25 +530,25 @@ class TestNfold:
     def test_fold_top_k_below_one_rejected(self, top_k):
         stage1, _ = _two_stage_records()
         with pytest.raises(ValueError, match="top_k"):
-            FoldSpec(records=stage1, epsilon=1.0, seeds=("seed_kw",), top_k=top_k)
+            FoldSpec(records=stage1, epsilon=1.0, top_k=top_k)
 
     def test_first_fold_needs_seeds(self):
         stage1, _ = _two_stage_records()
         with pytest.raises(ValueError, match="seeds"):
-            nfold([FoldSpec(records=stage1, epsilon=1.0, seeds=None)], NO_DP)
+            nfold([FoldSpec(records=stage1, epsilon=1.0)], (), NO_DP)
 
     def test_unmatched_seeds_raise(self):
         stage1, _ = _two_stage_records()
         with pytest.raises(ValueError, match="matched"):
-            nfold([FoldSpec(records=stage1, epsilon=1.0, seeds=("nope",))], NO_DP)
+            nfold([FoldSpec(records=stage1, epsilon=1.0)], ("nope",), NO_DP)
 
     def test_chained_cohort_flows_through_stage_records(self):
         stage1, stage2 = _two_stage_records()
         folds = [
-            FoldSpec(records=stage1, epsilon=0.5, seeds=("seed_kw",), top_k=6),
-            FoldSpec(records=stage2, epsilon=0.5, seeds=None, top_k=4),
+            FoldSpec(records=stage1, epsilon=0.5, top_k=6),
+            FoldSpec(records=stage2, epsilon=0.5, top_k=4),
         ]
-        results = nfold(folds, NO_DP)
+        results = nfold(folds, ("seed_kw",), NO_DP)
         # planted keywords dominate fold 1, planted orgs dominate fold 2
         assert any(s.startswith("plant_kw") or s == "seed_kw" for s in results[0].next_seeds)
         assert all(s.startswith("org") for s in results[1].next_seeds)

@@ -180,7 +180,6 @@ def release_aggregate_table(
         joint=released_joint,
         feature_marginals=released_feats,
         partition_marginals=released_parts,
-        epsilon_spent=math.fsum(shares),
     )
 
 

@@ -34,7 +34,7 @@ from .evaluation import (
     write_sweep_tsv,
 )
 from .mi import FoldSpec, flip, nfold, rank, rank_records
-from .model import AggregateTable, Columns, PrivacyConfig, Record, validate_record
+from .model import OTHER_KEY, AggregateTable, Columns, PrivacyConfig, Record, validate_record
 
 logger = logging.getLogger(__name__)
 
@@ -181,8 +181,9 @@ def write_manifest(path: str, events) -> None:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
 
 
-def write_aggregate_file(table: AggregateTable, path: str) -> None:
-    """Persist a released table as JSON lines with full float precision."""
+def write_aggregate_file(table: AggregateTable, epsilon_spent: float, path: str) -> None:
+    """Persist a released table as JSON lines with full float precision; the
+    closing meta row records ``epsilon_spent``, the run's ledger total."""
     with open(path, "w", encoding="utf-8") as fh:
         for (f, p), v in sorted(table.joint.items()):
             fh.write(json.dumps({"table": "joint", "feature": f, "partition": p, "value": v}) + "\n")
@@ -191,7 +192,7 @@ def write_aggregate_file(table: AggregateTable, path: str) -> None:
         for p, v in sorted(table.partition_marginals.items()):
             fh.write(json.dumps({"table": "partition_marginal", "partition": p, "value": v}) + "\n")
         fh.write(json.dumps({"table": "total", "value": table.total}) + "\n")
-        fh.write(json.dumps({"table": "meta", "epsilon_spent": table.epsilon_spent}) + "\n")
+        fh.write(json.dumps({"table": "meta", "epsilon_spent": epsilon_spent}) + "\n")
 
 
 # each aggregate-file table's key fields, in AggregateTable's field order
@@ -200,35 +201,40 @@ AGGREGATE_KEYS = {"joint": ("feature", "partition"), "feature_marginal": ("featu
 
 
 def read_aggregate_file(path: str) -> AggregateTable:
-    """Read a file write_aggregate_file wrote. A repeated (table, key) row, a
-    key that is not a string, or a value that is not a finite number is an
-    error naming the file, line and key."""
+    """Read a file write_aggregate_file wrote; its total and meta rows are not
+    read back. A line that is not a JSON object, a repeated (table, key) row, a
+    key that is not a string or is the reserved OTHER_KEY, or a value that is
+    not a finite number is an error naming the file and line."""
     tables: dict = {kind: {} for kind in AGGREGATE_KEYS}
-    spent = 0.0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line, parse_int=float)  # so an oversized integer reads as inf
+            try:
+                obj = json.loads(line, parse_int=float)  # so an oversized integer reads as inf
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc.msg}: column {exc.colno}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path} line {lineno}: expected a JSON object, got {line}")
             kind = obj.get("table")
-            if kind == "meta":
-                spent = obj.get("epsilon_spent", 0.0)
-            elif kind in AGGREGATE_KEYS:
+            if kind in AGGREGATE_KEYS:
                 keys = tuple(obj.get(name) for name in AGGREGATE_KEYS[kind])
                 key = keys if kind == "joint" else keys[0]
                 value = obj.get("value")
                 where = f"{path} line {lineno}: {kind} {key!r}"
                 if not all(isinstance(k, str) for k in keys):  # a missing key field reads None
                     raise ValueError(f"{where} needs string keys")
+                if OTHER_KEY in keys:
+                    raise ValueError(f"{where} uses the reserved key {OTHER_KEY!r}")
                 if not isinstance(value, float) or not math.isfinite(value):  # a bool is no float
                     raise ValueError(f"{where} needs a finite number value, got {value!r}")
                 if key in tables[kind]:
                     raise ValueError(f"{where} repeats an earlier row")
                 tables[kind][key] = value
-            elif kind != "total":  # the total is derived from the partition marginals
+            elif kind not in ("total", "meta"):  # the total is derived, meta is the ledger's
                 raise ValueError(f"{path}: unknown table row {obj!r}")
-    return AggregateTable(*tables.values(), spent)
+    return AggregateTable(*tables.values())
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +394,14 @@ def cmd_aggregate(args, privacy, accountant) -> list[dict]:
     acc = accumulate(prepared)
     release_events: list = []
     table = release_aggregate_table(acc, privacy, accountant, manifest=release_events)
-    write_aggregate_file(table, args.output)
+    spent = _ledger_event(accountant)["spent_epsilon"]
+    write_aggregate_file(table, spent, args.output)
     events = [{"event": "ingest", **counts, "rows_after_bounding": len(prepared)}]
     events += [{"event": "release", **entry} for entry in release_events]
     events.append(
         {
             "event": "summary",
-            "epsilon_spent": table.epsilon_spent,
+            "epsilon_spent": spent,
             "total": table.total,
             "joint_cells": len(table.joint),
             "features": len(table.feature_marginals),

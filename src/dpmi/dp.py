@@ -102,19 +102,19 @@ class BudgetAccountant:
     def spent_epsilon(self) -> float:
         return math.fsum(eps for _, eps in self.spent)
 
-    @property
-    def remaining(self) -> float:
-        return self.total_epsilon - self.spent_epsilon
+    def check(self, what: str, epsilon: float) -> None:
+        """Raise BudgetExceededError unless spending ``epsilon`` more fits the budget."""
+        if self.spent_epsilon + epsilon > self.total_epsilon + _BUDGET_SLACK:
+            raise BudgetExceededError(
+                f"{what} of {epsilon} exceeds budget: "
+                f"already spent {self.spent_epsilon} of {self.total_epsilon}"
+            )
 
     def charge(self, label: str, epsilon_q: float) -> None:
         """Record a charge; raises BudgetExceededError if it would overflow."""
         if not epsilon_q > 0:
             raise ValueError(f"charge {label!r} must be > 0, got {epsilon_q}")
-        if self.spent_epsilon + epsilon_q > self.total_epsilon + _BUDGET_SLACK:
-            raise BudgetExceededError(
-                f"charge {label!r} of {epsilon_q} exceeds budget: "
-                f"already spent {self.spent_epsilon} of {self.total_epsilon}"
-            )
+        self.check(f"charge {label!r}", epsilon_q)
         self.spent.append((label, float(epsilon_q)))
 
 

@@ -59,25 +59,27 @@ def compare_rankings(
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    private_rank = {(r.partition, r.feature): r.rank for r in private}
-    errors: list[int] = []
-    dropped = 0
-    for r in baseline[:top_k]:
-        private_pos = private_rank.get((r.partition, r.feature))
-        if private_pos is None:
-            dropped += 1
-        else:
-            errors.append(abs(r.rank - private_pos))
+    found = _rank_errors(baseline[:top_k], private)
+    errors = sorted(e for e in found if e is not None)
     if not errors:
         raise ValueError("no overlap between the baseline and private rankings")
-    errors.sort()
     percentiles = {p: nearest_rank_percentile(errors, p) for p in PERCENTILES}
     return RankComparison(
         pairs_compared=len(errors),
         abs_rank_errors=errors,
         percentiles=percentiles,
-        dropped=dropped,
+        dropped=len(found) - len(errors),
     )
+
+
+def _rank_errors(
+    baseline: Sequence[RankedResult], private: Sequence[RankedResult]
+) -> list[int | None]:
+    """Each baseline pair's absolute rank error in ``private``; None where
+    ``private`` does not hold the pair."""
+    private_rank = {(r.partition, r.feature): r.rank for r in private}
+    positions = [private_rank.get((r.partition, r.feature)) for r in baseline]
+    return [None if pos is None else abs(r.rank - pos) for r, pos in zip(baseline, positions)]
 
 
 @dataclass
@@ -100,8 +102,8 @@ def _private_rankings(
     epsilons: Sequence[float],
     trials: int,
     baseline: list[RankedResult],
-) -> Iterator[tuple[int, float, list[RankedResult]]]:
-    """Yield (trial, epsilon, private ranking) for every trial and epsilon.
+) -> Iterator[tuple[float, list[RankedResult]]]:
+    """Yield (epsilon, private ranking) for every trial and epsilon.
 
     Trial t runs with seed + t. Bounding, clamping and the group-by depend on
     the seed and not on epsilon, so each trial does them once, and every
@@ -114,13 +116,13 @@ def _private_rankings(
         acc = None
         for eps in epsilons:
             if math.isinf(eps):
-                yield trial, eps, baseline
+                yield eps, baseline
                 continue
             cfg = replace(privacy, epsilon=eps, seed=privacy.seed + trial)
             if acc is None:
                 acc = accumulate(prepare_records(cols, cfg))
             table = release_aggregate_table(acc, cfg)
-            yield trial, eps, rank(build_probability_tables(table))
+            yield eps, rank(build_probability_tables(table))
 
 
 def epsilon_sweep(
@@ -144,17 +146,14 @@ def epsilon_sweep(
     _check_sweep_args(epsilons, trials)
     cols = Columns.from_records(records)
     baseline = rank_records(cols, None)
-    percentiles: dict[float, list[dict[int, float]]] = {eps: [] for eps in epsilons}
-    dropped: dict[float, list[int]] = {eps: [] for eps in epsilons}
-    for _, eps, private in _private_rankings(cols, privacy, epsilons, trials, baseline):
-        cmp = compare_rankings(baseline, private, top_k)
-        percentiles[eps].append(cmp.percentiles)
-        dropped[eps].append(cmp.dropped)
+    comparisons: dict[float, list[RankComparison]] = {eps: [] for eps in epsilons}
+    for eps, private in _private_rankings(cols, privacy, epsilons, trials, baseline):
+        comparisons[eps].append(compare_rankings(baseline, private, top_k))
     return [
         SweepRow(
             epsilon=eps,
-            percentiles={p: fmean(c[p] for c in percentiles[eps]) for p in PERCENTILES},
-            dropped=fmean(dropped[eps]),
+            percentiles={p: fmean(c.percentiles[p] for c in comparisons[eps]) for p in PERCENTILES},
+            dropped=fmean(c.dropped for c in comparisons[eps]),
         )
         for eps in epsilons
     ]
@@ -194,16 +193,11 @@ def head_tail_stability(
         raise ValueError(f"need at least {buckets} baseline pairs, got {len(head)}")
     edges = [round(j * len(head) / buckets) for j in range(buckets + 1)]
     per_bucket: list[list[float]] = [[] for _ in range(buckets)]
-    for _, _, private in _private_rankings(cols, privacy, (epsilon,), trials, baseline):
-        private_rank = {(r.partition, r.feature): r.rank for r in private}
+    for _, private in _private_rankings(cols, privacy, (epsilon,), trials, baseline):
+        found = _rank_errors(head, private)
         for b in range(buckets):
-            errors = []
-            for r in head[edges[b] : edges[b + 1]]:
-                private_pos = private_rank.get((r.partition, r.feature))
-                if private_pos is not None:
-                    errors.append(abs(r.rank - private_pos))
+            errors = sorted(e for e in found[edges[b] : edges[b + 1]] if e is not None)
             if errors:
-                errors.sort()
                 per_bucket[b].append(nearest_rank_percentile(errors, 50))
     return [
         StabilityRow(bucket=b + 1, medae=fmean(vals) if vals else float("nan"))

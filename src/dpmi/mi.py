@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .aggregate import accumulate, build_probability_tables, release_aggregate_table
-from .dp import _BUDGET_SLACK, BudgetAccountant, BudgetExceededError, prepare_records
+from .dp import BudgetAccountant, prepare_records
 from .model import (
     Columns,
     Direction,
@@ -279,11 +279,7 @@ def nfold(
                 raise ValueError(f"fold {i + 1}: {exc}") from None
         if accountant is None:
             accountant = BudgetAccountant(privacy.epsilon)
-        want = math.fsum(f.epsilon for f in folds)
-        if want > accountant.remaining + _BUDGET_SLACK:
-            raise BudgetExceededError(
-                f"folds need epsilon {want}, accountant has {accountant.remaining} left"
-            )
+        accountant.check("the folds' total", math.fsum(f.epsilon for f in folds))
     stages = [Columns.from_records(fold.records) for fold in folds]
     seeds = tuple(seeds)
     out: list[FoldResult] = []

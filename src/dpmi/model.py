@@ -212,7 +212,6 @@ class AggregateTable:
     joint: Mapping[tuple[str, str], float]
     feature_marginals: Mapping[str, float]
     partition_marginals: Mapping[str, float]
-    epsilon_spent: float = 0.0
 
     def __post_init__(self) -> None:
         for name, table in (

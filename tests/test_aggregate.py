@@ -192,21 +192,22 @@ class TestReleaseAggregateTable:
             Record("u3", "f3", "p1", 0.0),
         ]
         acc = _accumulate(records)
-        table = release_aggregate_table(acc, None)
+        accountant = BudgetAccountant(1.0)
+        table = release_aggregate_table(acc, None, accountant)
         assert table.joint == {("f1", "p1"): 1.0, ("f2", "p2"): 2.0}
         assert table.feature_marginals == {"f1": 1.0, "f2": 2.0}
         assert table.total == 3.0
-        assert table.epsilon_spent == 0.0
+        assert accountant.spent == []
 
     def test_charges_split_before_release(self):
         records = [Record(f"u{i}", "f1", "p1" if i % 2 else "p2", 1.0) for i in range(400)]
         acc = _accumulate(records)
         accountant = BudgetAccountant(2.0)
-        table = release_aggregate_table(acc, self._config(), accountant)
+        release_aggregate_table(acc, self._config(), accountant)
         labels = [label for label, _ in accountant.spent]
         assert labels == ["joint", "feature_marginal", "partition_marginal"]
         assert accountant.spent_epsilon == pytest.approx(2.0)
-        assert table.epsilon_spent == pytest.approx(2.0)
+        assert [eps for _, eps in accountant.spent] == [1.0, 0.5, 0.5]
 
     def test_released_tables_deterministic_and_noisy(self):
         records = [Record(f"u{i}", f"f{i % 5}", f"p{i % 3}", 1.0) for i in range(3000)]
@@ -337,7 +338,10 @@ class TestReleaseAggregateTable:
         table = release_aggregate_table(
             _accumulate(records), self._config(epsilon=epsilon, budget_split=split), accountant
         )
-        assert accountant.spent_epsilon == table.epsilon_spent
+        shares = [w * epsilon for w in split]
+        assert accountant.spent_epsilon == math.fsum(shares)
+        assert [eps for _, eps in accountant.spent] == shares
+        assert len(table.joint) == 6
         assert [label for label, _ in accountant.spent] == [
             "joint", "feature_marginal", "partition_marginal"
         ]

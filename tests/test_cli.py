@@ -200,6 +200,18 @@ class TestAggregateCommand:
             f"{inp}: no valid rows (3 read, rejected by reason {{'negative': 2, 'parse': 1}})"
         )
 
+    def test_jsonl_row_without_a_mapped_field_is_rejected(self, tmp_path):
+        rows = [
+            {"id": "u1", "feature": "f1", "partition": "p1", "observation": 2.0},
+            {"id": "u2", "feature": "f2", "partition": "p2"},
+            ["u3", "f1", "p1", 1.0],
+        ]
+        inp = _write(tmp_path / "in.jsonl", "".join(json.dumps(r) + "\n" for r in rows))
+        records, rejects, read = _read_rows(inp, ("id", "feature", "partition", "observation"))
+        assert read == 3
+        assert rejects == {"fields": 2}
+        assert [r.id for r in records] == ["u1"]
+
 
 class TestRankCommand:
     def _expected_toy_output(self):
@@ -537,6 +549,50 @@ class TestRankCommand:
             assert json.loads(err) == {
                 "error": "ValueError", "message": f"{edited} line {lineno}: {message}",
             }
+        assert not (tmp_path / "r.tsv").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ('["joint"]', ' line 3: expected a JSON object, got ["joint"]'),
+        ("3", " line 3: expected a JSON object, got 3"),
+        ('{"table": "joint", "feature": "f1", "partition": "p1", "val',
+         " line 3: Unterminated string starting at: column 56"),
+        ('{"table": "sums", "value": 1.0}', ": unknown table row {'table': 'sums', 'value': 1.0}"),
+    ], ids=["array", "number", "truncated", "unknown-table"])
+    def test_saved_line_refusals_name_file_and_line(self, tmp_path, capsys, text, message):
+        # a blank first line still counts, so the bad line is the file's line 3
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        agg = tmp_path / "agg.jsonl"
+        assert main(["aggregate", "--input", inp, "--output", str(agg), "--no-dp"]) == 0
+        lines = ["", *agg.read_text().splitlines()]
+        lines[2] = text
+        edited = _write(tmp_path / "edited.jsonl", "\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["rank", "--aggregate", edited, "--output", str(tmp_path / "r.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ValueError", "message": f"{edited}{message}"}
+        assert not (tmp_path / "r.tsv").exists()
+
+    @pytest.mark.parametrize("field,key,message", [
+        ("partition", "p2", "line 2: joint ('f1', '__other__') uses the reserved key '__other__'"),
+        ("feature", "f1", "line 1: joint ('__other__', 'p1') uses the reserved key '__other__'"),
+    ], ids=["partition", "feature"])
+    def test_saved_reserved_key_is_refused(self, tmp_path, capsys, field, key, message):
+        # every row of the key is renamed, so the edited table is consistent
+        inp = _write(tmp_path / "toy.tsv", TOY)
+        agg = tmp_path / "agg.jsonl"
+        assert main(["aggregate", "--input", inp, "--output", str(agg), "--no-dp"]) == 0
+        rows = [json.loads(line) for line in agg.read_text().splitlines()]
+        for row in rows:
+            if row.get(field) == key:
+                row[field] = "__other__"
+        edited = _write(tmp_path / "edited.jsonl", "".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        for command in ("rank", "flip"):
+            assert main([command, "--aggregate", edited, "--output", str(tmp_path / "r.tsv")]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert json.loads(err) == {"error": "ValueError", "message": f"{edited} {message}"}
         assert not (tmp_path / "r.tsv").exists()
 
     def test_seed_required_with_dp(self, tmp_path, capsys):
@@ -954,6 +1010,42 @@ def test_flags_a_subcommand_would_ignore_are_rejected(tmp_path, capsys, command,
         main([command, "--input", inp, "--output", str(tmp_path / "o"), "--no-dp", *flag])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["rank", "--input", "{empty}", "--no-dp"], "{empty}: empty input, expected a header line"),
+    (["rank", "--input", "{toy}", "--input", "{toy}", "--no-dp"],
+     "expected exactly one --input, got 2"),
+    (["aggregate", "--no-dp"], "expected exactly one --input, got 0"),
+    (["fold", "--no-dp", "--seeds", "f1"], "fold needs at least one --input"),
+    (["fold", "--input", "{toy}", "--input", "{toy}", "--fold-epsilons", "1", "--seeds", "f1",
+      "--seed", "1"], "got 1 fold epsilons for 2 inputs"),
+], ids=["empty-file", "rank-two-inputs", "aggregate-no-input", "fold-no-input",
+        "fold-epsilon-count"])
+def test_input_shape_errors_are_one_line(tmp_path, capsys, argv, message):
+    paths = {"toy": _write(tmp_path / "toy.tsv", TOY), "empty": _write(tmp_path / "empty.tsv", "")}
+    argv = [arg.format(**paths) for arg in argv]
+    assert main([*argv, "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError", "message": message.format(**paths)}
+    assert sorted(os.listdir(tmp_path)) == ["empty.tsv", "toy.tsv"]  # no output, no manifest
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["rank", "--clamp", "1"], "argument --clamp: expected lo,hi got '1'"),
+    (["rank", "--budget-split", "0.5,0.5"],
+     "argument --budget-split: expected three weights, got '0.5,0.5'"),
+    (["rank", "--columns", "id,feature,,observation"],
+     "argument --columns: expected four column names (id,feature,partition,observation roles), "
+     "got 'id,feature,,observation'"),
+    (["eval", "--synth", "users=50,,features"], "argument --synth: expected key=value, got 'features'"),
+])
+def test_malformed_option_values_are_usage_errors(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", str(tmp_path / "o"), "--no-dp"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
 
 
 class TestReadme:

@@ -127,6 +127,14 @@ class TestCensorThreshold:
         with pytest.raises(ValueError, match=r"\(0, 0\.5\]"):
             censor_threshold(0.5, 0.9, 1.0)
 
+    @pytest.mark.parametrize("epsilon_q,sensitivity,name", [
+        (0.0, 1.0, "epsilon_q"), (-1.0, 1.0, "epsilon_q"), (1.0, 0.0, "sensitivity"),
+        (1.0, -2.0, "sensitivity"),
+    ])
+    def test_rejects_nonpositive_epsilon_or_sensitivity(self, epsilon_q, sensitivity, name):
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            censor_threshold(epsilon_q, 1e-3, sensitivity)
+
 
 class TestBudgetAccountant:
     def test_exact_fit_succeeds(self):
@@ -135,7 +143,10 @@ class TestBudgetAccountant:
         acc.charge("feature", 0.25)
         acc.charge("partition", 0.25)
         assert acc.spent_epsilon == pytest.approx(1.0, abs=1e-12)
-        assert acc.remaining == pytest.approx(0.0, abs=1e-12)
+        acc.check("nothing more", 0.0)
+        with pytest.raises(BudgetExceededError, match="one more"):
+            acc.check("one more", 1e-6)
+        assert len(acc.spent) == 3
 
     def test_overflow_names_label(self):
         acc = BudgetAccountant(1.0)
@@ -148,6 +159,11 @@ class TestBudgetAccountant:
         acc.charge("fold1", 0.5)
         acc.charge("fold2", 0.5)
         assert acc.spent_epsilon == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("total", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_total(self, total):
+        with pytest.raises(ValueError, match="total epsilon must be > 0"):
+            BudgetAccountant(total)
 
     def test_rejects_nonpositive_charge(self):
         acc = BudgetAccountant(1.0)
@@ -339,6 +355,11 @@ class TestReleaseSums:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             release_sums({"a": 1.0}, 1.0, 0.0, 1.0, keyed_uniforms(0, (b"", "q"), ["a"]))
+
+    @pytest.mark.parametrize("sensitivity", [0.0, -1.0])
+    def test_rejects_nonpositive_sensitivity(self, sensitivity):
+        with pytest.raises(ValueError, match="sensitivity must be > 0"):
+            release_sums({"a": 1.0}, sensitivity, 1.0, 1.0, keyed_uniforms(0, (b"", "q"), ["a"]))
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
     def test_rejects_nonpositive_threshold(self, threshold):

@@ -91,7 +91,18 @@ class TestCompareRankings:
             compare_rankings(a, b, top_k=1)
 
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_rejects_top_k_below_one(self, top_k):
+        a = _ranked([("p", "a", 1)])
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            compare_rankings(a, a, top_k=top_k)
+
+
 class TestNearestRankPercentile:
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            nearest_rank_percentile([], 50)
+
     def test_agrees_with_numpy_inverted_cdf(self):
         rng = random.Random(13)
         for _ in range(100):
@@ -140,6 +151,14 @@ class TestSynthGenerate:
     def test_rejects_bad_strength(self):
         with pytest.raises(ValueError):
             synth_generate(10, 5, 2, 1.5, seed=0)
+
+    @pytest.mark.parametrize("users,features,partitions,message", [
+        (0, 5, 2, "must all be >= 1"), (10, 0, 2, "must all be >= 1"), (10, 5, 0, "must all be >= 1"),
+        (10, 2, 3, "one planted feature per partition"),
+    ])
+    def test_rejects_bad_sizes(self, users, features, partitions, message):
+        with pytest.raises(ValueError, match=message):
+            synth_generate(users, features, partitions, 0.5, seed=0)
 
 
 class TestEpsilonSweep:
@@ -234,6 +253,13 @@ class TestHeadTailStability:
         privacy = PrivacyConfig(epsilon=1.0, delta=0.2, seed=3)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             head_tail_stability(records, privacy, trials=0, top_k=50, buckets=5)
+
+    def test_rejects_fewer_baseline_pairs_than_buckets(self):
+        # at strength 1 each of the 3 features occurs in one partition only
+        records = synth_generate(200, 3, 3, 1.0, seed=3)
+        privacy = PrivacyConfig(epsilon=1.0, delta=0.2, seed=3)
+        with pytest.raises(ValueError, match="need at least 10 baseline pairs, got 3"):
+            head_tail_stability(records, privacy, trials=1, top_k=50, buckets=10)
 
     def test_rejects_zero_buckets(self):
         records = synth_generate(2000, 50, 5, 0.8, seed=3)

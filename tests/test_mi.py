@@ -532,6 +532,10 @@ class TestNfold:
         with pytest.raises(ValueError, match="top_k"):
             FoldSpec(records=stage1, epsilon=1.0, top_k=top_k)
 
+    def test_needs_a_fold(self):
+        with pytest.raises(ValueError, match="at least one fold"):
+            nfold([], ("seed_kw",), NO_DP)
+
     def test_first_fold_needs_seeds(self):
         stage1, _ = _two_stage_records()
         with pytest.raises(ValueError, match="seeds"):

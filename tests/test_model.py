@@ -61,6 +61,11 @@ class TestPrivacyConfig:
         with pytest.raises(TypeError, match="seed"):
             PrivacyConfig(epsilon=1.0)
 
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+    def test_rejects_seed_outside_int64(self, seed):
+        with pytest.raises(ValueError, match="signed 64-bit"):
+            PrivacyConfig(epsilon=1.0, seed=seed)
+
     def test_default_split_sums_to_one(self):
         cfg = PrivacyConfig(epsilon=1.0, seed=1)
         assert sum(cfg.budget_split) == pytest.approx(1.0, abs=1e-12)
@@ -133,6 +138,19 @@ class TestProbabilityTables:
         tables = ProbabilityTables([0, 1], ["f", "g"], [0, 0], ["p", "q"],
                                    [0.5, 1.0], [0.5, 0.5], [0.25, 0.5])
         assert len(tables) == 2
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="2 features but 1 partitions"):
+            ProbabilityTables([0, 1], ["f", "g"], [0], ["p"], [0.5, 0.5], [0.5, 0.5], [0.25, 0.25])
+
+    @pytest.mark.parametrize("name,values,shape", [
+        ("p_x", [0.5], "(1,)"), ("p_y", [0.5, 0.5, 0.5], "(3,)"), ("p_xy", [[0.25, 0.25]], "(1, 2)"),
+    ])
+    def test_rejects_shape_mismatch(self, name, values, shape):
+        kwargs = dict(p_x=[0.5, 0.5], p_y=[0.5, 0.5], p_xy=[0.25, 0.25])
+        kwargs[name] = values
+        with pytest.raises(ValueError, match=re.escape(f"{name} has shape {shape}, expected (2,)")):
+            ProbabilityTables([0, 1], ["f", "g"], [0, 0], ["p", "q"], **kwargs)
 
     @pytest.mark.parametrize("bad", [dict(p_x=0.0), dict(p_y=1.5), dict(p_xy=-0.1)])
     def test_rejects_out_of_range(self, bad):

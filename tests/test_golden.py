@@ -2,8 +2,8 @@
 
 Each case runs one subcommand through ``cli.main`` on a seeded TSV and
 compares the sha256 of the output file and of its manifest with the digests
-below. The later cases pin the paths no single command covers: ranking a
-saved DP aggregate file, a two-stage DP fold, and ``eval``'s two files. A
+below. The later cases pin the paths no single command covers: JSON-lines
+output (with ``--top-k`` on one case), ranking a saved DP aggregate file, a two-stage DP fold, and ``eval``'s two files. A
 change that alters these bytes on purpose updates the digests and names the
 changed outputs, and why, in CHANGES.md; any other digest mismatch is a
 regression.
@@ -71,6 +71,28 @@ def test_output_bytes_match_the_pinned_digests(tmp_path, command, mode):
     assert main([command, "--input", inp, "--output", out, *flags]) == 0
     got = (_sha256(out), _sha256(out + ".manifest.jsonl"))
     assert got == GOLDEN[(command, mode)]
+
+
+# command -> (its flags, sha256 of the output, sha256 of <output>.manifest.jsonl),
+# for JSON-lines output: a no-DP rank cut by --top-k, and a DP flip
+GOLDEN_JSONL = {
+    "rank": (("--no-dp", "--top-k", "25"),
+             "97d26c7fb8e60c7a03b7d48420b11ca5a30277d528b6ef5fee2b379d13da21de",
+             "a56405d4a407a8a1f636163dd67deb939b180327158847e1bab50ffb78b5d514"),
+    "flip": (DP,
+             "f5dc9351a854527f3358d9a1615f315fe36d77f7f7bc6897f9e7922e5b43f0e6",
+             "0d077de6da4e9866f3f5275858599db9b88a233ba1f16e0950c0438d07d0563a"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_JSONL))
+def test_jsonl_output_matches_the_pinned_digests(tmp_path, command):
+    flags, *digests = GOLDEN_JSONL[command]
+    inp = _seeded_tsv(tmp_path / "in.tsv")
+    out = str(tmp_path / f"{command}.jsonl")
+    assert main([command, "--input", inp, "--output", out, "--output-format", "jsonl",
+                 *flags]) == 0
+    assert [_sha256(out), _sha256(out + ".manifest.jsonl")] == digests
 
 
 # command -> (sha256 of the output, sha256 of <output>.manifest.jsonl), for

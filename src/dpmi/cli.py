@@ -34,7 +34,8 @@ from .evaluation import (
     write_sweep_tsv,
 )
 from .mi import FoldSpec, flip, nfold, rank, rank_records
-from .model import OTHER_KEY, AggregateTable, Columns, PrivacyConfig, Record, validate_record
+from .model import (OTHER_KEY, AggregateTable, Columns, PrivacyConfig, Ranking, Record,
+                    validate_record)
 
 logger = logging.getLogger(__name__)
 
@@ -137,42 +138,43 @@ def read_records(path: str, columns) -> tuple[Columns, Counter, int]:
 # output
 
 
-def _check_tsv_keys(results) -> None:
-    """Refuse a key holding a tab or line break, which would break a TSV row."""
-    for r in results:
-        for key in (r.partition, r.feature):
-            if "\t" in key or "\r" in key or "\n" in key:
-                raise ValueError(
-                    f"key {key!r} holds a tab or line break, which a TSV row cannot; "
-                    "use --output-format jsonl"
-                )
+def _check_tsv_keys(results: Ranking) -> None:
+    """Refuse a key holding a tab or line break, which would break a TSV row.
+
+    Each distinct key is checked once, partitions first, in rank order.
+    """
+    for key in dict.fromkeys([*results.partitions.tolist(), *results.features.tolist()]):
+        if "\t" in key or "\r" in key or "\n" in key:
+            raise ValueError(
+                f"key {key!r} holds a tab or line break, which a TSV row cannot; "
+                "use --output-format jsonl"
+            )
 
 
-def write_results(results, path: str, output_format: str) -> None:
+def write_results(results: Ranking, path: str, output_format: str) -> None:
+    """Write a ranking as TSV or JSON lines, one row per pair, from its columns."""
     if output_format == "tsv":
         _check_tsv_keys(results)
+    rows = zip(
+        results.partitions.tolist(),
+        results.features.tolist(),
+        map(fmt_sig, results.mi.tolist()),
+        [d.value for d in results.directions.tolist()],
+        results.ranks,
+    )
     with open(path, "w", encoding="utf-8") as fh:
         if output_format == "jsonl":
-            for r in results:
-                fh.write(
-                    json.dumps(
-                        {
-                            "partition": r.partition,
-                            "feature": r.feature,
-                            "mi": float(fmt_sig(r.mi)),
-                            "direction": r.direction.value,
-                            "rank": r.rank,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
+            fh.writelines(
+                json.dumps(
+                    {"partition": p, "feature": f, "mi": float(mi), "direction": d, "rank": r},
+                    sort_keys=True,
                 )
+                + "\n"
+                for p, f, mi, d, r in rows
+            )
         else:
             fh.write("partition\tfeature\tmi\tdirection\trank\n")
-            for r in results:
-                fh.write(
-                    f"{r.partition}\t{r.feature}\t{fmt_sig(r.mi)}\t{r.direction.value}\t{r.rank}\n"
-                )
+            fh.writelines(f"{p}\t{f}\t{mi}\t{d}\t{r}\n" for p, f, mi, d, r in rows)
 
 
 def write_manifest(path: str, events) -> None:
@@ -233,7 +235,7 @@ def read_aggregate_file(path: str) -> AggregateTable:
                     raise ValueError(f"{where} repeats an earlier row")
                 tables[kind][key] = value
             elif kind not in ("total", "meta"):  # the total is derived, meta is the ledger's
-                raise ValueError(f"{path}: unknown table row {obj!r}")
+                raise ValueError(f"{path} line {lineno}: unknown table row {obj!r}")
     return AggregateTable(*tables.values())
 
 
@@ -460,7 +462,8 @@ def cmd_fold(args, privacy, accountant) -> list[dict]:
     fold_results = nfold(folds, seeds, privacy, accountant)
     stage_results = [fr.results[: args.top_k] for fr in fold_results]
     if args.output_format == "tsv":  # refuse any stage before writing a file
-        _check_tsv_keys([r for results in stage_results for r in results])
+        for results in stage_results:
+            _check_tsv_keys(results)
     events = []
     for fr, results, (_, counts) in zip(fold_results, stage_results, ingested):
         out_path = f"{args.output}.fold{fr.index}.{args.output_format}"
@@ -509,11 +512,12 @@ def cmd_eval(args, privacy, accountant) -> None:
         logger.info("runtime ratio %.2f over %d partitions", rt.ratio, rt.partitions)
         return
     top_k = args.top_k if args.top_k is not None else 10000
+    # both files' rows before either file, so a failure leaves no partial result
     sweep_rows = epsilon_sweep(records, privacy, args.epsilons, args.trials, top_k)
-    write_sweep_tsv(sweep_rows, os.path.join(args.output, "sweep.tsv"))
     stability_rows = head_tail_stability(
         records, privacy, args.stability_epsilon, args.trials, min(top_k, 100)
     )
+    write_sweep_tsv(sweep_rows, os.path.join(args.output, "sweep.tsv"))
     write_stability_tsv(stability_rows, os.path.join(args.output, "stability.tsv"))
 
 

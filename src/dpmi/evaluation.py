@@ -16,7 +16,7 @@ import numpy as np
 from .aggregate import accumulate, build_probability_tables, release_aggregate_table
 from .dp import prepare_records
 from .mi import binary_rank, rank, rank_records
-from .model import Columns, PrivacyConfig, RankedResult, Record
+from .model import Columns, PrivacyConfig, Ranking, Record
 
 PERCENTILES = (10, 25, 50, 75, 90)
 DEFAULT_EPSILONS = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -47,8 +47,8 @@ class RankComparison:
 
 
 def compare_rankings(
-    baseline: Sequence[RankedResult],
-    private: Sequence[RankedResult],
+    baseline: Ranking,
+    private: Ranking,
     top_k: int = 10000,
 ) -> RankComparison:
     """Rank errors over the baseline's top_k pairs.
@@ -72,14 +72,18 @@ def compare_rankings(
     )
 
 
-def _rank_errors(
-    baseline: Sequence[RankedResult], private: Sequence[RankedResult]
-) -> list[int | None]:
+def _rank_errors(baseline: Ranking, private: Ranking) -> list[int | None]:
     """Each baseline pair's absolute rank error in ``private``; None where
-    ``private`` does not hold the pair."""
-    private_rank = {(r.partition, r.feature): r.rank for r in private}
-    positions = [private_rank.get((r.partition, r.feature)) for r in baseline]
-    return [None if pos is None else abs(r.rank - pos) for r, pos in zip(baseline, positions)]
+    ``private`` does not hold the pair. Both sides are read from their key
+    and rank columns."""
+    private_rank = dict(zip(_pairs(private), private.ranks))
+    positions = map(private_rank.get, _pairs(baseline))
+    return [None if pos is None else abs(r - pos) for r, pos in zip(baseline.ranks, positions)]
+
+
+def _pairs(ranking: Ranking) -> Iterator[tuple[str, str]]:
+    """The (partition, feature) key of each row, in rank order."""
+    return zip(ranking.partitions.tolist(), ranking.features.tolist())
 
 
 @dataclass
@@ -101,8 +105,8 @@ def _private_rankings(
     privacy: PrivacyConfig,
     epsilons: Sequence[float],
     trials: int,
-    baseline: list[RankedResult],
-) -> Iterator[tuple[float, list[RankedResult]]]:
+    baseline: Ranking,
+) -> Iterator[tuple[float, Ranking]]:
     """Yield (epsilon, private ranking) for every trial and epsilon.
 
     Trial t runs with seed + t. Bounding, clamping and the group-by depend on
@@ -212,8 +216,8 @@ class RuntimeComparison:
     batched_seconds: float
     binary_seconds: float
     ratio: float
-    batched_results: list[RankedResult]
-    binary_results: dict[str, list[RankedResult]]
+    batched_results: Ranking
+    binary_results: dict[str, Ranking]
 
 
 def runtime_compare(
@@ -225,8 +229,8 @@ def runtime_compare(
 
     Both sides run without privacy, so only the compute paths differ.
     Records are converted to columns once, before either clock starts, and
-    both sides are timed from that one table. The per-partition result
-    lists are kept so callers can check that both paths agree on MI values.
+    both sides are timed from that one table. The per-partition rankings
+    are kept so callers can check that both paths agree on MI values.
     ``threads`` is accepted and ignored.
     """
     cols = Columns.from_records(records)
@@ -237,7 +241,7 @@ def runtime_compare(
     start = time.perf_counter()
     batched = rank_records(cols, None)
     batched_seconds = time.perf_counter() - start
-    binary_results: dict[str, list[RankedResult]] = {}
+    binary_results: dict[str, Ranking] = {}
     binary_seconds = 0.0
     for partition in partitions:
         start = time.perf_counter()

@@ -22,7 +22,7 @@ from .model import (
     Direction,
     PrivacyConfig,
     ProbabilityTables,
-    RankedResult,
+    Ranking,
     Record,
 )
 
@@ -104,10 +104,11 @@ def direction(p_x, p_y, p_xy):
     return _DIRECTIONS[(inside > outside).astype(np.intp)]
 
 
-def rank(tables: ProbabilityTables, *, compared: str = "partitions") -> list[RankedResult]:
+def rank(tables: ProbabilityTables, *, compared: str = "partitions") -> Ranking:
     """Score every pair and order globally by MI descending.
 
-    All pairs are scored at once on arrays. MI cells use the fixed
+    All pairs are scored at once on arrays, and the result holds them as
+    columns: no object is built per pair. MI cells use the fixed
     probability floor ``TOL``. Ties break by (partition, feature), which
     the pair codes order as their keys, so repeated runs emit identical
     files. Scores pushed below zero by noise artifacts are clamped to zero.
@@ -118,13 +119,13 @@ def rank(tables: ProbabilityTables, *, compared: str = "partitions") -> list[Ran
     the released keys of each side.
     """
     if not len(tables):
-        return []
+        return Ranking.empty()
     if len(tables.partition_keys) < 2:
         logger.warning("fewer than two %s remain; one-vs-all ranking is empty", compared)
-        return []
+        return Ranking.empty()
     if (tables.p_y == 1.0).any():
         logger.warning("one of the %s holds the whole total; one-vs-all ranking is empty", compared)
-        return []
+        return Ranking.empty()
     if min(len(tables.feature_keys), len(tables.partition_keys)) > CARDINALITY_WARNING:
         logger.warning(
             "ranking %d features against %d partitions; quality degrades when both sides are this large",
@@ -135,15 +136,12 @@ def rank(tables: ProbabilityTables, *, compared: str = "partitions") -> list[Ran
     mi = _floor0(calc_mi(p_x, p_y, p_xy))
     # (partition, feature) is unique, so the order is total.
     order = np.lexsort((tables.features, tables.partitions, -mi))
-    columns = (
-        list(map(tables.partition_keys.__getitem__, tables.partitions[order].tolist())),
-        list(map(tables.feature_keys.__getitem__, tables.features[order].tolist())),
-        mi[order].tolist(),
-        direction(p_x, p_y, p_xy)[order].tolist(),
-        range(1, len(order) + 1),
+    return Ranking(
+        np.array(tables.partition_keys, dtype=object)[tables.partitions[order]],
+        np.array(tables.feature_keys, dtype=object)[tables.features[order]],
+        mi[order],
+        direction(p_x, p_y, p_xy)[order],
     )
-    # RankedResult's fields in order: partition, feature, mi, direction, rank
-    return list(map(RankedResult, *columns))
 
 
 def transpose_tables(tables: ProbabilityTables) -> ProbabilityTables:
@@ -154,7 +152,7 @@ def transpose_tables(tables: ProbabilityTables) -> ProbabilityTables:
     )
 
 
-def flip(tables: ProbabilityTables) -> list[RankedResult]:
+def flip(tables: ProbabilityTables) -> Ranking:
     """Rank partitions per feature, reusing MI symmetry on the transposed table.
 
     With fewer than two released features the result is empty, as rank's is
@@ -171,8 +169,8 @@ def rank_records(
     swap: bool = False,
     top_k: int | None = None,
     label_prefix: str = "",
-) -> list[RankedResult]:
-    """Full pipeline from records to a ranked results list.
+) -> Ranking:
+    """Full pipeline from records to a ranking.
 
     With a privacy config: bound contributions, clamp, aggregate, release
     the three tables under the split budget, normalize, rank. With privacy
@@ -196,7 +194,7 @@ def binary_rank(
     records: Columns | Iterable[Record],
     partition: str,
     privacy: PrivacyConfig | None,
-) -> list[RankedResult]:
+) -> Ranking:
     """One-vs-all ranking for a single partition label.
 
     Rows keep their partition when it matches and collapse into a rest
@@ -239,7 +237,7 @@ class FoldResult:
     cohort_size: int
     rest_size: int
     epsilon: float
-    results: list[RankedResult]
+    results: Ranking
     next_seeds: tuple[str, ...]
 
 
@@ -303,11 +301,10 @@ def nfold(
             accountant,
             label_prefix=f"fold{i}/",
         )
-        next_seeds = tuple(
-            r.feature
-            for r in ranked
-            if r.partition == COHORT_LABEL and r.direction is Direction.PRESENCE
-        )[: fold.top_k]
+        # numpy would compare a bare Direction as its str(), so match its value
+        presence = ranked.directions == Direction.PRESENCE.value
+        seeding = presence & (ranked.partitions == COHORT_LABEL)
+        next_seeds = tuple(ranked.features[seeding][: fold.top_k].tolist())
         result = FoldResult(
             index=i,
             seeds=seeds,

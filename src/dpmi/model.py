@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -283,3 +283,57 @@ class RankedResult:
     mi: float
     direction: Direction
     rank: int
+
+
+@dataclass(frozen=True, eq=False)
+class Ranking(Sequence[RankedResult]):
+    """Scored (feature, partition) pairs in the global descending-MI order, as columns.
+
+    Row i pairs ``partitions[i]`` with ``features[i]`` (object arrays of
+    key strings), scores it ``mi[i]`` (float64) with direction
+    ``directions[i]`` (an object array of Direction), and has rank
+    ``ranks[i]``: i + 1, unless the Ranking is a slice of a longer one. A
+    Ranking is a read-only sequence of RankedResult rows, built only when a
+    caller iterates or indexes it. A slice is a Ranking whose rows keep their
+    ranks. Equality with another Ranking or a list compares the rows.
+    """
+
+    partitions: np.ndarray
+    features: np.ndarray
+    mi: np.ndarray
+    directions: np.ndarray
+    ranks: range = None  # type: ignore[assignment]  # range(1, n + 1) when omitted
+
+    def __post_init__(self) -> None:
+        if self.ranks is None:
+            object.__setattr__(self, "ranks", range(1, len(self.mi) + 1))
+        sizes = {len(column) for column in (self.partitions, self.features, self.mi,
+                                            self.directions, self.ranks)}
+        if len(sizes) != 1:
+            raise ValueError(f"ranking columns differ in length: {sorted(sizes)}")
+
+    @classmethod
+    def empty(cls) -> Ranking:
+        keys = np.empty(0, dtype=object)
+        return cls(keys, keys, np.empty(0, dtype=np.float64), keys)
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Ranking(self.partitions[index], self.features[index], self.mi[index],
+                           self.directions[index], self.ranks[index])
+        rank = self.ranks[index]  # raises IndexError past either end
+        return RankedResult(self.partitions[index], self.features[index],
+                            float(self.mi[index]), self.directions[index], rank)
+
+    def __iter__(self) -> Iterator[RankedResult]:
+        # RankedResult's fields in order: partition, feature, mi, direction, rank
+        return map(RankedResult, self.partitions.tolist(), self.features.tolist(),
+                   self.mi.tolist(), self.directions.tolist(), self.ranks)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Ranking, list)):
+            return list(self) == list(other)
+        return NotImplemented

@@ -10,10 +10,13 @@ scalar reference for the column clamp in ``prepare_records``, and
 reference for ``dp.keyed_u64s`` and ``dp.keyed_uniforms``. ``calc_single_mi``,
 ``calc_mi`` and ``direction`` are the scalar references for the array
 versions in ``dpmi.mi``, and ``binary_rank_oracle`` relabels Records by hand
-before ``rank_records``. ``ListAccumulator`` is the reference group-by for
-``aggregate.accumulate``: one list of values per joint cell, and each
-marginal the fsum over its cells' lists. ``records_of`` turns columns back
-into Records so tests can compare stage outputs row by row.
+before ``rank_records``. ``rank_oracle`` is the per-pair ranking that
+``mi.rank`` replaced: it scores the pairs on arrays as ``rank`` does, then
+builds one ``RankedResult`` per pair, in rank order. ``ListAccumulator`` is
+the reference group-by for ``aggregate.accumulate``: one list of values per
+joint cell, and each marginal the fsum over its cells' lists. ``records_of``
+turns columns back into Records so tests can compare stage outputs row by
+row.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from dpmi.evaluation import (
     compare_rankings,
     nearest_rank_percentile,
 )
+from dpmi import mi
 from dpmi.mi import REST_LABEL, TOL, rank_records
-from dpmi.model import Direction, Record
+from dpmi.model import Direction, RankedResult, Record
 
 _U64 = 2**64 - 1
 
@@ -156,6 +160,26 @@ def binary_rank_oracle(records, partition, privacy):
         for r in records
     ]
     return rank_records(relabeled, privacy)
+
+
+def rank_oracle(tables) -> list[RankedResult]:
+    """Every pair of ``tables`` as a RankedResult, ordered by MI descending and
+    then by (partition, feature); empty when ``mi.rank`` warns and ranks none."""
+    if not len(tables) or len(tables.partition_keys) < 2 or (tables.p_y == 1.0).any():
+        return []
+    p_x, p_y, p_xy = tables.p_x, tables.p_y, tables.p_xy
+    scores = mi.calc_mi(p_x, p_y, p_xy)
+    scores = np.where(scores > 0.0, scores, 0.0)
+    order = np.lexsort((tables.features, tables.partitions, -scores))
+    columns = (
+        list(map(tables.partition_keys.__getitem__, tables.partitions[order].tolist())),
+        list(map(tables.feature_keys.__getitem__, tables.features[order].tolist())),
+        scores[order].tolist(),
+        mi.direction(p_x, p_y, p_xy)[order].tolist(),
+        range(1, len(order) + 1),
+    )
+    # RankedResult's fields in order: partition, feature, mi, direction, rank
+    return list(map(RankedResult, *columns))
 
 
 def clamp(observation: float, lo: float, hi: float) -> float:

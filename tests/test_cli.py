@@ -556,7 +556,8 @@ class TestRankCommand:
         ("3", " line 3: expected a JSON object, got 3"),
         ('{"table": "joint", "feature": "f1", "partition": "p1", "val',
          " line 3: Unterminated string starting at: column 56"),
-        ('{"table": "sums", "value": 1.0}', ": unknown table row {'table': 'sums', 'value': 1.0}"),
+        ('{"table": "sums", "value": 1.0}',
+         " line 3: unknown table row {'table': 'sums', 'value': 1.0}"),
     ], ids=["array", "number", "truncated", "unknown-table"])
     def test_saved_line_refusals_name_file_and_line(self, tmp_path, capsys, text, message):
         # a blank first line still counts, so the bad line is the file's line 3
@@ -872,6 +873,18 @@ class TestFoldCommand:
 
 
 class TestEvalCommand:
+    def test_stability_failure_leaves_no_sweep_file(self, tmp_path, capsys):
+        # 50 users over 5 features and 2 partitions give 7 baseline pairs,
+        # too few for the 10 stability buckets; the sweep itself succeeds
+        out = tmp_path / "ev"
+        assert main(["eval", "--synth", "users=50,features=5,partitions=2", "--epsilons", "inf",
+                     "--trials", "1", "--seed", "1", "--output", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "need at least 10 baseline pairs, got 7",
+        }
+        assert not (out / "sweep.tsv").exists()
+        assert not (out / "stability.tsv").exists()
+
     def test_sweep_files_deterministic(self, tmp_path):
         out1, out2 = str(tmp_path / "e1"), str(tmp_path / "e2")
         argv = [

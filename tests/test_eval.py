@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from dpmi.evaluation import (
@@ -15,7 +16,7 @@ from dpmi.evaluation import (
     synth_generate,
 )
 from dpmi.mi import rank_records
-from dpmi.model import Direction, PrivacyConfig, RankedResult, Record
+from dpmi.model import Direction, PrivacyConfig, Ranking, Record
 
 from oracles import epsilon_sweep_oracle, head_tail_stability_oracle, percentile_nearest_rank
 
@@ -41,10 +42,13 @@ def _multi_row_records(users=1500, features=30, partitions=4, seed=0):
 
 
 def _ranked(pairs):
-    return [
-        RankedResult(partition=p, feature=f, mi=1.0 / r, direction=Direction.PRESENCE, rank=r)
-        for (p, f, r) in pairs
-    ]
+    """The Ranking of (partition, feature, rank) triples whose ranks run 1..n in some order."""
+    pairs = sorted(pairs, key=lambda pair: pair[2])
+    assert [r for _, _, r in pairs] == list(range(1, len(pairs) + 1))
+    partitions, features, ranks = zip(*pairs)
+    return Ranking(np.array(partitions, dtype=object), np.array(features, dtype=object),
+                   1.0 / np.array(ranks, dtype=np.float64),
+                   np.array([Direction.PRESENCE] * len(pairs), dtype=object))
 
 
 class TestCompareRankings:

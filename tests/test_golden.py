@@ -3,10 +3,10 @@
 Each case runs one subcommand through ``cli.main`` on a seeded TSV and
 compares the sha256 of the output file and of its manifest with the digests
 below. The later cases pin the paths no single command covers: JSON-lines
-output (with ``--top-k`` on one case), ranking a saved DP aggregate file, a two-stage DP fold, and ``eval``'s two files. A
-change that alters these bytes on purpose updates the digests and names the
-changed outputs, and why, in CHANGES.md; any other digest mismatch is a
-regression.
+output (with ``--top-k`` on one case), ranking a saved DP aggregate file, a
+two-stage DP fold, and ``eval``'s two files. A change that alters these
+bytes on purpose updates the digests and names the changed outputs, and
+why, in CHANGES.md; any other digest mismatch is a regression.
 """
 
 import hashlib

@@ -254,6 +254,47 @@ class TestRank:
         )
 
 
+# Few distinct levels, so that pairs often share a triple and tie on MI.
+_LEVEL = st.one_of(st.sampled_from([0.125, 0.25, 0.5, 0.75, 1.0]),
+                   st.floats(min_value=1e-3, max_value=1.0))
+_KEYS = st.text(alphabet="ab~\t\u00e9", min_size=1, max_size=3)
+
+
+@st.composite
+def _probability_tables(draw):
+    """Tables over 1-4 features and 1-4 partitions, each pair's p_x its
+    feature's and p_y its partition's, and released keys no pair holds."""
+    feature_keys = sorted(draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True)))
+    partition_keys = sorted(draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True)))
+    grid = [(f, p) for f in range(len(feature_keys)) for p in range(len(partition_keys))]
+    pairs = draw(st.lists(st.sampled_from(grid), unique=True, max_size=len(grid)))
+    p_x = [draw(_LEVEL) for _ in feature_keys]
+    p_y = [draw(_LEVEL) for _ in partition_keys]
+    return ProbabilityTables(
+        [f for f, _ in pairs], feature_keys, [p for _, p in pairs], partition_keys,
+        [p_x[f] for f, _ in pairs], [p_y[p] for _, p in pairs], [draw(_LEVEL) for _ in pairs],
+    )
+
+
+class TestRankMatchesPerPairOracle:
+    """rank and flip hold the rows the per-pair ranking built, as columns."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_probability_tables())
+    @example(_tables({(f, p): (0.5, 0.5, 0.4) for f in ("b", "a") for p in ("z", "y")}))
+    @example(_tables({("f", "p"): (0.5, 0.5, 0.4), ("g", "p"): (0.25, 0.5, 0.1)},
+                     n_partitions=1))
+    @example(_tables({("f", "p"): (0.5, 0.5, 0.4), ("g", "q"): (0.25, 0.5, 0.1),
+                      ("g", "p"): (0.25, 0.5, 0.15)}))
+    def test_rank_and_flip_rows_and_mi_bits(self, tables):
+        # the examples: a four-way MI tie, one partition, two partitions
+        for got, want in ((rank(tables), oracles.rank_oracle(tables)),
+                          (flip(tables), oracles.rank_oracle(transpose_tables(tables)))):
+            assert got == want
+            assert got.mi.dtype == np.float64
+            assert _bits(got.mi) == _bits([r.mi for r in want])
+
+
 class TestRankRecords:
     def test_single_surviving_partition_is_empty(self, caplog):
         # the lone p1 row is censored from the partition marginal, leaving p0

@@ -4,9 +4,11 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 
-from dpmi.model import PrivacyConfig, ProbabilityTables, Record, validate_record
+from dpmi.model import (Direction, PrivacyConfig, ProbabilityTables, RankedResult, Ranking,
+                        Record, validate_record)
 
 
 class TestValidateRecord:
@@ -160,3 +162,78 @@ class TestProbabilityTables:
         kwargs[name] = [0.25, value]
         with pytest.raises(ValueError, match=re.escape(f"{name} must lie in (0, 1], got {value}")):
             ProbabilityTables([0, 1], ["f", "g"], [0, 0], ["p", "q"], **kwargs)
+
+
+def _ranking(n):
+    """n rows: partition p{i % 2}, feature f{i}, MI (n - i) / n, alternating directions."""
+    return Ranking(
+        np.array([f"p{i % 2}" for i in range(n)], dtype=object),
+        np.array([f"f{i}" for i in range(n)], dtype=object),
+        np.arange(n, 0, -1, dtype=np.float64) / n,
+        np.array([(Direction.PRESENCE, Direction.ABSENCE)[i % 2] for i in range(n)], dtype=object),
+    )
+
+
+class TestRanking:
+    def test_len_is_the_number_of_pairs(self):
+        assert len(_ranking(7)) == 7
+        assert _ranking(7).ranks == range(1, 8)
+
+    def test_rows_are_ranked_results_with_rank_index_plus_one(self):
+        ranking = _ranking(4)
+        rows = list(ranking)
+        assert all(type(row) is RankedResult for row in rows)
+        assert [row.rank for row in rows] == [1, 2, 3, 4]
+        assert rows[2] == RankedResult("p0", "f2", 0.5, Direction.PRESENCE, 3)
+        assert type(rows[2].mi) is float
+        assert [ranking[i] for i in range(4)] == rows
+
+    def test_negative_index_counts_from_the_end(self):
+        ranking = _ranking(5)
+        assert ranking[-1] == RankedResult("p0", "f4", 0.2, Direction.PRESENCE, 5)
+        assert ranking[-5] == ranking[0]
+        for index in (5, -6):
+            with pytest.raises(IndexError):
+                ranking[index]
+
+    def test_slices_keep_their_ranks(self):
+        ranking = _ranking(10)
+        rows = list(ranking)
+        for part in (slice(3), slice(2, 7), slice(None, None, 3), slice(1, None, 4),
+                     slice(None, None, -2), slice(8, 20)):
+            sliced = ranking[part]
+            assert isinstance(sliced, Ranking)
+            assert list(sliced) == rows[part]
+            assert len(sliced) == len(rows[part])
+        assert [row.rank for row in ranking[::3]] == [1, 4, 7, 10]
+        assert ranking[::3][-1].rank == 10
+        assert ranking[4:][:2] == rows[4:6]
+
+    def test_empty_ranking_is_falsy_and_equals_an_empty_list(self):
+        for empty in (Ranking.empty(), _ranking(3)[3:]):
+            assert not empty
+            assert len(empty) == 0
+            assert empty == []
+            assert [] == empty
+            assert list(empty) == []
+        assert _ranking(1)
+        assert _ranking(1) != []
+
+    def test_equality_compares_rows(self):
+        assert _ranking(4) == _ranking(4)
+        assert _ranking(4) == list(_ranking(4))
+        assert list(_ranking(4)) == _ranking(4)
+        assert _ranking(4) != _ranking(5)
+        assert _ranking(4)[1:] != _ranking(3)  # same keys at other ranks
+        assert _ranking(4) != tuple(_ranking(4))
+
+    def test_columns_of_unequal_length_are_refused(self):
+        ranking = _ranking(3)
+        with pytest.raises(ValueError, match="differ in length"):
+            Ranking(ranking.partitions, ranking.features[:2], ranking.mi, ranking.directions)
+
+    def test_is_read_only(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            _ranking(2).mi = np.zeros(2)
+        with pytest.raises(TypeError):
+            _ranking(2)[0] = None

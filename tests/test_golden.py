@@ -4,7 +4,8 @@ Each case runs one subcommand through ``cli.main`` on a seeded TSV and
 compares the sha256 of the output file and of its manifest with the digests
 below. The later cases pin the paths no single command covers: JSON-lines
 output (with ``--top-k`` on one case), ranking a saved DP aggregate file, a
-two-stage DP fold, and ``eval``'s two files. A change that alters these
+two-stage DP fold, ``eval``'s two files, and a ragged input that spans several
+read blocks and holds every kind of line ingest tells apart. A change that alters these
 bytes on purpose updates the digests and names the changed outputs, and
 why, in CHANGES.md; any other digest mismatch is a regression.
 """
@@ -13,7 +14,7 @@ import hashlib
 
 import pytest
 
-from dpmi.cli import main
+from dpmi.cli import main, read_records
 
 DP = ("--epsilon", "2.0", "--delta", "1e-3", "--contribution-limit", "2", "--seed", "7")
 
@@ -34,12 +35,8 @@ GOLDEN = {
 }
 
 
-def _seeded_tsv(path, users=3000, seed=20240917):
-    """Up to three rows per user from a 64-bit LCG: 40 features, 6 partitions.
-
-    A user's partition leans towards features of its own stripe, so the
-    ranking has a head; observations run past the default clamp of [0, 1].
-    """
+def _lcg(seed):
+    """draw(n): the next state of a 64-bit LCG, reduced to range(n)."""
     state = seed
 
     def draw(n):
@@ -47,6 +44,16 @@ def _seeded_tsv(path, users=3000, seed=20240917):
         state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
         return (state >> 33) % n
 
+    return draw
+
+
+def _seeded_tsv(path, users=3000, seed=20240917):
+    """Up to three rows per user from a 64-bit LCG: 40 features, 6 partitions.
+
+    A user's partition leans towards features of its own stripe, so the
+    ranking has a head; observations run past the default clamp of [0, 1].
+    """
+    draw = _lcg(seed)
     lines = ["id\tfeature\tpartition\tobservation"]
     for u in range(users):
         partition = draw(6)
@@ -134,6 +141,74 @@ def test_two_stage_dp_fold_matches_the_pinned_digests(tmp_path, monkeypatch):
             "--delta", "1e-3", "--contribution-limit", "2", "--seed", "7"]
     assert main(argv) == 0
     assert {name: _sha256(tmp_path / name) for name in GOLDEN_FOLD} == GOLDEN_FOLD
+
+
+# one malformed row per rejection reason, filled from (user, feature, partition)
+MALFORMED = (
+    ("fields", "u{0:04d}\tf{1:02d}"),
+    ("empty_key", "\tf{1:02d}\tp{2}\t0.5"),
+    ("reserved", "u{0:04d}\t__other__\tp{2}\t0.5"),
+    ("parse", "u{0:04d}\tf{1:02d}\tp{2}\tn/a"),
+    ("non_finite", "u{0:04d}\tf{1:02d}\tp{2}\t1e400"),
+    ("negative", "u{0:04d}\tf{1:02d}\tp{2}\t-0.25"),
+)
+
+
+def _ragged_tsv(path, users=6000, seed=20241020):
+    """A seeded TSV of about 230 kB, several 64 KiB reads, that ingest must sort out.
+
+    Rows are drawn as in ``_seeded_tsv``. About one row in 25 is followed by
+    a malformed row (``MALFORMED``, every reason), one in 40 by a blank
+    line, and one line in three ends in CRLF. Users 7 and 4321 each add a
+    valid row with a fifth field.
+    """
+    draw = _lcg(seed)
+    lines = ["id\tfeature\tpartition\tobservation"]
+    for u in range(users):
+        partition = draw(6)
+        for _ in range(1 + draw(3)):
+            feature = partition + 6 * draw(6) if draw(10) < 7 else draw(40)
+            lines.append(f"u{u:04d}\tf{feature:02d}\tp{partition}\t{draw(150) / 100}")
+            if draw(25) == 0:
+                lines.append(MALFORMED[draw(len(MALFORMED))][1].format(u, feature, partition))
+            if draw(40) == 0:
+                lines.append("")
+        if u in (7, 4321):
+            lines.append(f"u{u:04d}\tf{partition:02d}\tp{partition}\t0.75\textra")
+    text = "".join(line + ("\r\n" if draw(3) == 0 else "\n") for line in lines)
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+# (command, flags) -> (sha256 of the output, sha256 of <output>.manifest.jsonl), on
+# _ragged_tsv: the no-DP aggregate manifest holds rows_read and rows_rejected
+GOLDEN_RAGGED = {
+    ("aggregate", "nodp"): ("50606b79567280d639f9df175eabbfc5cb17c2647f07ee4bf0251cc5b3e8aba8",
+                            "637cd90c2e6d57a7d1ac469a75ebbe5cd5cfa19a342a81b8de6dda027349d2f8"),
+    ("rank", "dp"): ("c63d4b24bd35ce7535839d7f8b4762dd69a92ce5d37f867296be0d449566a292",
+                     "0d077de6da4e9866f3f5275858599db9b88a233ba1f16e0950c0438d07d0563a"),
+}
+
+
+def test_ragged_input_holds_every_line_kind(tmp_path):
+    path = _ragged_tsv(tmp_path / "in.tsv")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert len(data) > 3 * 65536
+    assert b"\r\n" in data and data.count(b"\n\n") + data.count(b"\n\r\n") > 10
+    assert data.count(b"\textra") == 2
+    _, rejects, _ = read_records(path, ("id", "feature", "partition", "observation"))
+    assert set(rejects) == {reason for reason, _ in MALFORMED}
+
+
+@pytest.mark.parametrize("command,mode", sorted(GOLDEN_RAGGED))
+def test_ragged_input_matches_the_pinned_digests(tmp_path, command, mode):
+    inp = _ragged_tsv(tmp_path / "in.tsv")
+    out = str(tmp_path / f"{command}.out")
+    flags = ("--no-dp",) if mode == "nodp" else DP
+    assert main([command, "--input", inp, "--output", out, *flags]) == 0
+    got = (_sha256(out), _sha256(out + ".manifest.jsonl"))
+    assert got == GOLDEN_RAGGED[(command, mode)]
 
 
 # file -> sha256, for `eval` sweeping three epsilons over two trials

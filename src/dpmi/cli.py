@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 
@@ -34,13 +35,16 @@ from .evaluation import (
     write_sweep_tsv,
 )
 from .mi import FoldSpec, flip, nfold, rank, rank_records
-from .model import (OTHER_KEY, AggregateTable, Columns, PrivacyConfig, Ranking, Record,
-                    validate_record)
+from .model import (OTHER_KEY, AggregateTable, Columns, KeyCoder, PrivacyConfig, Ranking,
+                    Record, validate_record)
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_COLUMNS = ("id", "feature", "partition", "observation")
 SYNTH_KEYS = ("users", "features", "partitions", "strength", "zipf")
+# Characters per read of a delimited body: with the distinct keys, all that
+# ingest holds beyond the coded columns.
+_BLOCK_CHARS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -76,62 +80,128 @@ def _jsonl_rows(fh, columns):
             yield row
 
 
-def _delimited_rows(fh, path: str, columns):
-    """Each line's mapped fields, or "fields" when the line is too short."""
-    header_line = fh.readline().rstrip("\r\n")
-    if not header_line:
-        raise ValueError(f"{path}: empty input, expected a header line")
+def _valid_columns(rows, coders, rejects: Counter):
+    """The valid rows among ``rows``: (id, feature, partition codes, observations).
+
+    A row is a list of raw (id, feature, partition, observation) fields, or
+    the reason it already fails; each rejected row counts its reason, and
+    only the valid rows' keys are coded.
+    """
+    valid = []
+    for row in rows:
+        parsed = row if isinstance(row, str) else validate_record(row)
+        if isinstance(parsed, str):
+            rejects[parsed] += 1
+        else:
+            valid.append(parsed)
+    *keys, observations = zip(*valid) if valid else ((),) * 4
+    return (*(coder.code(column) for coder, column in zip(coders, keys)),
+            np.array(observations, np.float64))
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _block_columns(lines: list[str], delim: str, width: int, indices: list[int],
+                   coders, rejects: Counter):
+    """The valid rows among one block's lines, as ``_valid_columns`` gives them.
+
+    Lines with the header's ``width`` fields are joined and split once, and
+    each mapped column is a stride slice of the fields, coded whole. The
+    columns are checked whole too; only a row that fails a check goes
+    through validate_record, which names its reason, and its codes are
+    dropped. A blank line is skipped, and an off-count line too short for
+    the mapped columns is a "fields" reject. An off-count line long enough
+    to read sends the whole block down the per-line path, so rows keep file
+    order.
+    """
+    last = max(indices)
+    counts = list(map(str.count, lines, repeat(delim)))
+    if counts.count(width - 1) < len(lines):
+        ragged = [line.split(delim) for line, n in zip(lines, counts) if line and n != width - 1]
+        if any(len(fields) > last for fields in ragged):
+            split = (line.split(delim) for line in lines if line)
+            rows = ([fields[i] for i in indices] if len(fields) > last else "fields"
+                    for fields in split)
+            return _valid_columns(rows, coders, rejects)
+        if ragged:
+            rejects["fields"] += len(ragged)
+        lines = [line for line, n in zip(lines, counts) if n == width - 1]
+    fields = delim.join(lines).split(delim) if lines else []
+    observations = np.array([_float_or_nan(text) for text in fields[indices[3]::width]],
+                            np.float64)
+    codes = [coder.code(fields[i::width]) for coder, i in zip(coders, indices)]
+    with np.errstate(invalid="ignore"):  # NaN, a parse failure included, fails both
+        ok = (observations >= 0) & (observations < math.inf)
+    for coder, column, refused in zip(coders, codes, (("",), ("", OTHER_KEY), ("", OTHER_KEY))):
+        for key in refused:
+            if key in coder.index:
+                ok &= column != coder.index[key]
+    for row in np.flatnonzero(~ok).tolist():
+        rejects[validate_record([fields[row * width + i] for i in indices])] += 1
+    return (*(column[ok] for column in codes), observations[ok])
+
+
+def _delimited_blocks(fh, header_line: str, path: str, columns, coders, rejects: Counter):
+    """Each block's valid rows, as ``_block_columns`` gives them, in file order.
+
+    A mapped column that the header lacks, or names more than once, is an
+    error naming the column. The body is read _BLOCK_CHARS characters at a
+    time, and each read's partial last line is carried into the next. Lines
+    are split on "\\n" alone: text mode has already turned "\\r\\n" and a bare
+    "\\r" into it, and str.splitlines would also break on form feeds and other
+    separators.
+    """
     delim = "\t" if "\t" in header_line else ","
     header = header_line.split(delim)
-    indices = []
     for name in columns:
-        if name not in header:
-            raise ValueError(f"{path}: column {name!r} not found in header {header}")
-        indices.append(header.index(name))
-    last = max(indices)
-    for line in fh:
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        fields = line.split(delim)
-        yield [fields[i] for i in indices] if last < len(fields) else "fields"
+        if header.count(name) != 1:
+            problem = "not found in" if name not in header else "named more than once in"
+            raise ValueError(f"{path}: column {name!r} {problem} header {header}")
+    width, indices = len(header), [header.index(name) for name in columns]
+    tail = ""
+    while True:
+        chunk = fh.read(_BLOCK_CHARS)
+        lines = (tail + chunk).split("\n")
+        tail = lines.pop() if chunk else ""
+        yield _block_columns(lines, delim, width, indices, coders, rejects)
+        if not chunk:
+            return
 
 
 def read_records(path: str, columns) -> tuple[Columns, Counter, int]:
     """Read and validate one input file.
 
-    A file whose first non-empty line starts with ``{`` is JSON lines, any
-    other is delimited. Returns (the valid rows as coded columns, rejection
-    counts by reason, rows read). Each valid row's fields are appended to
-    lists that are encoded once at the end, and no Record is built. A
-    missing mapped column is a hard error naming the column.
+    A file whose first non-empty line starts with ``{`` is JSON lines, read
+    line by line; any other is delimited, its header is that first
+    non-empty line, and its body is read in blocks (``_delimited_blocks``).
+    Returns (the valid rows as coded columns, rejection counts by reason,
+    rows read). Keys are coded in first-seen order as blocks arrive, and no
+    Record is built. A missing or repeated mapped column is a hard error
+    naming the column.
     """
-    ids: list[str] = []
-    features: list[str] = []
-    partitions: list[str] = []
-    observations: list[float] = []
     rejects: Counter = Counter()
-    rows_read = 0
+    coders = KeyCoder(), KeyCoder(), KeyCoder()
     with open(path, "r", encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
-        first = next((line for line in fh if line.strip()), "")
-        fh.seek(0)
+        first = next(filter(str.strip, fh), "")
         if first.startswith("{"):
-            rows = _jsonl_rows(fh, columns)
+            fh.seek(0)
+            blocks = [_valid_columns(_jsonl_rows(fh, columns), coders, rejects)]
+        elif first:
+            blocks = list(_delimited_blocks(fh, first.rstrip("\n"), path, columns, coders,
+                                            rejects))
         else:
-            rows = _delimited_rows(fh, path, columns)
-        for row in rows:
-            rows_read += 1
-            parsed = row if isinstance(row, str) else validate_record(row)
-            if isinstance(parsed, str):
-                rejects[parsed] += 1
-            else:
-                rid, feature, partition, value = parsed
-                ids.append(rid)
-                features.append(feature)
-                partitions.append(partition)
-                observations.append(value)
-    cols = Columns.from_keys(ids, features, partitions, np.array(observations, np.float64))
-    return cols, rejects, rows_read
+            raise ValueError(f"{path}: empty input, expected a header line")
+    *codes, observations = (np.concatenate(column) for column in zip(*blocks))
+    (id_keys, ids), (feature_keys, features), (partition_keys, partitions) = (
+        coder.finish(column) for coder, column in zip(coders, codes))
+    cols = Columns(ids, id_keys, features, feature_keys, partitions, partition_keys,
+                   observations)
+    return cols, rejects, len(cols) + sum(rejects.values())
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +337,10 @@ def _parse_columns(text: str) -> tuple[str, str, str, str]:
         raise argparse.ArgumentTypeError(
             f"expected four column names (id,feature,partition,observation roles), got {text!r}"
         )
+    repeated = [name for name in parts if parts.count(name) > 1]
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"column {repeated[0]!r} is named for more than one role in {text!r}")
     return parts  # type: ignore[return-value]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, count
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -37,18 +38,46 @@ class Record:
     observation: float
 
 
-def encode(keys: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct keys in sorted order, and each key's index among them.
+class KeyCoder:
+    """Codes one key column as it arrives, block by block, then in string order.
 
-    Codes follow Python string order, so sorting by code sorts by key. A dict
-    does the encoding because numpy ``U`` arrays drop trailing NULs and would
-    merge ``"u"`` with ``"u\\x00"``. The distinct keys keep their first-seen
-    order until the sort, which is fast on input already grouped by key.
+    ``code`` gives each key the number of the row it first occurred in,
+    counting rows over every block coded so far; a block is coded in one
+    pass of dict lookups, and only the distinct keys are held. ``finish``
+    sorts the keys that the given codes use, once, and remaps those codes to
+    the keys' sorted positions with one take, so codes follow Python string
+    order and sorting by code sorts by key. A dict holds the keys because
+    numpy ``U`` arrays drop trailing NULs and would merge ``"u"`` with
+    ``"u\\x00"``.
     """
-    index = dict.fromkeys(keys)
-    distinct = sorted(index)
-    index.update(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}  # key -> the row it first occurred in
+        self.rows = 0
+
+    def code(self, keys: Sequence[str]) -> np.ndarray:
+        """The keys' first-occurrence codes, the keys taken as the next rows."""
+        codes = np.fromiter(map(self.index.setdefault, keys, count(self.rows)), np.int64,
+                            len(keys))
+        self.rows += len(keys)
+        return codes
+
+    def finish(self, codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """The distinct keys that ``codes`` use, sorted, and each code's index among them."""
+        firsts = np.fromiter(self.index.values(), np.int64, len(self.index))
+        used = np.zeros(self.rows, bool)
+        used[codes] = True
+        keys = sorted(compress(self.index, used[firsts].tolist()))
+        position = np.empty(self.rows, np.int64)
+        position[np.fromiter(map(self.index.__getitem__, keys), np.int64, len(keys))] = (
+            np.arange(len(keys)))
+        return keys, position[codes]
+
+
+def encode(keys: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct keys in sorted order, and each key's index among them."""
+    coder = KeyCoder()
+    return coder.finish(coder.code(keys))
 
 
 @dataclass(eq=False, slots=True)
@@ -75,32 +104,16 @@ class Columns:
         return len(self.observations)
 
     @classmethod
-    def from_keys(
-        cls,
-        ids: Sequence[str],
-        features: Sequence[str],
-        partitions: Sequence[str],
-        observations: np.ndarray,
-    ) -> Columns:
-        """The coded columns of three key columns and the observations."""
-        id_keys, id_codes = encode(ids)
-        feature_keys, feature_codes = encode(features)
-        partition_keys, partition_codes = encode(partitions)
-        return cls(id_codes, id_keys, feature_codes, feature_keys, partition_codes,
-                   partition_keys, observations)
-
-    @classmethod
     def from_records(cls, records: Columns | Iterable[Record]) -> Columns:
         """The columns of a Record list; a Columns passes through unchanged."""
         if isinstance(records, Columns):
             return records
         records = list(records)
-        return cls.from_keys(
-            [r.id for r in records],
-            [r.feature for r in records],
-            [r.partition for r in records],
-            np.fromiter((r.observation for r in records), np.float64, len(records)),
-        )
+        (id_keys, ids), (feature_keys, features), (partition_keys, partitions) = (
+            encode(keys) for keys in ([r.id for r in records], [r.feature for r in records],
+                                      [r.partition for r in records]))
+        observations = np.fromiter((r.observation for r in records), np.float64, len(records))
+        return cls(ids, id_keys, features, feature_keys, partitions, partition_keys, observations)
 
     def take(self, index: np.ndarray) -> Columns:
         """The rows at ``index``, in that order; the key lists are shared."""

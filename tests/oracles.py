@@ -10,7 +10,10 @@ scalar reference for the column clamp in ``prepare_records``, and
 reference for ``dp.keyed_u64s`` and ``dp.keyed_uniforms``. ``calc_single_mi``,
 ``calc_mi`` and ``direction`` are the scalar references for the array
 versions in ``dpmi.mi``, and ``binary_rank_oracle`` relabels Records by hand
-before ``rank_records``. ``rank_oracle`` is the per-pair ranking that
+before ``rank_records``. ``read_records_oracle`` is the per-line reader of
+delimited input that ``cli.read_records`` replaced: each line is split and
+validated on its own, and each key column is encoded at the end by sorting
+its distinct keys (``encode_oracle``). ``rank_oracle`` is the per-pair ranking that
 ``mi.rank`` replaced: it scores the pairs on arrays as ``rank`` does, then
 builds one ``RankedResult`` per pair, in rank order. ``ListAccumulator`` is
 the reference group-by for ``aggregate.accumulate``: one list of values per
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from statistics import fmean
@@ -38,7 +42,7 @@ from dpmi.evaluation import (
 )
 from dpmi import mi
 from dpmi.mi import REST_LABEL, TOL, rank_records
-from dpmi.model import Direction, RankedResult, Record
+from dpmi.model import Columns, Direction, RankedResult, Record, validate_record
 
 _U64 = 2**64 - 1
 
@@ -115,6 +119,49 @@ def records_of(cols) -> list[Record]:
         for i, f, p, obs in zip(cols.ids.tolist(), cols.features.tolist(),
                                 cols.partitions.tolist(), cols.observations.tolist())
     ]
+
+
+def encode_oracle(keys):
+    """The distinct keys in sorted order, and each key's index among them."""
+    index = dict.fromkeys(keys)
+    distinct = sorted(index)
+    index.update(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+
+
+def read_records_oracle(path, columns):
+    """``cli.read_records`` on delimited input, one line at a time.
+
+    The header is the first non-blank line. Each later non-empty line is
+    split on the delimiter; a line too short for the mapped columns is a
+    "fields" reject, and any other goes through validate_record. Returns
+    (the valid rows as Columns, rejection counts by reason, rows read).
+    """
+    rows, rejects, rows_read = [], Counter(), 0
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        header_line = next(line for line in fh if line.strip()).rstrip("\r\n")
+        delim = "\t" if "\t" in header_line else ","
+        header = header_line.split(delim)
+        indices = [header.index(name) for name in columns]
+        for line in fh:
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            rows_read += 1
+            fields = line.split(delim)
+            if max(indices) < len(fields):
+                parsed = validate_record([fields[i] for i in indices])
+            else:
+                parsed = "fields"
+            if isinstance(parsed, str):
+                rejects[parsed] += 1
+            else:
+                rows.append(parsed)
+    (id_keys, ids), (feature_keys, features), (partition_keys, partitions) = (
+        encode_oracle([row[k] for row in rows]) for k in range(3))
+    observations = np.array([row[3] for row in rows], np.float64)
+    cols = Columns(ids, id_keys, features, feature_keys, partitions, partition_keys, observations)
+    return cols, rejects, rows_read
 
 
 @dataclass

@@ -11,12 +11,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import dpmi
+from dpmi import cli
 from dpmi.cli import build_parser, main, read_aggregate_file, read_records
 
-from oracles import mi_2x2, records_of
+from oracles import mi_2x2, read_records_oracle, records_of
 
 
 def _read_rows(path, columns):
@@ -190,6 +194,22 @@ class TestAggregateCommand:
             records, rejects, read = _read_rows(inp, columns)
             assert not rejects and read == len(records) and records[0].id == "u1"
 
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path):
+        # format detection skips them, so the header is the first non-blank line
+        columns = ("id", "feature", "partition", "observation")
+        padded = _write(tmp_path / "padded.tsv", "\n\r\n \n" + TOY)
+        assert _read_rows(padded, columns) == _read_rows(_write(tmp_path / "toy.tsv", TOY), columns)
+
+    def test_header_naming_a_mapped_column_twice_errors(self, tmp_path, capsys):
+        inp = _write(tmp_path / "in.tsv", "id\tfeature\tfeature\tpartition\tobservation\n"
+                     "u1\tf1\tf2\tp1\t1.0\n")
+        assert main(["aggregate", "--input", inp, "--output", str(tmp_path / "x"), "--no-dp"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ValueError", "message": (
+            f"{inp}: column 'feature' named more than once in header "
+            "['id', 'feature', 'feature', 'partition', 'observation']")}
+
     def test_no_valid_rows_names_the_rejections(self, tmp_path, capsys):
         inp = _write(tmp_path / "in.tsv", "id\tfeature\tpartition\tobservation\nu1\tf1\tp1\t-1\n"
                      "u2\tf1\tp1\tx\nu3\tf1\tp1\t-2\n")
@@ -211,6 +231,58 @@ class TestAggregateCommand:
         assert read == 3
         assert rejects == {"fields": 2}
         assert [r.id for r in records] == ["u1"]
+
+
+# Keys mix the reserved and empty keys, a trailing NUL, non-ASCII text, a BOM
+# and the characters str.splitlines breaks on; a tab, comma or CR in a key
+# makes its row ragged or splits it in two.
+KEYS = st.sampled_from(["", "__other__", "u", "u\x00", "f1", "p1"]) | st.text(
+    st.sampled_from(list("ufp\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ufeff\u00e9\u65e5 ,\t\r")),
+    max_size=4)
+NUMBERS = st.sampled_from(["0", "1", "0.5", "-0.0", "-1", "nan", "inf", "-inf", "1e400", "1_0",
+                           " 2 ", "\u0661", "n/a", ""]) | st.floats().map(repr)
+
+
+@st.composite
+def delimited_texts(draw):
+    """A delimited file's text: reordered and extra header columns, ragged and blank
+    lines, LF, CRLF and bare CR endings, a BOM, a missing final newline."""
+    delim = draw(st.sampled_from(["\t", ","]))
+    extra = draw(st.lists(st.sampled_from(["x", "y"]), unique=True, max_size=2))
+    header = draw(st.permutations(["id", "feature", "partition", "observation", *extra]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 25))):
+        width = max(0, len(header) + draw(st.sampled_from([0, 0, 0, 0, 1, -1, -3])))
+        names = (header + ["x"])[:width]
+        lines.append([draw(NUMBERS if name == "observation" else KEYS) for name in names])
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = draw(st.sampled_from(["", "\ufeff"])) + draw(st.sampled_from(["", "\n", " \r\n\n"]))
+    text += "".join(delim.join(fields) + draw(ends) for fields in lines)
+    return text[:-1] if draw(st.booleans()) and text.endswith("\n") else text
+
+
+class TestBlockReader:
+    COLUMNS = ("id", "feature", "partition", "observation")
+
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=delimited_texts(), block=st.integers(1, 40))
+    @example(text="id\tfeature\tpartition\tobservation\r\n" + "u" * 90 + "\tf\tp\t-0.0\r\n"
+             "u\tf\tp\t1\t\n\nu\tf\n\tf\tp\t1\n", block=8)
+    def test_block_reader_matches_the_per_line_oracle(self, tmp_path, monkeypatch, text, block):
+        path = tmp_path / "in.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", block)  # lines straddle reads
+        cols, rejects, read = read_records(str(path), self.COLUMNS)
+        want, want_rejects, want_read = read_records_oracle(str(path), self.COLUMNS)
+        for keys in ("id_keys", "feature_keys", "partition_keys"):
+            assert getattr(cols, keys) == getattr(want, keys)
+        for codes in ("ids", "features", "partitions"):
+            assert getattr(cols, codes).dtype == np.int64
+            assert np.array_equal(getattr(cols, codes), getattr(want, codes))
+        assert cols.observations.dtype == np.float64
+        assert cols.observations.tobytes() == want.observations.tobytes()  # -0.0 stays
+        assert rejects == want_rejects and read == want_read
 
 
 class TestRankCommand:
@@ -1052,6 +1124,9 @@ def test_input_shape_errors_are_one_line(tmp_path, capsys, argv, message):
     (["rank", "--columns", "id,feature,,observation"],
      "argument --columns: expected four column names (id,feature,partition,observation roles), "
      "got 'id,feature,,observation'"),
+    (["rank", "--columns", "id,id,partition,observation"],
+     "argument --columns: column 'id' is named for more than one role in "
+     "'id,id,partition,observation'"),
     (["eval", "--synth", "users=50,,features"], "argument --synth: expected key=value, got 'features'"),
 ])
 def test_malformed_option_values_are_usage_errors(tmp_path, capsys, argv, message):

@@ -1124,10 +1124,10 @@ def test_input_shape_errors_are_one_line(tmp_path, capsys, argv, message):
     (["rank", "--columns", "id,feature,,observation"],
      "argument --columns: expected four column names (id,feature,partition,observation roles), "
      "got 'id,feature,,observation'"),
+    (["eval", "--synth", "users=50,,features"], "argument --synth: expected key=value, got 'features'"),
     (["rank", "--columns", "id,id,partition,observation"],
      "argument --columns: column 'id' is named for more than one role in "
      "'id,id,partition,observation'"),
-    (["eval", "--synth", "users=50,,features"], "argument --synth: expected key=value, got 'features'"),
 ])
 def test_malformed_option_values_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -36,14 +36,13 @@ from .evaluation import (
 )
 from .mi import FoldSpec, flip, nfold, rank, rank_records
 from .model import (OTHER_KEY, AggregateTable, Columns, KeyCoder, PrivacyConfig, Ranking,
-                    Record, validate_record)
+                    Record, valid_mask, validate_record)
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_COLUMNS = ("id", "feature", "partition", "observation")
 SYNTH_KEYS = ("users", "features", "partitions", "strength", "zipf")
-# Characters per read of a delimited body: with the distinct keys, all that
-# ingest holds beyond the coded columns.
+# Characters per read of a delimited body.
 _BLOCK_CHARS = 1 << 16
 
 
@@ -81,7 +80,7 @@ def _jsonl_rows(fh, columns):
 
 
 def _valid_columns(rows, coders, rejects: Counter):
-    """The valid rows among ``rows``: (id, feature, partition codes, observations).
+    """The valid JSON rows among ``rows``: (id, feature, partition codes, observations).
 
     A row is a list of raw (id, feature, partition, observation) fields, or
     the reason it already fails; each rejected row counts its reason, and
@@ -110,37 +109,34 @@ def _block_columns(lines: list[str], delim: str, width: int, indices: list[int],
                    coders, rejects: Counter):
     """The valid rows among one block's lines, as ``_valid_columns`` gives them.
 
-    Lines with the header's ``width`` fields are joined and split once, and
-    each mapped column is a stride slice of the fields, coded whole. The
-    columns are checked whole too; only a row that fails a check goes
-    through validate_record, which names its reason, and its codes are
-    dropped. A blank line is skipped, and an off-count line too short for
-    the mapped columns is a "fields" reject. An off-count line long enough
-    to read sends the whole block down the per-line path, so rows keep file
-    order.
+    A blank line is skipped. A line with another field count than the
+    header's ``width`` is a "fields" reject if it is too short for the
+    mapped columns; otherwise it is cut or padded with empty fields to
+    ``width``, which keeps every mapped field. The lines are then joined and
+    split once, and each mapped column is a stride slice of the fields,
+    coded whole. model.valid_mask checks the rows whole; only a row that
+    fails goes through validate_record, which names its reason, and its
+    codes are dropped.
     """
     last = max(indices)
     counts = list(map(str.count, lines, repeat(delim)))
     if counts.count(width - 1) < len(lines):
-        ragged = [line.split(delim) for line, n in zip(lines, counts) if line and n != width - 1]
-        if any(len(fields) > last for fields in ragged):
-            split = (line.split(delim) for line in lines if line)
-            rows = ([fields[i] for i in indices] if len(fields) > last else "fields"
-                    for fields in split)
-            return _valid_columns(rows, coders, rejects)
-        if ragged:
-            rejects["fields"] += len(ragged)
-        lines = [line for line, n in zip(lines, counts) if n == width - 1]
+        even = []
+        for line, n in zip(lines, counts):
+            if n == width - 1:
+                even.append(line)
+            elif line:
+                fields = line.split(delim)
+                if len(fields) > last:
+                    even.append(delim.join((fields + [""] * width)[:width]))
+                else:
+                    rejects["fields"] += 1
+        lines = even
     fields = delim.join(lines).split(delim) if lines else []
     observations = np.array([_float_or_nan(text) for text in fields[indices[3]::width]],
                             np.float64)
     codes = [coder.code(fields[i::width]) for coder, i in zip(coders, indices)]
-    with np.errstate(invalid="ignore"):  # NaN, a parse failure included, fails both
-        ok = (observations >= 0) & (observations < math.inf)
-    for coder, column, refused in zip(coders, codes, (("",), ("", OTHER_KEY), ("", OTHER_KEY))):
-        for key in refused:
-            if key in coder.index:
-                ok &= column != coder.index[key]
+    ok = valid_mask(coders, codes, observations)
     for row in np.flatnonzero(~ok).tolist():
         rejects[validate_record([fields[row * width + i] for i in indices])] += 1
     return (*(column[ok] for column in codes), observations[ok])

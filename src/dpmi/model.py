@@ -19,6 +19,8 @@ _SPLIT_TOL = 1e-12
 # under this key; it stays reserved, so no input row may use it as a feature
 # or partition and an input key can never be mistaken for such a pool.
 OTHER_KEY = "__other__"
+# The keys each key column reserves, in (id, feature, partition) order.
+_RESERVED_KEYS = ((), (OTHER_KEY,), (OTHER_KEY,))
 
 
 class Direction(str, Enum):
@@ -134,11 +136,11 @@ def validate_record(row: Sequence) -> tuple[str, str, str, float] | str:
     """
     if len(row) != 4:
         return "fields"
-    raw_id, raw_feature, raw_partition, raw_obs = row
-    rid, feature, partition = str(raw_id), str(raw_feature), str(raw_partition)
-    if not rid or not feature or not partition:
+    *raw_keys, raw_obs = row
+    keys = tuple(map(str, raw_keys))
+    if not all(keys):
         return "empty_key"
-    if OTHER_KEY in (feature, partition):
+    if any(key in reserved for key, reserved in zip(keys, _RESERVED_KEYS)):
         return "reserved"
     try:
         obs = float(raw_obs)
@@ -150,7 +152,25 @@ def validate_record(row: Sequence) -> tuple[str, str, str, float] | str:
         return "non_finite"
     if obs < 0:
         return "negative"
-    return rid, feature, partition, obs
+    return (*keys, obs)
+
+
+def valid_mask(coders: Sequence[KeyCoder], codes: Sequence[np.ndarray],
+               observations: np.ndarray) -> np.ndarray:
+    """Which rows validate_record accepts, checked a whole column at a time.
+
+    ``codes`` are the (id, feature, partition) code columns as ``coders``
+    coded them, and ``observations`` the parsed values, NaN where one does
+    not parse. A row fails on an empty or reserved key, or an observation
+    that is not a finite number >= 0; validate_record names its reason.
+    """
+    with np.errstate(invalid="ignore"):  # NaN fails both comparisons
+        ok = (observations >= 0) & (observations < math.inf)
+    for coder, column, reserved in zip(coders, codes, _RESERVED_KEYS):
+        for key in ("", *reserved):
+            if key in coder.index:
+                ok &= column != coder.index[key]
+    return ok
 
 
 @dataclass(frozen=True)

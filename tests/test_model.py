@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from dpmi.model import (Direction, PrivacyConfig, ProbabilityTables, RankedResult, Ranking,
-                        Record, validate_record)
+from dpmi.model import (Direction, KeyCoder, PrivacyConfig, ProbabilityTables, RankedResult,
+                        Ranking, Record, valid_mask, validate_record)
 
 
 class TestValidateRecord:
@@ -42,6 +42,33 @@ class TestValidateRecord:
         rec = validate_record(("u1", "f1", "p1", "0"))
         assert isinstance(rec, tuple)
         assert rec[3] == 0.0
+
+    def test_reserved_key_is_refused_as_feature_or_partition_only(self):
+        assert validate_record(("u1", "__other__", "p1", "1")) == "reserved"
+        assert validate_record(("u1", "f1", "__other__", "1")) == "reserved"
+        assert validate_record(("__other__", "f1", "p1", "1")) == ("__other__", "f1", "p1", 1.0)
+        assert validate_record(("u1", "", "__other__", "1")) == "empty_key"  # checked first
+
+
+class TestValidMask:
+    def test_agrees_with_validate_record(self):
+        rows = [("u1", "f1", "p1", "1"), ("__other__", "f1", "p1", "0"), ("u1", "f1", "p1", "-0.0"),
+                ("u1", "__other__", "p1", "1"), ("u1", "f1", "__other__", "1"),
+                ("", "f1", "p1", "1"), ("u1", "", "p1", "1"), ("u1", "f1", "", "1"),
+                ("u1", "f1", "p1", "-1"), ("u1", "f1", "p1", "nan"), ("u1", "f1", "p1", "inf"),
+                ("u1", "f1", "p1", "1e400"), ("u1", "f1", "p1", "x"), ("u1", "f1", "p1", " 2 ")]
+
+        def parse(text):
+            try:
+                return float(text)
+            except ValueError:
+                return math.nan
+
+        coders = KeyCoder(), KeyCoder(), KeyCoder()
+        codes = [coder.code(column) for coder, column in zip(coders, list(zip(*rows))[:3])]
+        observations = np.array([parse(row[3]) for row in rows], np.float64)
+        assert valid_mask(coders, codes, observations).tolist() == [
+            isinstance(validate_record(row), tuple) for row in rows]
 
 
 class TestRecord:

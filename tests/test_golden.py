@@ -4,10 +4,12 @@ Each case runs one subcommand through ``cli.main`` on a seeded TSV and
 compares the sha256 of the output file and of its manifest with the digests
 below. The later cases pin the paths no single command covers: JSON-lines
 output (with ``--top-k`` on one case), ranking a saved DP aggregate file, a
-two-stage DP fold, ``eval``'s two files, and a ragged input that spans several
-read blocks and holds every kind of line ingest tells apart. A change that alters these
-bytes on purpose updates the digests and names the changed outputs, and
-why, in CHANGES.md; any other digest mismatch is a regression.
+two-stage DP fold, ``eval``'s two files (once with a stability epsilon outside
+the sweep's, once with one inside it and repeated), and a ragged input that
+spans several read blocks and holds every kind of line ingest tells apart. A
+change that alters these bytes on purpose updates the digests and names the
+changed outputs, and why, in CHANGES.md; any other digest mismatch is a
+regression.
 """
 
 import hashlib
@@ -225,3 +227,20 @@ def test_eval_files_match_the_pinned_digests(tmp_path):
             "--trials", "2", "--top-k", "100", "--delta", "0.2", "--seed", "7"]
     assert main(argv) == 0
     assert {name: _sha256(out / name) for name in GOLDEN_EVAL} == GOLDEN_EVAL
+
+
+# file -> sha256, for `eval` with the default --stability-epsilon (1.0) among
+# the sweep's epsilons, one of which is repeated
+GOLDEN_EVAL_SHARED = {
+    "sweep.tsv": "1aeb53a79be2dd2ba3d77b40fb5f3efe0ea5556d2bf367c02f35f4f211f20597",
+    "stability.tsv": "1ccd136187b2c070462cfa845fb0551aa694b475d79730d749e475ea610a2de6",
+}
+
+
+def test_eval_with_a_shared_and_repeated_epsilon_matches_the_pinned_digests(tmp_path):
+    inp = _seeded_tsv(tmp_path / "in.tsv")
+    out = tmp_path / "eval"
+    argv = ["eval", "--input", inp, "--output", str(out), "--epsilons", "0.5,1,1,4",
+            "--trials", "2", "--top-k", "100", "--delta", "0.2", "--seed", "7"]
+    assert main(argv) == 0
+    assert {name: _sha256(out / name) for name in GOLDEN_EVAL_SHARED} == GOLDEN_EVAL_SHARED

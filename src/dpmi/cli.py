@@ -3,8 +3,8 @@
 Subcommands: aggregate, rank, flip, fold, eval. Users run commands and read
 the emitted files; there is no interactive mode. Numbers in output files are
 written with 12 significant digits so repeated runs are byte identical. Every
-subcommand but eval writes <output>.manifest.jsonl; a DP run that fails after a
-release writes its ledger alone there. DPMI_LOG sets the log level.
+subcommand writes <output>.manifest.jsonl when it succeeds; a DP run that fails
+after a release writes its ledger alone there. DPMI_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -25,18 +25,17 @@ from .aggregate import accumulate, build_probability_tables, release_aggregate_t
 from .dp import BudgetAccountant, prepare_records
 from .evaluation import (
     DEFAULT_EPSILONS,
-    epsilon_sweep,
     fmt_sig,
-    head_tail_stability,
     runtime_compare,
+    sweep_and_stability,
     synth_generate,
     write_runtime_tsv,
     write_stability_tsv,
     write_sweep_tsv,
 )
 from .mi import FoldSpec, flip, nfold, rank, rank_records
-from .model import (OTHER_KEY, AggregateTable, Columns, KeyCoder, PrivacyConfig, Ranking,
-                    Record, valid_mask, validate_record)
+from .model import (OTHER_KEY, AggregateTable, Columns, Direction, KeyCoder, PrivacyConfig,
+                    Ranking, Record, valid_mask, validate_record)
 
 logger = logging.getLogger(__name__)
 
@@ -225,7 +224,7 @@ def write_results(results: Ranking, path: str, output_format: str) -> None:
         results.partitions.tolist(),
         results.features.tolist(),
         map(fmt_sig, results.mi.tolist()),
-        [d.value for d in results.directions.tolist()],
+        np.where(results.presence, Direction.PRESENCE.value, Direction.ABSENCE.value).tolist(),
         results.ranks,
     )
     with open(path, "w", encoding="utf-8") as fh:
@@ -568,27 +567,49 @@ def _build_synth_records(kv: dict, seed: int) -> list[Record]:
     return synth_generate(users, features, partitions, strength, seed, zipf_exponent=zipf)
 
 
-def cmd_eval(args, privacy, accountant) -> None:
+def cmd_eval(args, privacy, accountant) -> list[dict]:
+    """Write sweep.tsv and stability.tsv, or runtime.tsv, under --output.
+
+    The files compare against the noiseless baseline, so they and the
+    manifest are exact, for the operator only. The manifest holds no timing,
+    and no ledger: eval charges no budget.
+    """
     if args.no_dp and not args.runtime:
         raise ValueError("eval sweeps measure DP noise and refuse --no-dp; only --runtime takes it")
+    events = []
     if args.synth is not None:
         records = _build_synth_records(args.synth, args.seed or 0)
     else:
-        records, _ = _ingest(_single_input(args), args)
-    os.makedirs(args.output, exist_ok=True)
+        records, counts = _ingest(_single_input(args), args)
+        events.append({"event": "ingest", **counts})
     if args.runtime:
         rt = runtime_compare(records)
-        write_runtime_tsv(rt, os.path.join(args.output, "runtime.tsv"))
+        os.makedirs(args.output, exist_ok=True)
+        path = os.path.join(args.output, "runtime.tsv")
+        write_runtime_tsv(rt, path)
         logger.info("runtime ratio %.2f over %d partitions", rt.ratio, rt.partitions)
-        return
+        return [*events, {"event": "eval", "mode": "runtime", "outputs": {path: 1}}]
     top_k = args.top_k if args.top_k is not None else 10000
-    # both files' rows before either file, so a failure leaves no partial result
-    sweep_rows = epsilon_sweep(records, privacy, args.epsilons, args.trials, top_k)
-    stability_rows = head_tail_stability(
-        records, privacy, args.stability_epsilon, args.trials, min(top_k, 100)
+    # both files' rows before the directory or either file, so a failure leaves no trace
+    sweep_rows, stability_rows = sweep_and_stability(
+        records, privacy, args.epsilons, args.stability_epsilon, args.trials, top_k,
+        min(top_k, 100),
     )
-    write_sweep_tsv(sweep_rows, os.path.join(args.output, "sweep.tsv"))
-    write_stability_tsv(stability_rows, os.path.join(args.output, "stability.tsv"))
+    os.makedirs(args.output, exist_ok=True)
+    sweep_path = os.path.join(args.output, "sweep.tsv")
+    stability_path = os.path.join(args.output, "stability.tsv")
+    write_sweep_tsv(sweep_rows, sweep_path)
+    write_stability_tsv(stability_rows, stability_path)
+    return [*events, {
+        "event": "eval",
+        "mode": "sweep",
+        "epsilons": args.epsilons,
+        "stability_epsilon": args.stability_epsilon,
+        "trials": args.trials,
+        "trial_seeds": [privacy.seed + t for t in range(args.trials)],
+        "top_k": top_k,
+        "outputs": {sweep_path: len(sweep_rows), stability_path: len(stability_rows)},
+    }]
 
 
 # ---------------------------------------------------------------------------
@@ -605,9 +626,7 @@ def main(argv=None) -> int:
     try:
         privacy = _privacy_from_args(args)
         accountant = BudgetAccountant(privacy.epsilon) if privacy is not None else None
-        events = args.func(args, privacy, accountant)
-        if events is not None:  # eval writes no manifest
-            write_manifest(manifest_path, events)
+        write_manifest(manifest_path, args.func(args, privacy, accountant))
         return 0
     except Exception as exc:  # single-line machine-parsable failure
         if accountant is not None and accountant.spent:  # a release spent budget

@@ -93,6 +93,12 @@ class SweepRow:
     dropped: float  # mean over trials
 
 
+@dataclass
+class StabilityRow:
+    bucket: int  # 1-based; bucket 1 holds the strongest baseline pairs
+    medae: float
+
+
 def _check_sweep_args(epsilons: Sequence[float], trials: int) -> None:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -100,33 +106,90 @@ def _check_sweep_args(epsilons: Sequence[float], trials: int) -> None:
         raise ValueError("all epsilons must be positive")
 
 
-def _private_rankings(
+class _Sweep:
+    """Sweep reducer: each epsilon's rank comparisons over the trials, and
+    their means as one row per requested epsilon, a repeated one included."""
+
+    def __init__(self, baseline: Ranking, epsilons: Sequence[float], top_k: int) -> None:
+        self.baseline, self.epsilons, self.top_k = baseline, epsilons, top_k
+        self.comparisons: dict[float, list[RankComparison]] = {eps: [] for eps in epsilons}
+
+    def add(self, eps: float, private: Ranking) -> None:
+        if eps in self.comparisons:
+            self.comparisons[eps].append(compare_rankings(self.baseline, private, self.top_k))
+
+    def rows(self) -> list[SweepRow]:
+        return [
+            SweepRow(
+                epsilon=eps,
+                percentiles={p: fmean(c.percentiles[p] for c in self.comparisons[eps])
+                             for p in PERCENTILES},
+                dropped=fmean(c.dropped for c in self.comparisons[eps]),
+            )
+            for eps in self.epsilons
+        ]
+
+
+class _Stability:
+    """Stability reducer: each trial's median rank error per bucket of the
+    baseline's top_k at one epsilon, and their means. A head shorter than
+    ``buckets`` is refused on construction, before any trial runs."""
+
+    def __init__(self, baseline: Ranking, epsilon: float, top_k: int, buckets: int) -> None:
+        self.head = baseline[:top_k]
+        if len(self.head) < buckets:
+            raise ValueError(f"need at least {buckets} baseline pairs, got {len(self.head)}")
+        self.epsilons = (epsilon,)
+        self.edges = [round(j * len(self.head) / buckets) for j in range(buckets + 1)]
+        self.per_bucket: list[list[float]] = [[] for _ in range(buckets)]
+
+    def add(self, eps: float, private: Ranking) -> None:
+        if eps not in self.epsilons:
+            return
+        found = _rank_errors(self.head, private)
+        for b, medians in enumerate(self.per_bucket):
+            errors = sorted(e for e in found[self.edges[b] : self.edges[b + 1]] if e is not None)
+            if errors:
+                medians.append(nearest_rank_percentile(errors, 50))
+
+    def rows(self) -> list[StabilityRow]:
+        return [
+            StabilityRow(bucket=b + 1, medae=fmean(medians) if medians else float("nan"))
+            for b, medians in enumerate(self.per_bucket)
+        ]
+
+
+def _run_trials(
     cols: Columns,
     privacy: PrivacyConfig,
-    epsilons: Sequence[float],
     trials: int,
     baseline: Ranking,
-) -> Iterator[tuple[float, Ranking]]:
-    """Yield (epsilon, private ranking) for every trial and epsilon.
+    reducers: Sequence[_Sweep | _Stability],
+) -> None:
+    """The one trial loop: each trial's private ranking at every distinct
+    epsilon of the reducers, fed to every reducer.
 
     Trial t runs with seed + t. Bounding, clamping and the group-by depend on
     the seed and not on epsilon, so each trial does them once, and every
     epsilon releases the trial's one accumulator, which draws each cell's
     keyed uniform once and keeps it. Each finite epsilon then releases,
     normalises and ranks; the result equals ``rank_records`` with that
-    epsilon and seed. An infinite epsilon yields the noiseless baseline.
+    epsilon and seed. An infinite epsilon ranks with the noiseless baseline.
+    No ranking outlives its step: reducers keep only what they derive.
     """
+    epsilons = dict.fromkeys(eps for reducer in reducers for eps in reducer.epsilons)
     for trial in range(trials):
         acc = None
         for eps in epsilons:
             if math.isinf(eps):
-                yield eps, baseline
-                continue
-            cfg = replace(privacy, epsilon=eps, seed=privacy.seed + trial)
-            if acc is None:
-                acc = accumulate(prepare_records(cols, cfg))
-            table = release_aggregate_table(acc, cfg)
-            yield eps, rank(build_probability_tables(table))
+                private = baseline
+            else:
+                cfg = replace(privacy, epsilon=eps, seed=privacy.seed + trial)
+                if acc is None:
+                    acc = accumulate(prepare_records(cols, cfg))
+                private = rank(build_probability_tables(release_aggregate_table(acc, cfg)))
+            for reducer in reducers:
+                reducer.add(eps, private)
 
 
 def epsilon_sweep(
@@ -150,23 +213,9 @@ def epsilon_sweep(
     _check_sweep_args(epsilons, trials)
     cols = Columns.from_records(records)
     baseline = rank_records(cols, None)
-    comparisons: dict[float, list[RankComparison]] = {eps: [] for eps in epsilons}
-    for eps, private in _private_rankings(cols, privacy, epsilons, trials, baseline):
-        comparisons[eps].append(compare_rankings(baseline, private, top_k))
-    return [
-        SweepRow(
-            epsilon=eps,
-            percentiles={p: fmean(c.percentiles[p] for c in comparisons[eps]) for p in PERCENTILES},
-            dropped=fmean(c.dropped for c in comparisons[eps]),
-        )
-        for eps in epsilons
-    ]
-
-
-@dataclass
-class StabilityRow:
-    bucket: int  # 1-based; bucket 1 holds the strongest baseline pairs
-    medae: float
+    sweep = _Sweep(baseline, epsilons, top_k)
+    _run_trials(cols, privacy, trials, baseline, [sweep])
+    return sweep.rows()
 
 
 def head_tail_stability(
@@ -192,21 +241,35 @@ def head_tail_stability(
         raise ValueError(f"buckets must be >= 1, got {buckets}")
     cols = Columns.from_records(records)
     baseline = rank_records(cols, None)
-    head = baseline[:top_k]
-    if len(head) < buckets:
-        raise ValueError(f"need at least {buckets} baseline pairs, got {len(head)}")
-    edges = [round(j * len(head) / buckets) for j in range(buckets + 1)]
-    per_bucket: list[list[float]] = [[] for _ in range(buckets)]
-    for _, private in _private_rankings(cols, privacy, (epsilon,), trials, baseline):
-        found = _rank_errors(head, private)
-        for b in range(buckets):
-            errors = sorted(e for e in found[edges[b] : edges[b + 1]] if e is not None)
-            if errors:
-                per_bucket[b].append(nearest_rank_percentile(errors, 50))
-    return [
-        StabilityRow(bucket=b + 1, medae=fmean(vals) if vals else float("nan"))
-        for b, vals in enumerate(per_bucket)
-    ]
+    stability = _Stability(baseline, epsilon, top_k, buckets)
+    _run_trials(cols, privacy, trials, baseline, [stability])
+    return stability.rows()
+
+
+def sweep_and_stability(
+    records: Columns | Sequence[Record],
+    privacy: PrivacyConfig,
+    epsilons: Sequence[float],
+    stability_epsilon: float,
+    trials: int,
+    top_k: int,
+    stability_top_k: int,
+) -> tuple[list[SweepRow], list[StabilityRow]]:
+    """``epsilon_sweep`` and a 10-bucket ``head_tail_stability`` in one pass.
+
+    One baseline is ranked, and one trial loop runs at the union of
+    ``epsilons`` and ``stability_epsilon``, each distinct epsilon once, so
+    a stability epsilon among the sweep's costs no extra release. The rows
+    equal those the two functions return. A stability head shorter than
+    its buckets fails before any trial runs.
+    """
+    _check_sweep_args((*epsilons, stability_epsilon), trials)
+    cols = Columns.from_records(records)
+    baseline = rank_records(cols, None)
+    sweep = _Sweep(baseline, epsilons, top_k)
+    stability = _Stability(baseline, stability_epsilon, stability_top_k, buckets=10)
+    _run_trials(cols, privacy, trials, baseline, [sweep, stability])
+    return sweep.rows(), stability.rows()
 
 
 @dataclass

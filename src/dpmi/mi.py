@@ -19,7 +19,6 @@ from .aggregate import accumulate, build_probability_tables, release_aggregate_t
 from .dp import BudgetAccountant, prepare_records
 from .model import (
     Columns,
-    Direction,
     PrivacyConfig,
     ProbabilityTables,
     Ranking,
@@ -83,15 +82,13 @@ def calc_mi(p_x, p_y, p_xy) -> np.ndarray:
     )
 
 
-_DIRECTIONS = np.array([Direction.ABSENCE, Direction.PRESENCE], dtype=object)
-
-
 def direction(p_x, p_y, p_xy):
-    """Presence when the feature's odds inside the partition beat its odds outside.
+    """Presence (True) when the feature's odds inside the partition beat its
+    odds outside, Absence (False) otherwise.
 
-    Takes float64 arrays (or scalars) of one shape and returns a Direction
-    per element: an object array, or one Direction for scalars. Ties resolve
-    to Absence because the comparison is strict.
+    Takes float64 arrays (or scalars) of one shape and returns a bool per
+    element: a bool array, or one numpy bool for scalars. Ties resolve to
+    Absence because the comparison is strict.
     """
     p_x, p_y, p_xy = (np.asarray(v, dtype=np.float64) for v in (p_x, p_y, p_xy))
     bad = p_y[~((0.0 < p_y) & (p_y < 1.0))]
@@ -101,7 +98,7 @@ def direction(p_x, p_y, p_xy):
         )
     inside = p_xy / p_y
     outside = (p_x - p_xy) / (1.0 - p_y)
-    return _DIRECTIONS[(inside > outside).astype(np.intp)]
+    return inside > outside
 
 
 def rank(tables: ProbabilityTables, *, compared: str = "partitions") -> Ranking:
@@ -301,9 +298,7 @@ def nfold(
             accountant,
             label_prefix=f"fold{i}/",
         )
-        # numpy would compare a bare Direction as its str(), so match its value
-        presence = ranked.directions == Direction.PRESENCE.value
-        seeding = presence & (ranked.partitions == COHORT_LABEL)
+        seeding = ranked.presence & (ranked.partitions == COHORT_LABEL)
         next_seeds = tuple(ranked.features[seeding][: fold.top_k].tolist())
         result = FoldResult(
             index=i,

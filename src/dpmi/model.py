@@ -29,6 +29,11 @@ class Direction(str, Enum):
     PRESENCE = "Presence"
     ABSENCE = "Absence"
 
+    @classmethod
+    def of(cls, presence) -> Direction:
+        """Presence for a true presence flag, Absence for a false one."""
+        return cls.PRESENCE if presence else cls.ABSENCE
+
 
 @dataclass(frozen=True, slots=True)
 class Record:
@@ -323,32 +328,33 @@ class Ranking(Sequence[RankedResult]):
     """Scored (feature, partition) pairs in the global descending-MI order, as columns.
 
     Row i pairs ``partitions[i]`` with ``features[i]`` (object arrays of
-    key strings), scores it ``mi[i]`` (float64) with direction
-    ``directions[i]`` (an object array of Direction), and has rank
+    key strings), scores it ``mi[i]`` (float64), is a Presence pair where
+    ``presence[i]`` (bool) holds and an Absence pair elsewhere, and has rank
     ``ranks[i]``: i + 1, unless the Ranking is a slice of a longer one. A
     Ranking is a read-only sequence of RankedResult rows, built only when a
-    caller iterates or indexes it. A slice is a Ranking whose rows keep their
-    ranks. Equality with another Ranking or a list compares the rows.
+    caller iterates or indexes it; only a row holds a Direction. A slice is
+    a Ranking whose rows keep their ranks. Equality with another Ranking or
+    a list compares the rows.
     """
 
     partitions: np.ndarray
     features: np.ndarray
     mi: np.ndarray
-    directions: np.ndarray
+    presence: np.ndarray
     ranks: range = None  # type: ignore[assignment]  # range(1, n + 1) when omitted
 
     def __post_init__(self) -> None:
         if self.ranks is None:
             object.__setattr__(self, "ranks", range(1, len(self.mi) + 1))
         sizes = {len(column) for column in (self.partitions, self.features, self.mi,
-                                            self.directions, self.ranks)}
+                                            self.presence, self.ranks)}
         if len(sizes) != 1:
             raise ValueError(f"ranking columns differ in length: {sorted(sizes)}")
 
     @classmethod
     def empty(cls) -> Ranking:
         keys = np.empty(0, dtype=object)
-        return cls(keys, keys, np.empty(0, dtype=np.float64), keys)
+        return cls(keys, keys, np.empty(0, dtype=np.float64), np.empty(0, dtype=bool))
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -356,15 +362,15 @@ class Ranking(Sequence[RankedResult]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return Ranking(self.partitions[index], self.features[index], self.mi[index],
-                           self.directions[index], self.ranks[index])
+                           self.presence[index], self.ranks[index])
         rank = self.ranks[index]  # raises IndexError past either end
         return RankedResult(self.partitions[index], self.features[index],
-                            float(self.mi[index]), self.directions[index], rank)
+                            float(self.mi[index]), Direction.of(self.presence[index]), rank)
 
     def __iter__(self) -> Iterator[RankedResult]:
         # RankedResult's fields in order: partition, feature, mi, direction, rank
         return map(RankedResult, self.partitions.tolist(), self.features.tolist(),
-                   self.mi.tolist(), self.directions.tolist(), self.ranks)
+                   self.mi.tolist(), map(Direction.of, self.presence.tolist()), self.ranks)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Ranking, list)):

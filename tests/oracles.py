@@ -222,7 +222,7 @@ def rank_oracle(tables) -> list[RankedResult]:
         list(map(tables.partition_keys.__getitem__, tables.partitions[order].tolist())),
         list(map(tables.feature_keys.__getitem__, tables.features[order].tolist())),
         scores[order].tolist(),
-        mi.direction(p_x, p_y, p_xy)[order].tolist(),
+        list(map(Direction.of, mi.direction(p_x, p_y, p_xy)[order].tolist())),
         range(1, len(order) + 1),
     )
     # RankedResult's fields in order: partition, feature, mi, direction, rank

@@ -944,10 +944,28 @@ class TestFoldCommand:
         assert payload["error"] == "BudgetExceededError"
 
 
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    """The positional arguments of every ``prepare_records`` and ``accumulate``
+    call that ``dpmi.evaluation`` or ``dpmi.mi`` makes, by function name."""
+    calls = {"prepare_records": [], "accumulate": []}
+    for name, seen in calls.items():
+        original = getattr(dpmi.evaluation, name)
+
+        def counted(*args, _original=original, _seen=seen, **kwargs):
+            _seen.append(args)
+            return _original(*args, **kwargs)
+
+        for module in (dpmi.evaluation, dpmi.mi):
+            assert getattr(module, name) is original
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestEvalCommand:
     def test_stability_failure_leaves_no_sweep_file(self, tmp_path, capsys):
         # 50 users over 5 features and 2 partitions give 7 baseline pairs,
-        # too few for the 10 stability buckets; the sweep itself succeeds
+        # too few for the 10 stability buckets; the sweep itself would succeed
         out = tmp_path / "ev"
         assert main(["eval", "--synth", "users=50,features=5,partitions=2", "--epsilons", "inf",
                      "--trials", "1", "--seed", "1", "--output", str(out)]) == 1
@@ -956,6 +974,65 @@ class TestEvalCommand:
         }
         assert not (out / "sweep.tsv").exists()
         assert not (out / "stability.tsv").exists()
+        assert not (tmp_path / "ev.manifest.jsonl").exists()
+        assert not out.exists()
+
+    def test_short_stability_head_fails_before_any_dp_trial(self, tmp_path, capsys,
+                                                             pipeline_calls):
+        # the 7 baseline pairs above, now with finite sweep epsilons
+        assert main(["eval", "--synth", "users=50,features=5,partitions=2", "--epsilons", "0.5,1",
+                     "--trials", "3", "--seed", "1", "--output", str(tmp_path / "ev")]) == 1
+        assert "need at least 10 baseline pairs, got 7" in capsys.readouterr().err
+        assert [privacy for _, privacy in pipeline_calls["prepare_records"]] == [None]
+        assert len(pipeline_calls["accumulate"]) == 1
+        assert not (tmp_path / "ev.manifest.jsonl").exists()
+
+    def test_one_baseline_and_one_pass_per_trial(self, tmp_path, pipeline_calls):
+        # the stability epsilon (1.0 by default) is one of the sweep's
+        assert main([
+            "eval", "--synth", "users=2000,features=50,partitions=5,strength=0.9",
+            "--epsilons", "0.5,1,4", "--trials", "5", "--top-k", "40",
+            "--delta", "0.2", "--seed", "17", "--output", str(tmp_path / "e"),
+        ]) == 0
+        # one no-DP baseline, then one bounding per trial at seed 17 + t
+        seeds = [cfg and cfg.seed for _, cfg in pipeline_calls["prepare_records"]]
+        assert seeds == [None, 17, 18, 19, 20, 21]
+        assert len(pipeline_calls["accumulate"]) == 6
+
+    def _manifest_bytes(self, argv, out):
+        assert main([*argv, "--output", str(out)]) == 0
+        return Path(f"{out}.manifest.jsonl").read_bytes()
+
+    def test_sweep_manifest(self, tmp_path):
+        inp = _write(tmp_path / "toy.tsv", "id\tfeature\tpartition\tobservation\n" + "".join(
+            f"u{u}\tf{(u % 7) * (u % 3)}\tp{u % 3}\t1\n" for u in range(400)) + "u\tf\tp\tx\n")
+        out = tmp_path / "e"
+        argv = ["eval", "--input", inp, "--epsilons", "0.5,2,inf", "--stability-epsilon", "1",
+                "--trials", "3", "--top-k", "30", "--delta", "0.2", "--seed", "5"]
+        first = self._manifest_bytes(argv, out)
+        assert self._manifest_bytes(argv, out) == first  # no timing, so reruns match
+        assert [json.loads(line) for line in first.decode().splitlines()] == [
+            {"event": "ingest", "rows_read": 401, "rows_rejected": {"parse": 1}},
+            {
+                "event": "eval",
+                "mode": "sweep",
+                "epsilons": [0.5, 2.0, math.inf],
+                "stability_epsilon": 1.0,
+                "trials": 3,
+                "trial_seeds": [5, 6, 7],
+                "top_k": 30,
+                "outputs": {str(out / "sweep.tsv"): 3, str(out / "stability.tsv"): 10},
+            },
+        ]
+
+    def test_runtime_manifest_holds_no_timing(self, tmp_path):
+        out = tmp_path / "rt"
+        argv = ["eval", "--synth", "users=500,features=20,partitions=3", "--runtime"]
+        first = self._manifest_bytes(argv, out)
+        assert self._manifest_bytes(argv, out) == first
+        assert [json.loads(line) for line in first.decode().splitlines()] == [
+            {"event": "eval", "mode": "runtime", "outputs": {str(out / "runtime.tsv"): 1}},
+        ]
 
     def test_sweep_files_deterministic(self, tmp_path):
         out1, out2 = str(tmp_path / "e1"), str(tmp_path / "e2")

@@ -16,7 +16,7 @@ from dpmi.evaluation import (
     synth_generate,
 )
 from dpmi.mi import rank_records
-from dpmi.model import Direction, PrivacyConfig, Ranking, Record
+from dpmi.model import PrivacyConfig, Ranking, Record
 
 from oracles import epsilon_sweep_oracle, head_tail_stability_oracle, percentile_nearest_rank
 
@@ -48,7 +48,7 @@ def _ranked(pairs):
     partitions, features, ranks = zip(*pairs)
     return Ranking(np.array(partitions, dtype=object), np.array(features, dtype=object),
                    1.0 / np.array(ranks, dtype=np.float64),
-                   np.array([Direction.PRESENCE] * len(pairs), dtype=object))
+                   np.ones(len(pairs), dtype=bool))
 
 
 class TestCompareRankings:

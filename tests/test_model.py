@@ -192,12 +192,12 @@ class TestProbabilityTables:
 
 
 def _ranking(n):
-    """n rows: partition p{i % 2}, feature f{i}, MI (n - i) / n, alternating directions."""
+    """n rows: partition p{i % 2}, feature f{i}, MI (n - i) / n, Presence at even i."""
     return Ranking(
         np.array([f"p{i % 2}" for i in range(n)], dtype=object),
         np.array([f"f{i}" for i in range(n)], dtype=object),
         np.arange(n, 0, -1, dtype=np.float64) / n,
-        np.array([(Direction.PRESENCE, Direction.ABSENCE)[i % 2] for i in range(n)], dtype=object),
+        np.arange(n) % 2 == 0,
     )
 
 
@@ -257,7 +257,7 @@ class TestRanking:
     def test_columns_of_unequal_length_are_refused(self):
         ranking = _ranking(3)
         with pytest.raises(ValueError, match="differ in length"):
-            Ranking(ranking.partitions, ranking.features[:2], ranking.mi, ranking.directions)
+            Ranking(ranking.partitions, ranking.features[:2], ranking.mi, ranking.presence)
 
     def test_is_read_only(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -249,20 +249,24 @@ def write_manifest(path: str, events) -> None:
 
 
 def write_aggregate_file(table: AggregateTable, epsilon_spent: float, path: str) -> None:
-    """Persist a released table as JSON lines with full float precision; the
-    closing meta row records ``epsilon_spent``, the run's ledger total."""
+    """Persist a released table as JSON lines with full float precision, each
+    table in key order; the closing meta row records ``epsilon_spent``, the
+    run's ledger total."""
+    fk, pk = table.feature_keys, table.partition_keys
     with open(path, "w", encoding="utf-8") as fh:
-        for (f, p), v in sorted(table.joint.items()):
-            fh.write(json.dumps({"table": "joint", "feature": f, "partition": p, "value": v}) + "\n")
-        for f, v in sorted(table.feature_marginals.items()):
+        for f, p, v in zip(table.features.tolist(), table.partitions.tolist(),
+                           table.joint.tolist()):
+            fh.write(json.dumps({"table": "joint", "feature": fk[f], "partition": pk[p],
+                                 "value": v}) + "\n")
+        for f, v in zip(fk, table.feature_marginals.tolist()):
             fh.write(json.dumps({"table": "feature_marginal", "feature": f, "value": v}) + "\n")
-        for p, v in sorted(table.partition_marginals.items()):
+        for p, v in zip(pk, table.partition_marginals.tolist()):
             fh.write(json.dumps({"table": "partition_marginal", "partition": p, "value": v}) + "\n")
         fh.write(json.dumps({"table": "total", "value": table.total}) + "\n")
         fh.write(json.dumps({"table": "meta", "epsilon_spent": epsilon_spent}) + "\n")
 
 
-# each aggregate-file table's key fields, in AggregateTable's field order
+# each aggregate-file table's key fields, in AggregateTable.of's argument order
 AGGREGATE_KEYS = {"joint": ("feature", "partition"), "feature_marginal": ("feature",),
                   "partition_marginal": ("partition",)}
 
@@ -301,7 +305,7 @@ def read_aggregate_file(path: str) -> AggregateTable:
                 tables[kind][key] = value
             elif kind not in ("total", "meta"):  # the total is derived, meta is the ledger's
                 raise ValueError(f"{path} line {lineno}: unknown table row {obj!r}")
-    return AggregateTable(*tables.values())
+    return AggregateTable.of(*tables.values())
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,19 +58,24 @@ def keyed_u64s(seed: int, prefix: tuple, keys: Iterable) -> Iterator[int]:
         yield int.from_bytes(h.digest(), "little")
 
 
-def keyed_uniforms(seed: int, prefix: tuple, keys: Iterable) -> dict:
-    """Each key's uniform draw in (0, 1), which depends only on (seed, *prefix, *key)."""
-    keys = list(keys)
-    return {k: ((x >> 11) + 0.5) * 2.0**-53 for k, x in zip(keys, keyed_u64s(seed, prefix, keys))}
+def keyed_uniforms(seed: int, prefix: tuple, keys: Sequence) -> np.ndarray:
+    """Each key's uniform draw in (0, 1), in the order of ``keys``; a draw
+    depends only on (seed, *prefix, *key)."""
+    x = np.fromiter(keyed_u64s(seed, prefix, keys), np.uint64, len(keys))
+    return ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def laplace_from_uniform(u: float, scale: float) -> float:
-    """Inverse-CDF Laplace(0, scale) transform of a uniform u in (0, 1)."""
+def laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
+    """Inverse-CDF Laplace(0, scale) transform of each uniform in ``u``, all in (0, 1).
+
+    The logarithm is ``math.log1p`` mapped over the values: ``np.log1p`` may
+    differ from it in the last bit on some CPUs, which would move output bytes.
+    """
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
     d = u - 0.5
-    magnitude = -scale * math.log1p(-2.0 * abs(d))
-    return math.copysign(magnitude, d)
+    log = np.fromiter(map(math.log1p, (-2.0 * np.abs(d)).tolist()), np.float64, len(d))
+    return np.copysign(-scale * log, d)
 
 
 def censor_threshold(epsilon_q: float, delta: float, sensitivity: float) -> float:
@@ -196,17 +202,29 @@ def prepare_records(cols: Columns, privacy: PrivacyConfig | None) -> Columns:
     return bounded
 
 
+@dataclass(frozen=True, eq=False)
+class Released:
+    """The cells a release kept: ``index`` holds their positions in the exact
+    table, ascending, and ``sums`` their released values."""
+
+    index: np.ndarray
+    sums: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
 def release_sums(
-    exact: Mapping,
+    exact: np.ndarray,
     sensitivity: float,
     epsilon_q: float,
     threshold: float,
-    uniforms: Mapping,
-) -> dict:
+    uniforms: np.ndarray,
+) -> Released:
     """Release a table of sums under Laplace(sensitivity / epsilon_q) noise.
 
-    The noise on each key is the inverse-CDF transform of ``uniforms[key]``.
-    Keys whose noisy sum falls below ``threshold`` are dropped and nothing
+    The noise on cell i is the inverse-CDF transform of ``uniforms[i]``.
+    Cells whose noisy sum falls below ``threshold`` are dropped and nothing
     is derived from their values, so under censor_threshold's threshold a
     cell backed by one user alone survives with probability at most delta.
     Survivors keep their noisy values. epsilon_q must already be charged to
@@ -218,10 +236,6 @@ def release_sums(
         raise ValueError(f"sensitivity must be > 0, got {sensitivity}")
     if not threshold > 0:
         raise ValueError(f"censoring threshold must be > 0, got {threshold}")
-    scale = sensitivity / epsilon_q
-    released: dict = {}
-    for key in sorted(exact):
-        noisy = exact[key] + laplace_from_uniform(uniforms[key], scale)
-        if noisy >= threshold:
-            released[key] = noisy
-    return released
+    noisy = exact + laplace_from_uniform(uniforms, sensitivity / epsilon_q)
+    index = np.flatnonzero(noisy >= threshold)
+    return Released(index, noisy[index])

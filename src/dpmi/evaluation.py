@@ -102,7 +102,7 @@ class StabilityRow:
 def _check_sweep_args(epsilons: Sequence[float], trials: int) -> None:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if any(e <= 0 for e in epsilons):
+    if not all(e > 0 for e in epsilons):  # NaN fails too; inf ranks the baseline
         raise ValueError("all epsilons must be positive")
 
 

@@ -239,39 +239,83 @@ class PrivacyConfig:
         return max(abs(self.clamp_lo), abs(self.clamp_hi)) * self.contribution_limit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregateTable:
-    """Released (post-noise, post-censoring) sums at the three grouping levels.
+    """Released (post-noise, post-censoring) sums at the three grouping levels, coded.
 
-    Marginals are released separately from the joint sums, so a marginal is
-    not in general the sum of its surviving joint cells.
+    The key lists are sorted and hold exactly the released marginal keys:
+    ``feature_marginals[j]`` is the released sum of ``feature_keys[j]``, and
+    likewise for partitions. Joint cell i is (feature_keys[features[i]],
+    partition_keys[partitions[i]]) with released sum ``joint[i]``; cells are
+    distinct and in (feature, partition) order, and every joint cell's
+    feature and partition have a released marginal. Marginals are released
+    separately from the joint sums, so a marginal is not in general the sum
+    of its surviving joint cells.
     """
 
-    joint: Mapping[tuple[str, str], float]
-    feature_marginals: Mapping[str, float]
-    partition_marginals: Mapping[str, float]
+    features: np.ndarray
+    partitions: np.ndarray
+    joint: np.ndarray
+    feature_keys: list[str]
+    feature_marginals: np.ndarray
+    partition_keys: list[str]
+    partition_marginals: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, table in (
-            ("joint", self.joint),
-            ("feature_marginals", self.feature_marginals),
-            ("partition_marginals", self.partition_marginals),
+        for name in ("features", "partitions"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        for name in ("joint", "feature_marginals", "partition_marginals"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        fk, pk, features, partitions = (self.feature_keys, self.partition_keys,
+                                        self.features, self.partitions)
+        n = len(self.joint)
+        if (len(features), len(partitions), len(self.feature_marginals),
+                len(self.partition_marginals)) != (n, n, len(fk), len(pk)):
+            raise ValueError("aggregate table columns differ in length")
+        cells = features * max(1, len(pk)) + partitions
+        if n and not (features.min() >= 0 and features.max() < len(fk) and partitions.min() >= 0
+                      and partitions.max() < len(pk) and (np.diff(cells) > 0).all()):
+            raise ValueError("joint cells must be distinct codes into the marginal keys, "
+                             "in (feature, partition) order")
+        for name, values, key_of in (
+            ("joint", self.joint, lambda i: (fk[features[i]], pk[partitions[i]])),
+            ("feature_marginals", self.feature_marginals, fk.__getitem__),
+            ("partition_marginals", self.partition_marginals, pk.__getitem__),
         ):
-            for key, value in table.items():
-                if not value > 0:
-                    raise ValueError(f"{name}[{key!r}] must be > 0, got {value}")
+            bad = np.flatnonzero(~(values > 0))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"{name}[{key_of(i)!r}] must be > 0, got {values[i].item()}")
         if not self.total > 0:
             raise ValueError("no partitions survived the release; total is not positive")
-        for feature, partition in self.joint:
-            if feature not in self.feature_marginals:
+
+    @classmethod
+    def of(
+        cls,
+        joint: Mapping[tuple[str, str], float],
+        feature_marginals: Mapping[str, float],
+        partition_marginals: Mapping[str, float],
+    ) -> AggregateTable:
+        """The table of sums given by key, in any key order."""
+        fk, pk = sorted(feature_marginals), sorted(partition_marginals)
+        findex, pindex = dict(zip(fk, count())), dict(zip(pk, count()))
+        cells = sorted(joint)
+        for feature, partition in cells:
+            if feature not in findex:
                 raise ValueError(f"joint feature {feature!r} missing from feature_marginals")
-            if partition not in self.partition_marginals:
+            if partition not in pindex:
                 raise ValueError(f"joint partition {partition!r} missing from partition_marginals")
+        return cls(
+            [findex[f] for f, _ in cells], [pindex[p] for _, p in cells],
+            list(map(joint.__getitem__, cells)),
+            fk, list(map(feature_marginals.__getitem__, fk)),
+            pk, list(map(partition_marginals.__getitem__, pk)),
+        )
 
     @property
     def total(self) -> float:
         """The grand total, derived, not stored: the released partition marginals' fsum."""
-        return math.fsum(self.partition_marginals.values())
+        return math.fsum(self.partition_marginals.tolist())
 
 
 @dataclass(frozen=True, eq=False)

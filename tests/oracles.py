@@ -17,15 +17,23 @@ its distinct keys (``encode_oracle``). ``rank_oracle`` is the per-pair ranking t
 ``mi.rank`` replaced: it scores the pairs on arrays as ``rank`` does, then
 builds one ``RankedResult`` per pair, in rank order. ``ListAccumulator`` is
 the reference group-by for ``aggregate.accumulate``: one list of values per
-joint cell, and each marginal the fsum over its cells' lists. ``records_of``
-turns columns back into Records so tests can compare stage outputs row by
-row.
+joint cell, and each marginal the fsum over its cells' lists.
+``release_oracle`` is the release that ``aggregate.release_aggregate_table``
+replaced, one dict per query keyed by key strings: ``table_digest_oracle``
+packs each cell with ``struct``, each key draws ``keyed_uniform`` on its
+own, and ``release_sums_oracle`` loops over the sorted keys, adding
+``laplace_oracle``, the scalar inverse-CDF transform, to each sum.
+``records_of`` turns columns back into Records, and
+``accumulator_mappings``/``table_mappings`` turn an ``Accumulator`` or an
+``AggregateTable`` into dicts, so tests can compare stage outputs key by
+key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -41,6 +49,7 @@ from dpmi.evaluation import (
     nearest_rank_percentile,
 )
 from dpmi import mi
+from dpmi.dp import censor_threshold
 from dpmi.mi import REST_LABEL, TOL, rank_records
 from dpmi.model import Columns, Direction, RankedResult, Record, validate_record
 
@@ -186,6 +195,9 @@ class ListAccumulator:
     def joint_sums(self) -> dict[tuple[str, str], float]:
         return {key: math.fsum(vals) for key, vals in sorted(self.partial_joint.items())}
 
+    def cell_rows(self) -> dict[tuple[str, str], int]:
+        return {key: len(vals) for key, vals in sorted(self.partial_joint.items())}
+
     def feature_sums(self) -> dict[str, float]:
         return self._marginal_sums(0)
 
@@ -197,6 +209,90 @@ class ListAccumulator:
         for key, vals in self.partial_joint.items():
             cells.setdefault(key[axis], []).append(vals)
         return {key: math.fsum(chain.from_iterable(lists)) for key, lists in sorted(cells.items())}
+
+
+def laplace_oracle(u: float, scale: float) -> float:
+    """Inverse-CDF Laplace(0, scale) transform of one uniform u in (0, 1)."""
+    d = u - 0.5
+    magnitude = -scale * math.log1p(-2.0 * abs(d))
+    return math.copysign(magnitude, d)
+
+
+def table_digest_oracle(joint_sums: dict, cell_rows: dict) -> bytes:
+    """blake2b over each joint cell in key order: its keys' byte lengths,
+    row count and sum packed as ``<IIqd``, then its keys."""
+    pack = struct.Struct("<IIqd").pack
+    parts: list[bytes] = []
+    for (feature, partition), total in sorted(joint_sums.items()):
+        f, p = feature.encode("utf-8"), partition.encode("utf-8")
+        parts += (pack(len(f), len(p), cell_rows[feature, partition], total), f, p)
+    return hashlib.blake2b(b"".join(parts), digest_size=16).digest()
+
+
+def release_sums_oracle(exact: dict, sensitivity, epsilon_q, threshold, uniforms: dict) -> dict:
+    """Each key of ``exact``, in sorted order, whose sum plus its Laplace
+    noise reaches ``threshold``, mapped to that noisy sum."""
+    scale = sensitivity / epsilon_q
+    released = {}
+    for key in sorted(exact):
+        noisy = exact[key] + laplace_oracle(uniforms[key], scale)
+        if noisy >= threshold:
+            released[key] = noisy
+    return released
+
+
+def release_oracle(acc: ListAccumulator, privacy, label_prefix: str = ""):
+    """The (joint, feature, partition) dicts ``release_aggregate_table``
+    releases, and the set of joint cells the joint query released but the
+    table dropped.
+
+    With privacy None each query keeps its positive exact sums. Otherwise
+    each query's keys draw ``keyed_uniform(seed, digest, label, *key)``, and
+    each query releases at its budget share and censoring threshold. Joint
+    cells without both released marginals are then dropped.
+    """
+    exact = (acc.joint_sums(), acc.feature_sums(), acc.partition_sums())
+    if privacy is None:
+        tables = [{key: value for key, value in sums.items() if value > 0} for sums in exact]
+    else:
+        digest = table_digest_oracle(exact[0], acc.cell_rows())
+        sens = privacy.sensitivity
+        tables = []
+        for query, weight, sums in zip(("joint", "feature_marginal", "partition_marginal"),
+                                       privacy.budget_split, exact):
+            eps_q = weight * privacy.epsilon
+            uniforms = {
+                key: keyed_uniform(privacy.seed, digest, label_prefix + query,
+                                   *(key if isinstance(key, tuple) else (key,)))
+                for key in sums
+            }
+            tau = censor_threshold(eps_q, privacy.delta, sens)
+            tables.append(release_sums_oracle(sums, sens, eps_q, tau, uniforms))
+    released, features, partitions = tables
+    joint = {(f, p): v for (f, p), v in released.items() if f in features and p in partitions}
+    return joint, features, partitions, set(released) - set(joint)
+
+
+def accumulator_mappings(acc):
+    """An ``Accumulator``'s joint sums, feature sums, partition sums and joint
+    row counts, as dicts by key in key order."""
+    fk, pk = acc.feature_keys, acc.partition_keys
+    features, partitions = (codes.tolist() for codes in acc.cell_codes())
+    cells = list(zip(map(fk.__getitem__, features), map(pk.__getitem__, partitions)))
+    return (dict(zip(cells, acc.partial_joint.tolist())),
+            dict(zip(map(fk.__getitem__, acc.features.tolist()), acc.feature_totals.tolist())),
+            dict(zip(map(pk.__getitem__, acc.partitions.tolist()), acc.partition_totals.tolist())),
+            dict(zip(cells, acc.cell_rows.tolist())))
+
+
+def table_mappings(table):
+    """An ``AggregateTable``'s (joint, feature, partition) sums as dicts by key."""
+    fk, pk = table.feature_keys, table.partition_keys
+    cells = zip(map(fk.__getitem__, table.features.tolist()),
+                map(pk.__getitem__, table.partitions.tolist()))
+    return (dict(zip(cells, table.joint.tolist())),
+            dict(zip(fk, table.feature_marginals.tolist())),
+            dict(zip(pk, table.partition_marginals.tolist())))
 
 
 def binary_rank_oracle(records, partition, privacy):

@@ -7,6 +7,7 @@ import random
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
@@ -118,12 +119,10 @@ def test_criterion_05_head_vs_tail_stability():
 
 def test_criterion_06_censoring_guarantee():
     tau = censor_threshold(1.0, 1e-6, 1.0)
-    survived = 0
     trials = 100_000
-    for t in range(trials):
-        uniforms = keyed_uniforms(t, (b"", "censor"), ["dim"])
-        out = release_sums({"dim": 1.0}, 1.0, 1.0, tau, uniforms)
-        survived += int("dim" in out)
+    # one cell per trial, each drawn at that trial's seed
+    uniforms = np.concatenate([keyed_uniforms(t, (b"", "censor"), ["dim"]) for t in range(trials)])
+    survived = len(release_sums(np.full(trials, 1.0), 1.0, 1.0, tau, uniforms))
     ok = survived <= 5
     _report(6, "censoring guarantee", ok, f"tau={tau:.3f} survived {survived}/{trials}")
 
@@ -132,8 +131,8 @@ def test_criterion_07_laplace_statistics():
     n = 1_000_000
     total = 0.0
     total_sq = 0.0
-    for i in range(n):
-        x = laplace_from_uniform(keyed_uniform(707, "stats", i), 1.0)
+    uniforms = np.array([keyed_uniform(707, "stats", i) for i in range(n)])
+    for x in laplace_from_uniform(uniforms, 1.0).tolist():
         total += x
         total_sq += x * x
     mean = total / n
@@ -147,12 +146,12 @@ def test_criterion_08_empirical_dp_smoke():
     epsilon = 1.0
 
     def histogram(exact, seed_base, trials=100_000):
-        h = Counter()
-        for t in range(trials):
-            uniforms = keyed_uniforms(seed_base + t, (b"", "count"), ["dim"])
-            out = release_sums({"dim": exact}, 1.0, epsilon, 1e-9, uniforms)
-            value = out.get("dim")
-            h["censored" if value is None else math.floor(value)] += 1
+        # one cell per trial, each drawn at that trial's seed
+        uniforms = np.concatenate([keyed_uniforms(seed_base + t, (b"", "count"), ["dim"])
+                                   for t in range(trials)])
+        out = release_sums(np.full(trials, exact), 1.0, epsilon, 1e-9, uniforms)
+        h = Counter(map(math.floor, out.sums.tolist()))
+        h["censored"] += trials - len(out)
         return h
 
     h1 = histogram(51.0, 0)

@@ -19,7 +19,8 @@ from dpmi.aggregate import (
 from dpmi.dp import BudgetAccountant, keyed_uniforms, prepare_records
 from dpmi.model import AggregateTable, Columns, PrivacyConfig, Record
 
-from oracles import ListAccumulator, records_of
+from oracles import (ListAccumulator, accumulator_mappings, records_of, release_oracle,
+                     table_mappings)
 
 
 def _accumulate(records):
@@ -43,14 +44,14 @@ def _random_records(n, n_users=500, n_features=40, n_partitions=6, seed=0):
 class TestAccumulate:
     def test_singleton(self):
         acc = _accumulate([Record("u1", "f1", "p1", 0.5)])
-        assert acc.partial_joint == {("f1", "p1"): 0.5}
-        assert acc.feature_totals == {"f1": 0.5}
-        assert acc.partition_totals == {"p1": 0.5}
+        assert accumulator_mappings(acc) == (
+            {("f1", "p1"): 0.5}, {"f1": 0.5}, {"p1": 0.5}, {("f1", "p1"): 1}
+        )
         assert acc.row_count == 1
 
     def test_additivity(self):
         acc = _accumulate([Record("u1", "f1", "p1", 0.5), Record("u2", "f1", "p1", 0.5)])
-        assert acc.partial_joint == {("f1", "p1"): 1.0}
+        assert accumulator_mappings(acc)[0] == {("f1", "p1"): 1.0}
 
     @settings(deadline=None)
     @given(st.data())
@@ -71,13 +72,12 @@ class TestAccumulate:
         )
         shuffled = data.draw(st.permutations(records))
         a, b = _accumulate(records), _accumulate(shuffled)
-        assert a.partial_joint == b.partial_joint
-        assert a.feature_totals == b.feature_totals
-        assert a.partition_totals == b.partition_totals
+        joint, feature_totals, partition_totals, _ = accumulator_mappings(a)
+        assert accumulator_mappings(a) == accumulator_mappings(b)
         assert a.row_count == b.row_count
         # the marginals, summed over the joint cells, equal the fsum of each
         # marginal's own rows
-        for sums, key in ((a.feature_totals, "feature"), (a.partition_totals, "partition")):
+        for sums, key in ((feature_totals, "feature"), (partition_totals, "partition")):
             keys = {getattr(r, key) for r in records}
             assert sums == {
                 k: math.fsum(r.observation for r in records if getattr(r, key) == k) for k in keys
@@ -109,21 +109,19 @@ class TestAccumulate:
         taken = cols.take(np.array(subset if records else [], np.int64))
         for table in (cols, taken, prepare_records(cols, privacy)):
             got, want = accumulate(table), ListAccumulator.of(records_of(table))
-            for sums, expected in ((got.partial_joint, want.joint_sums()),
-                                   (got.feature_totals, want.feature_sums()),
-                                   (got.partition_totals, want.partition_sums())):
+            *got_sums, got_rows = accumulator_mappings(got)
+            for sums, expected in zip(got_sums, (want.joint_sums(), want.feature_sums(),
+                                                 want.partition_sums())):
                 assert [(k, v.hex()) for k, v in sums.items()] == [
                     (k, v.hex()) for k, v in expected.items()
                 ]
-            assert list(got.cell_rows.items()) == [
-                (k, len(want.partial_joint[k])) for k in sorted(want.partial_joint)
-            ]
+            assert list(got_rows.items()) == list(want.cell_rows().items())
             assert got.row_count == want.row_count == len(table)
 
 
 class TestBuildProbabilityTables:
     def test_direct_division(self):
-        table = AggregateTable(
+        table = AggregateTable.of(
             joint={("f", "p"): 2.0},
             feature_marginals={"f": 2.0},
             partition_marginals={"p": 2.0, "q": 2.0},
@@ -135,7 +133,7 @@ class TestBuildProbabilityTables:
 
     def test_containment_repair(self):
         # noisy joint exceeds its feature marginal; p_xy pulled just under p_x
-        table = AggregateTable(
+        table = AggregateTable.of(
             joint={("f", "p"): 3.0},
             feature_marginals={"f": 2.5},
             partition_marginals={"p": 6.0, "q": 4.0},
@@ -145,13 +143,13 @@ class TestBuildProbabilityTables:
         assert p_xy == pytest.approx(0.25, rel=1e-11)
 
     def test_pair_with_censored_marginal_dropped(self):
-        table = AggregateTable(
+        table = AggregateTable.of(
             joint={("f", "p"): 1.0},
             feature_marginals={"f": 2.0},
             partition_marginals={"p": 3.0, "q": 1.0},
         )
         # feature marginal censored after table construction: simulate via dict copy
-        stripped = AggregateTable(
+        stripped = AggregateTable.of(
             joint={},
             feature_marginals={"g": 2.0},
             partition_marginals={"p": 3.0, "q": 1.0},
@@ -194,8 +192,9 @@ class TestReleaseAggregateTable:
         acc = _accumulate(records)
         accountant = BudgetAccountant(1.0)
         table = release_aggregate_table(acc, None, accountant)
-        assert table.joint == {("f1", "p1"): 1.0, ("f2", "p2"): 2.0}
-        assert table.feature_marginals == {"f1": 1.0, "f2": 2.0}
+        joint, feature_marginals, _ = table_mappings(table)
+        assert joint == {("f1", "p1"): 1.0, ("f2", "p2"): 2.0}
+        assert feature_marginals == {"f1": 1.0, "f2": 2.0}
         assert table.total == 3.0
         assert accountant.spent == []
 
@@ -212,12 +211,11 @@ class TestReleaseAggregateTable:
     def test_released_tables_deterministic_and_noisy(self):
         records = [Record(f"u{i}", f"f{i % 5}", f"p{i % 3}", 1.0) for i in range(3000)]
         acc = _accumulate(records)
-        t1 = release_aggregate_table(acc, self._config())
-        t2 = release_aggregate_table(acc, self._config())
-        assert t1.joint == t2.joint
-        assert t1.total == t2.total
-        exact = acc.partial_joint
-        assert any(t1.joint[k] != exact[k] for k in t1.joint)
+        t1 = table_mappings(release_aggregate_table(acc, self._config()))
+        t2 = table_mappings(release_aggregate_table(acc, self._config()))
+        assert t1 == t2
+        exact = accumulator_mappings(acc)[0]
+        assert any(value != exact[k] for k, value in t1[0].items())
 
     def test_joint_cells_without_surviving_marginal_are_removed(self):
         # one rare feature: its marginal will be censored, the joint cell must go too
@@ -225,8 +223,8 @@ class TestReleaseAggregateTable:
         records.append(Record("u_solo", "rare", "p0", 1.0))
         acc = _accumulate(records)
         table = release_aggregate_table(acc, self._config(epsilon=1.0, delta=1e-6))
-        assert "rare" not in table.feature_marginals
-        assert ("rare", "p0") not in table.joint
+        assert "rare" not in table.feature_keys
+        assert ("rare", "p0") not in table_mappings(table)[0]
 
     def test_one_new_user_adds_no_released_key(self):
         # neighbouring datasets D and D + u, where u alone holds a new feature:
@@ -242,11 +240,12 @@ class TestReleaseAggregateTable:
 
         def released_keys(records, privacy):
             prepared = prepare_records(Columns.from_records(records), privacy)
-            table = release_aggregate_table(accumulate(prepared), privacy)
+            joint, features, partitions = table_mappings(
+                release_aggregate_table(accumulate(prepared), privacy))
             return (
-                {("joint", key) for key in table.joint}
-                | {("feature", key) for key in table.feature_marginals}
-                | {("partition", key) for key in table.partition_marginals}
+                {("joint", key) for key in joint}
+                | {("feature", key) for key in features}
+                | {("partition", key) for key in partitions}
             )
 
         new_keys = set()
@@ -266,12 +265,12 @@ class TestReleaseAggregateTable:
         exact_differences = 0
         for seed in range(50):
             privacy = self._config(epsilon=1.0, seed=seed)
-            d = release_aggregate_table(acc_d, privacy)
-            du = release_aggregate_table(acc_du, privacy)
+            d = table_mappings(release_aggregate_table(acc_d, privacy))
+            du = table_mappings(release_aggregate_table(acc_du, privacy))
             differences = (
-                du.joint[("f1", "p0")] - d.joint[("f1", "p0")],
-                du.feature_marginals["f1"] - d.feature_marginals["f1"],
-                du.partition_marginals["p0"] - d.partition_marginals["p0"],
+                du[0][("f1", "p0")] - d[0][("f1", "p0")],
+                du[1]["f1"] - d[1]["f1"],
+                du[2]["p0"] - d[2]["p0"],
             )
             exact_differences += sum(abs(x - 0.7) <= 1e-9 for x in differences)
         assert exact_differences == 0
@@ -368,7 +367,7 @@ class TestReleaseAggregateTable:
 
         def release(source, config):
             try:
-                return release_aggregate_table(source, config)
+                return table_mappings(release_aggregate_table(source, config))
             except ValueError as exc:
                 assert "no partitions survived" in str(exc)
                 return None
@@ -379,6 +378,86 @@ class TestReleaseAggregateTable:
         assert release(acc, cfg) == table
         if table is None:
             return
-        assert set(table.feature_marginals) <= set(acc.feature_totals)
-        assert set(table.partition_marginals) <= set(acc.partition_totals)
-        assert set(table.joint) <= set(acc.partial_joint)
+        joint, features, partitions, _ = accumulator_mappings(acc)
+        assert set(table[1]) <= set(features)
+        assert set(table[2]) <= set(partitions)
+        assert set(table[0]) <= set(joint)
+
+
+def _release_matches_oracle(cols, configs, label_prefix=""):
+    """Release one accumulator of ``cols`` under each config in turn and check
+    each table against the dict oracle: the same keys, the same bits of each
+    value, and probability tables keyed by exactly the released marginals.
+    Returns the joint cells that a censored marginal removed, over all
+    configs."""
+    acc, reference = accumulate(cols), ListAccumulator.of(records_of(cols))
+    removed = set()
+    for privacy in configs:
+        joint, features, partitions, dropped = release_oracle(reference, privacy, label_prefix)
+        removed |= dropped
+        try:
+            table = release_aggregate_table(acc, privacy, label_prefix=label_prefix)
+        except ValueError as exc:
+            assert "no partitions survived" in str(exc)
+            assert not partitions
+            continue
+        for got, want in zip(table_mappings(table), (joint, features, partitions)):
+            assert [(k, v.hex()) for k, v in got.items()] == [
+                (k, v.hex()) for k, v in want.items()
+            ]
+        tables = build_probability_tables(table)
+        assert tables.feature_keys == list(features)
+        assert tables.partition_keys == list(partitions)
+    return removed
+
+
+def _columns_with_unused_keys(records):
+    """The columns of ``records``, whose key lists also hold a feature and a
+    partition that no row uses, sorted among the used ones."""
+    ghost = Record("ghost", "f0_", "p0_", 1.0)
+    return Columns.from_records([*records, ghost]).take(np.arange(len(records)))
+
+
+class TestReleaseMatchesDictOracle:
+    """The coded release equals the per-key dict release it replaced, bit for bit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        records=st.lists(
+            st.builds(
+                Record,
+                st.sampled_from([f"u{i}" for i in range(6)]),
+                st.sampled_from(["f0", "f1", "f2", "u", "u\x00", "é"]),
+                st.sampled_from(["p0", "p1", "p2"]),
+                st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 20.0)),
+            ),
+            max_size=50,
+        ),
+        epsilons=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=4),
+        weights=st.tuples(*[st.floats(0.01, 1.0)] * 3),
+        delta=st.sampled_from([1e-3, 0.1, 0.5]),
+        seed=st.integers(-(2**63), 2**63 - 1),
+        label_prefix=st.sampled_from(["", "fold1/"]),
+    )
+    def test_random_tables(self, records, epsilons, weights, delta, seed, label_prefix):
+        split = tuple(w / math.fsum(weights) for w in weights)
+        configs = [None, *(PrivacyConfig(epsilon=e, delta=delta, budget_split=split, seed=seed)
+                           for e in epsilons)]
+        _release_matches_oracle(_columns_with_unused_keys(records), configs, label_prefix)
+
+    def test_censored_marginal_removes_joint_cells(self):
+        # "rare"'s joint cells clear the joint threshold, but its marginal,
+        # released on a hundredth of the budget, rarely clears its own; a
+        # -0.0 and a 0.0 cell are released too, and f0_ and p0_ have no rows
+        records = [Record(f"u{i}", f"f{i % 3}", f"p{i % 2}", 1.0) for i in range(600)]
+        records += [Record("r1", "rare", "p0", 15.0), Record("r2", "rare", "p1", 15.0),
+                    Record("z1", "zero", "p0", -0.0), Record("z2", "zero", "p1", 0.0)]
+        cols = _columns_with_unused_keys(records)
+        assert {"f0_", "p0_"} <= {*cols.feature_keys, *cols.partition_keys}
+        removed = set()
+        for seed in range(20):
+            configs = [None, *(PrivacyConfig(epsilon=e, delta=0.1, seed=seed,
+                                             budget_split=(0.98, 0.01, 0.01))
+                               for e in (0.5, 1.0, 2.0))]
+            removed |= _release_matches_oracle(cols, configs)
+        assert {("rare", "p0"), ("rare", "p1")} <= removed

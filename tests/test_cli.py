@@ -20,7 +20,7 @@ import dpmi
 from dpmi import cli
 from dpmi.cli import build_parser, main, read_aggregate_file, read_records
 
-from oracles import mi_2x2, read_records_oracle, records_of
+from oracles import mi_2x2, read_records_oracle, records_of, table_mappings
 
 
 def _read_rows(path, columns):
@@ -64,14 +64,11 @@ class TestAggregateCommand:
         rc = main(["aggregate", "--input", inp, "--output", out, "--no-dp"])
         assert rc == 0
         table = read_aggregate_file(out)
-        assert table.joint == {
-            ("f1", "p1"): 200.0,
-            ("f1", "p2"): 100.0,
-            ("f2", "p3"): 50.0,
-            ("f3", "p3"): 270.0,
-        }
-        assert table.feature_marginals == {"f1": 300.0, "f2": 50.0, "f3": 270.0}
-        assert table.partition_marginals == {"p1": 200.0, "p2": 100.0, "p3": 320.0}
+        assert table_mappings(table) == (
+            {("f1", "p1"): 200.0, ("f1", "p2"): 100.0, ("f2", "p3"): 50.0, ("f3", "p3"): 270.0},
+            {"f1": 300.0, "f2": 50.0, "f3": 270.0},
+            {"p1": 200.0, "p2": 100.0, "p3": 320.0},
+        )
         assert table.total == 620.0
         manifest = _read_manifest(out + ".manifest.jsonl")
         ingest = next(m for m in manifest if m["event"] == "ingest")
@@ -92,7 +89,7 @@ class TestAggregateCommand:
         ])
         assert rc == 0
         table = read_aggregate_file(out)
-        assert "rare" not in table.feature_marginals
+        assert "rare" not in table.feature_keys
         manifest = _read_manifest(out + ".manifest.jsonl")
         feature_release = next(
             m for m in manifest if m["event"] == "release" and m["query"] == "feature_marginal"
@@ -122,7 +119,7 @@ class TestAggregateCommand:
         inp = _write(tmp_path / "in.csv", "id,feature,partition,observation\nu1,f1,p1,3.5\nu2,f2,p2,1.0\n")
         out = str(tmp_path / "agg.jsonl")
         assert main(["aggregate", "--input", inp, "--output", out, "--no-dp"]) == 0
-        assert read_aggregate_file(out).joint[("f1", "p1")] == 3.5
+        assert table_mappings(read_aggregate_file(out))[0][("f1", "p1")] == 3.5
 
     def test_column_remapping(self, tmp_path):
         inp = _write(
@@ -985,6 +982,18 @@ class TestEvalCommand:
         assert "need at least 10 baseline pairs, got 7" in capsys.readouterr().err
         assert [privacy for _, privacy in pipeline_calls["prepare_records"]] == [None]
         assert len(pipeline_calls["accumulate"]) == 1
+        assert not (tmp_path / "ev.manifest.jsonl").exists()
+
+    @pytest.mark.parametrize("flag", ["--epsilons", "--stability-epsilon"])
+    def test_nan_epsilon_fails_before_any_ranking(self, tmp_path, capsys, pipeline_calls, flag):
+        out = tmp_path / "ev"
+        assert main(["eval", "--synth", "users=500,features=20,partitions=4", flag, "nan",
+                     "--trials", "1", "--seed", "1", "--output", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "all epsilons must be positive",
+        }
+        assert pipeline_calls == {"prepare_records": [], "accumulate": []}
+        assert not out.exists()
         assert not (tmp_path / "ev.manifest.jsonl").exists()
 
     def test_one_baseline_and_one_pass_per_trial(self, tmp_path, pipeline_calls):

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from statistics import fmean
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,8 @@ from dpmi.dp import (
 from dpmi.mi import rank_records
 from dpmi.model import Columns, PrivacyConfig, Record
 
-from oracles import bound_contributions_oracle, clamp, keyed_u64, keyed_uniform, records_of
+from oracles import (bound_contributions_oracle, clamp, keyed_u64, keyed_uniform, laplace_oracle,
+                     records_of)
 
 
 # Key parts as the release and bounding pass them: strings (empty and
@@ -36,23 +38,28 @@ _PARTS = st.one_of(
 )
 
 
+def _laplace(uniforms, scale):
+    """``laplace_from_uniform`` over a list of uniforms, as a list."""
+    return laplace_from_uniform(np.array(uniforms, np.float64), scale).tolist()
+
+
 class TestLaplace:
     def test_monte_carlo_mean_and_variance(self):
         n = 200_000
-        samples = [laplace_from_uniform(keyed_uniform(7, "mc", i), 1.0) for i in range(n)]
+        samples = _laplace([keyed_uniform(7, "mc", i) for i in range(n)], 1.0)
         mean = fmean(samples)
         var = fmean((s - mean) ** 2 for s in samples)
         assert abs(mean) < 0.02
         assert abs(var - 2.0) < 0.1
 
     def test_same_seed_same_sample(self):
-        a = laplace_from_uniform(keyed_uniform(42, "x", 0), 1.0)
-        b = laplace_from_uniform(keyed_uniform(42, "x", 0), 1.0)
+        a = _laplace([keyed_uniform(42, "x", 0)], 1.0)
+        b = _laplace([keyed_uniform(42, "x", 0)], 1.0)
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = laplace_from_uniform(keyed_uniform(42, "x", 0), 1.0)
-        b = laplace_from_uniform(keyed_uniform(43, "x", 0), 1.0)
+        a = _laplace([keyed_uniform(42, "x", 0)], 1.0)
+        b = _laplace([keyed_uniform(43, "x", 0)], 1.0)
         assert a != b
 
     def test_rejects_nonpositive_scale(self):
@@ -61,27 +68,26 @@ class TestLaplace:
 
     def test_inverse_cdf_is_monotone_in_scale(self):
         # same uniform, smaller scale, weakly smaller magnitude
-        for i in range(200):
-            u = keyed_uniform(11, "mono", i)
-            assert abs(laplace_from_uniform(u, 0.5)) <= abs(laplace_from_uniform(u, 2.0))
+        us = [keyed_uniform(11, "mono", i) for i in range(200)]
+        for small, large in zip(_laplace(us, 0.5), _laplace(us, 2.0)):
+            assert abs(small) <= abs(large)
 
     def test_median_is_zero_sided(self):
-        assert laplace_from_uniform(0.5, 1.0) == 0.0
-        assert laplace_from_uniform(0.9, 1.0) > 0.0
-        assert laplace_from_uniform(0.1, 1.0) < 0.0
+        median, high, low = _laplace([0.5, 0.9, 0.1], 1.0)
+        assert (median, high > 0.0, low < 0.0) == (0.0, True, True)
 
 
 class TestKeyedUniform:
     def test_open_interval(self):
         us = keyed_uniforms(3, ("u",), range(10_000))
         assert len(us) == 10_000
-        assert all(0.0 < u < 1.0 for u in us.values())
+        assert all(0.0 < u < 1.0 for u in us.tolist())
 
     def test_key_order_independent(self):
         keys = [("a", str(i)) for i in range(50)]
         first = keyed_uniforms(5, (b"", "joint"), keys)
-        second = keyed_uniforms(5, (b"", "joint"), reversed(keys))
-        assert [first[k] for k in keys] == [second[k] for k in keys]
+        second = keyed_uniforms(5, (b"", "joint"), keys[::-1])
+        assert first.tolist() == second[::-1].tolist()
 
     @settings(deadline=None)
     @given(
@@ -94,12 +100,11 @@ class TestKeyedUniform:
         expected = [keyed_u64(seed, (*prefix, *p)) for p in parts]
         assert list(keyed_u64s(seed, prefix, keys)) == expected
         drawn = keyed_uniforms(seed, prefix, keys)
-        for key, p in zip(keys, parts):
-            assert drawn[key] == keyed_uniform(seed, *prefix, *p)
+        assert drawn.tolist() == [keyed_uniform(seed, *prefix, *p) for p in parts]
 
     def test_length_prefix_separates_split_parts(self):
         drawn = keyed_uniforms(9, ("q",), [("ab", "c"), ("a", "bc"), ("abc",), ("", "abc")])
-        assert len(set(drawn.values())) == 4
+        assert len(set(drawn.tolist())) == 4
 
 
 class TestCensorThreshold:
@@ -320,48 +325,56 @@ def test_own_row_order_does_not_change_survivors():
 
 class TestReleaseSums:
     def test_empty_input_empty_output(self):
-        assert release_sums({}, 1.0, 1.0, 5.0, {}) == {}
+        assert len(release_sums(np.empty(0), 1.0, 1.0, 5.0, np.empty(0))) == 0
 
     def test_single_user_dimension_censored(self):
         # exact sum 0 from one user, tau=20: survival prob is e^-20 / 2
         survived = 0
         for trial in range(20_000):
             uniforms = keyed_uniforms(trial, (b"", "q"), ["rare"])
-            out = release_sums({"rare": 0.0}, 1.0, 1.0, 20.0, uniforms)
-            survived += int("rare" in out)
+            out = release_sums(np.array([0.0]), 1.0, 1.0, 20.0, uniforms)
+            survived += len(out)
         assert survived == 0
 
     def test_survivors_keep_noisy_value(self):
-        out = release_sums({"big": 100.0}, 1.0, 1.0, 0.5, keyed_uniforms(3, (b"", "q"), ["big"]))
-        expected = 100.0 + laplace_from_uniform(keyed_uniform(3, b"", "q", "big"), 1.0)
-        assert out["big"] == expected
-        assert out["big"] != 100.0
+        out = release_sums(np.array([100.0]), 1.0, 1.0, 0.5,
+                           keyed_uniforms(3, (b"", "q"), ["big"]))
+        expected = 100.0 + laplace_oracle(keyed_uniform(3, b"", "q", "big"), 1.0)
+        assert (out.index.tolist(), out.sums.tolist()) == ([0], [expected])
+        assert expected != 100.0
 
     def test_iteration_order_does_not_matter(self):
-        exact_a = {"x": 5.0, "y": 7.0, "z": 9.0}
-        exact_b = {"z": 9.0, "x": 5.0, "y": 7.0}
-        out_a = release_sums(exact_a, 1.0, 1.0, 0.5, keyed_uniforms(1, (b"", "q"), exact_a))
-        out_b = release_sums(exact_b, 1.0, 1.0, 0.5, keyed_uniforms(1, (b"", "q"), exact_b))
-        assert out_a == out_b
+        # a table listed in another order releases the same sum for each key
+        def release(exact):
+            keys = list(exact)
+            out = release_sums(np.array(list(exact.values())), 1.0, 1.0, 0.5,
+                               keyed_uniforms(1, (b"", "q"), keys))
+            return dict(zip(map(keys.__getitem__, out.index.tolist()), out.sums.tolist()))
+
+        out_a = release({"x": 5.0, "y": 7.0, "z": 9.0})
+        assert out_a == release({"z": 9.0, "x": 5.0, "y": 7.0})
+        assert len(out_a) == 3
 
     def test_higher_epsilon_means_weakly_smaller_noise(self):
-        exact = {f"k{i}": 100.0 for i in range(200)}
-        uniforms = keyed_uniforms(4, (b"", "q"), exact)
+        exact = np.full(200, 100.0)
+        uniforms = keyed_uniforms(4, (b"", "q"), [f"k{i}" for i in range(200)])
         low = release_sums(exact, 1.0, 0.5, 1e-9, uniforms)
         high = release_sums(exact, 1.0, 4.0, 1e-9, uniforms)
-        for key in exact:
-            assert abs(high[key] - 100.0) <= abs(low[key] - 100.0)
+        assert len(low) == len(high) == 200
+        assert (abs(high.sums - 100.0) <= abs(low.sums - 100.0)).all()
 
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
-            release_sums({"a": 1.0}, 1.0, 0.0, 1.0, keyed_uniforms(0, (b"", "q"), ["a"]))
+            release_sums(np.array([1.0]), 1.0, 0.0, 1.0, keyed_uniforms(0, (b"", "q"), ["a"]))
 
     @pytest.mark.parametrize("sensitivity", [0.0, -1.0])
     def test_rejects_nonpositive_sensitivity(self, sensitivity):
         with pytest.raises(ValueError, match="sensitivity must be > 0"):
-            release_sums({"a": 1.0}, sensitivity, 1.0, 1.0, keyed_uniforms(0, (b"", "q"), ["a"]))
+            release_sums(np.array([1.0]), sensitivity, 1.0, 1.0,
+                         keyed_uniforms(0, (b"", "q"), ["a"]))
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
     def test_rejects_nonpositive_threshold(self, threshold):
         with pytest.raises(ValueError, match="censoring threshold must be > 0"):
-            release_sums({"a": 1.0}, 1.0, 1.0, threshold, keyed_uniforms(0, (b"", "q"), ["a"]))
+            release_sums(np.array([1.0]), 1.0, 1.0, threshold,
+                         keyed_uniforms(0, (b"", "q"), ["a"]))

@@ -7,12 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dpmi import evaluation
 from dpmi.evaluation import (
     compare_rankings,
     epsilon_sweep,
     head_tail_stability,
     nearest_rank_percentile,
     runtime_compare,
+    sweep_and_stability,
     synth_generate,
 )
 from dpmi.mi import rank_records
@@ -189,6 +191,24 @@ class TestEpsilonSweep:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             epsilon_sweep([], NO_DP, epsilons=(0.0,), trials=1)
+
+    @pytest.mark.parametrize("run", [
+        lambda records, privacy: epsilon_sweep(records, privacy, epsilons=(1.0, math.nan)),
+        lambda records, privacy: head_tail_stability(records, privacy, epsilon=math.nan),
+        lambda records, privacy: sweep_and_stability(records, privacy, [1.0, math.nan], 1.0,
+                                                     1, 10, 10),
+        lambda records, privacy: sweep_and_stability(records, privacy, [1.0], math.nan,
+                                                     1, 10, 10),
+    ], ids=["sweep", "stability", "one_pass_sweep", "one_pass_stability"])
+    def test_nan_epsilon_fails_before_any_ranking(self, monkeypatch, run):
+        def no_ranking(*args, **kwargs):
+            raise AssertionError("ranked before the epsilons were checked")
+
+        monkeypatch.setattr(evaluation, "rank_records", no_ranking)
+        monkeypatch.setattr(evaluation, "rank", no_ranking)
+        records = synth_generate(200, 10, 3, 0.9, seed=3)
+        with pytest.raises(ValueError, match="all epsilons must be positive"):
+            run(records, PrivacyConfig(epsilon=1.0, delta=0.2, seed=3))
 
 
 class TestSweepMatchesPerCellOracle:

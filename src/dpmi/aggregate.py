@@ -80,24 +80,25 @@ class Accumulator:
             digest = table_digest(self)
             fkeys, pkeys = self.feature_keys, self.partition_keys
             features, partitions = (codes.tolist() for codes in self.cell_codes())
-            cells = (
+            query_keys = (
                 list(zip(map(fkeys.__getitem__, features), map(pkeys.__getitem__, partitions))),
                 list(map(fkeys.__getitem__, self.features.tolist())),
                 list(map(pkeys.__getitem__, self.partitions.tolist())),
             )
             self._draws[key] = [
                 keyed_uniforms(seed, (digest, label_prefix + q), keys)
-                for q, keys in zip(QUERIES, cells)
+                for q, keys in zip(QUERIES, query_keys)
             ]
         return self._draws[key]
 
 
 def _groups(codes: np.ndarray, values: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each run of equal sorted ``codes``: the code, its ``values``' fsum and the run length."""
-    bounds = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), len(codes)] if len(codes) else [0]
-    slices = map(values.__getitem__, map(slice, bounds, bounds[1:]))
-    sums = np.fromiter(map(math.fsum, slices), np.float64, len(bounds) - 1)
-    return codes[bounds[:-1]], sums, np.diff(bounds)
+    if not len(codes):
+        return codes, np.empty(0), codes
+    bounds = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), len(codes)]
+    sums = map(math.fsum, map(values.__getitem__, map(slice, bounds, bounds[1:])))
+    return codes[bounds[:-1]], np.fromiter(sums, np.float64, len(bounds) - 1), np.diff(bounds)
 
 
 def accumulate(cols: Columns) -> Accumulator:
@@ -230,13 +231,20 @@ def build_probability_tables(table: AggregateTable) -> ProbabilityTables:
     joint cell has both marginals. Each marginal is normalized once per key,
     capped at 1, and indexed by the pairs' codes. Pairs keep the joint
     table's order. Noise can leave p_xy above min(p_x, p_y); such pairs are
-    repaired by pulling p_xy just below the smaller marginal.
+    repaired by pulling p_xy just below the smaller marginal. A pair whose
+    sums are so far below the total that a probability underflows to 0 has
+    no probability to rank and is dropped; the key lists keep its keys.
     """
     total = table.total
-    p_x = np.minimum(table.feature_marginals / total, 1.0)[table.features]
-    p_y = np.minimum(table.partition_marginals / total, 1.0)[table.partitions]
+    features, partitions = table.features, table.partitions
+    p_x = np.minimum(table.feature_marginals / total, 1.0)[features]
+    p_y = np.minimum(table.partition_marginals / total, 1.0)[partitions]
     p_xy = table.joint / total
     cap = np.minimum(p_x, p_y)
     p_xy = np.where(p_xy > cap, cap * (1.0 - CONTAINMENT_MARGIN), p_xy)
-    return ProbabilityTables(table.features, table.feature_keys, table.partitions,
-                             table.partition_keys, p_x, p_y, p_xy)
+    ranked = p_xy > 0  # p_xy <= min(p_x, p_y), so p_x and p_y are positive too
+    if not ranked.all():
+        features, partitions, p_x, p_y, p_xy = (
+            column[ranked] for column in (features, partitions, p_x, p_y, p_xy))
+    return ProbabilityTables(features, table.feature_keys, partitions, table.partition_keys,
+                             p_x, p_y, p_xy)

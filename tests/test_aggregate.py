@@ -17,6 +17,7 @@ from dpmi.aggregate import (
     table_digest,
 )
 from dpmi.dp import BudgetAccountant, keyed_uniforms, prepare_records
+from dpmi.mi import rank_records
 from dpmi.model import AggregateTable, Columns, PrivacyConfig, Record
 
 from oracles import (ListAccumulator, accumulator_mappings, records_of, release_oracle,
@@ -158,6 +159,22 @@ class TestBuildProbabilityTables:
         kept = build_probability_tables(table)
         pairs = zip(kept.features.tolist(), kept.partitions.tolist())
         assert ("f", "p") in {(kept.feature_keys[f], kept.partition_keys[p]) for f, p in pairs}
+
+    def test_pair_whose_probability_underflows_is_dropped(self):
+        # 5e-324 / 3.0 rounds to 0.0, which no probability may be; the pair
+        # goes, its keys stay, and a ranking of such rows no longer fails
+        table = AggregateTable.of(
+            joint={("f", "p"): 5e-324, ("f", "q"): 2.0, ("g", "q"): 1.0},
+            feature_marginals={"f": 2.0, "g": 1.0},
+            partition_marginals={"p": 5e-324, "q": 3.0},
+        )
+        t = build_probability_tables(table)
+        assert (t.features.tolist(), t.partitions.tolist()) == ([0, 1], [1, 1])
+        assert (t.feature_keys, t.partition_keys) == (["f", "g"], ["p", "q"])
+        records = [Record("u0", "f", "p", 5e-324), Record("u1", "f", "q", 2.0),
+                   Record("u2", "g", "q", 1.0), Record("u3", "g", "p", 1.0)]
+        ranked = [(r.partition, r.feature) for r in rank_records(records, None)]
+        assert sorted(ranked) == [("p", "g"), ("q", "f"), ("q", "g")]
 
     def test_noiseless_probabilities_are_consistent(self):
         records = _random_records(5_000, seed=11)

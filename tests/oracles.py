@@ -198,6 +198,10 @@ class ListAccumulator:
     def cell_rows(self) -> dict[tuple[str, str], int]:
         return {key: len(vals) for key, vals in sorted(self.partial_joint.items())}
 
+    def sums(self) -> tuple[dict, dict, dict, dict]:
+        """The joint sums, joint row counts, feature sums and partition sums."""
+        return self.joint_sums(), self.cell_rows(), self.feature_sums(), self.partition_sums()
+
     def feature_sums(self) -> dict[str, float]:
         return self._marginal_sums(0)
 
@@ -241,21 +245,22 @@ def release_sums_oracle(exact: dict, sensitivity, epsilon_q, threshold, uniforms
     return released
 
 
-def release_oracle(acc: ListAccumulator, privacy, label_prefix: str = ""):
+def release_oracle(joint_sums, cell_rows, feature_sums, partition_sums, privacy,
+                   label_prefix: str = ""):
     """The (joint, feature, partition) dicts ``release_aggregate_table``
-    releases, and the set of joint cells the joint query released but the
-    table dropped.
+    releases from these exact sums, and the set of joint cells the joint
+    query released but the table dropped.
 
     With privacy None each query keeps its positive exact sums. Otherwise
     each query's keys draw ``keyed_uniform(seed, digest, label, *key)``, and
     each query releases at its budget share and censoring threshold. Joint
     cells without both released marginals are then dropped.
     """
-    exact = (acc.joint_sums(), acc.feature_sums(), acc.partition_sums())
+    exact = (joint_sums, feature_sums, partition_sums)
     if privacy is None:
         tables = [{key: value for key, value in sums.items() if value > 0} for sums in exact]
     else:
-        digest = table_digest_oracle(exact[0], acc.cell_rows())
+        digest = table_digest_oracle(joint_sums, cell_rows)
         sens = privacy.sensitivity
         tables = []
         for query, weight, sums in zip(("joint", "feature_marginal", "partition_marginal"),

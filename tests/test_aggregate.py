@@ -21,7 +21,7 @@ from dpmi.mi import rank_records
 from dpmi.model import AggregateTable, Columns, PrivacyConfig, Record
 
 from oracles import (ListAccumulator, accumulator_mappings, records_of, release_oracle,
-                     table_mappings)
+                     table_digest_oracle, table_mappings)
 
 
 def _accumulate(records):
@@ -401,16 +401,16 @@ class TestReleaseAggregateTable:
         assert set(table[0]) <= set(joint)
 
 
-def _release_matches_oracle(cols, configs, label_prefix=""):
-    """Release one accumulator of ``cols`` under each config in turn and check
-    each table against the dict oracle: the same keys, the same bits of each
-    value, and probability tables keyed by exactly the released marginals.
-    Returns the joint cells that a censored marginal removed, over all
-    configs."""
-    acc, reference = accumulate(cols), ListAccumulator.of(records_of(cols))
+def _release_matches_oracle(acc, sums, configs, label_prefix=""):
+    """Release the accumulator under each config in turn and check each table
+    against the dict oracle's release of ``sums``, the same table's exact
+    (joint, cell rows, feature, partition) dicts: the same keys, the same
+    bits of each value, and probability tables keyed by exactly the released
+    marginals. Returns the joint cells that a censored marginal removed, over
+    all configs."""
     removed = set()
     for privacy in configs:
-        joint, features, partitions, dropped = release_oracle(reference, privacy, label_prefix)
+        joint, features, partitions, dropped = release_oracle(*sums, privacy, label_prefix)
         removed |= dropped
         try:
             table = release_aggregate_table(acc, privacy, label_prefix=label_prefix)
@@ -426,6 +426,11 @@ def _release_matches_oracle(cols, configs, label_prefix=""):
         assert tables.feature_keys == list(features)
         assert tables.partition_keys == list(partitions)
     return removed
+
+
+def _accumulated(cols):
+    """The accumulator of ``cols`` and the oracle group-by's sums of the same rows."""
+    return accumulate(cols), ListAccumulator.of(records_of(cols)).sums()
 
 
 def _columns_with_unused_keys(records):
@@ -460,7 +465,8 @@ class TestReleaseMatchesDictOracle:
         split = tuple(w / math.fsum(weights) for w in weights)
         configs = [None, *(PrivacyConfig(epsilon=e, delta=delta, budget_split=split, seed=seed)
                            for e in epsilons)]
-        _release_matches_oracle(_columns_with_unused_keys(records), configs, label_prefix)
+        _release_matches_oracle(*_accumulated(_columns_with_unused_keys(records)), configs,
+                                label_prefix)
 
     def test_censored_marginal_removes_joint_cells(self):
         # "rare"'s joint cells clear the joint threshold, but its marginal,
@@ -471,10 +477,32 @@ class TestReleaseMatchesDictOracle:
                     Record("z1", "zero", "p0", -0.0), Record("z2", "zero", "p1", 0.0)]
         cols = _columns_with_unused_keys(records)
         assert {"f0_", "p0_"} <= {*cols.feature_keys, *cols.partition_keys}
+        acc, sums = _accumulated(cols)
         removed = set()
         for seed in range(20):
             configs = [None, *(PrivacyConfig(epsilon=e, delta=0.1, seed=seed,
                                              budget_split=(0.98, 0.01, 0.01))
                                for e in (0.5, 1.0, 2.0))]
-            removed |= _release_matches_oracle(cols, configs)
+            removed |= _release_matches_oracle(acc, sums, configs)
         assert {("rare", "p0"), ("rare", "p1")} <= removed
+
+    def test_signed_zero_sums(self):
+        # fsum turns rows of -0.0 into a +0.0 sum, so a -0.0 exact sum is
+        # built by hand: its bits key the digest, and the no-DP release drops
+        # it as it drops 0.0
+        joint = {("a", "p"): -0.0, ("a", "q"): 0.0, ("b", "p"): 30.0, ("b", "q"): 25.0}
+        rows = dict.fromkeys(joint, 1)
+        features, partitions = {"a": -0.0, "b": 55.0}, {"p": 30.0, "q": 25.0}
+
+        def accumulator(sums):
+            return aggregate.Accumulator(
+                np.arange(4), np.array(list(sums.values())), np.ones(4, np.int64),
+                np.arange(2), np.array(list(features.values())),
+                np.arange(2), np.array(list(partitions.values())), ["a", "b"], ["p", "q"], 4)
+
+        acc = accumulator(joint)
+        assert table_digest(acc) == table_digest_oracle(joint, rows)
+        assert table_digest(acc) != table_digest(accumulator({**joint, ("a", "p"): 0.0}))
+        configs = [None, *(PrivacyConfig(epsilon=e, delta=0.1, seed=seed)
+                           for seed in range(5) for e in (0.5, 4.0))]
+        _release_matches_oracle(acc, (joint, rows, features, partitions), configs)

@@ -2,7 +2,8 @@
 
 Each case runs one subcommand through ``cli.main`` on a seeded TSV and
 compares the sha256 of the output file and of its manifest with the digests
-below. The later cases pin the paths no single command covers: JSON-lines
+below; a DP rank of the same lines in a shuffled order must match them too.
+The later cases pin the paths no single command covers: JSON-lines
 output (with ``--top-k`` on one case), ranking a saved DP aggregate file, a
 two-stage DP fold, ``eval``'s two files (once with a stability epsilon outside
 the sweep's, once with one inside it and repeated), and a ragged input that
@@ -80,6 +81,22 @@ def test_output_bytes_match_the_pinned_digests(tmp_path, command, mode):
     assert main([command, "--input", inp, "--output", out, *flags]) == 0
     got = (_sha256(out), _sha256(out + ".manifest.jsonl"))
     assert got == GOLDEN[(command, mode)]
+
+
+def test_dp_rank_of_shuffled_lines_matches_the_pinned_digests(tmp_path):
+    # bounding must not read the input order: the body lines in a fixed
+    # shuffled order give the pinned DP rank bytes
+    lines = open(_seeded_tsv(tmp_path / "in.tsv"), encoding="utf-8").read().splitlines()
+    head, body = lines[0], lines[1:]
+    draw = _lcg(20241021)
+    for i in range(len(body) - 1, 0, -1):  # Fisher-Yates
+        j = draw(i + 1)
+        body[i], body[j] = body[j], body[i]
+    inp = tmp_path / "shuffled.tsv"
+    inp.write_text("\n".join([head, *body]) + "\n", encoding="utf-8")
+    out = str(tmp_path / "rank.out")
+    assert main(["rank", "--input", str(inp), "--output", out, *DP]) == 0
+    assert (_sha256(out), _sha256(out + ".manifest.jsonl")) == GOLDEN[("rank", "dp")]
 
 
 # command -> (its flags, sha256 of the output, sha256 of <output>.manifest.jsonl),

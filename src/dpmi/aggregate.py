@@ -22,7 +22,8 @@ from itertools import chain
 
 import numpy as np
 
-from .dp import BudgetAccountant, Released, censor_threshold, keyed_uniforms, release_sums
+from .dp import (BudgetAccountant, Released, censor_threshold, pack_keys, packed_uniforms,
+                 release_sums)
 from .model import AggregateTable, Columns, PrivacyConfig, ProbabilityTables
 
 # The three release queries' labels, in release order.
@@ -78,16 +79,19 @@ class Accumulator:
         key = (seed, label_prefix)
         if key not in self._draws:
             digest = table_digest(self)
-            fkeys, pkeys = self.feature_keys, self.partition_keys
+            # Each key is packed once; a joint cell's message is its feature's
+            # packed bytes and then its partition's.
+            fkeys, pkeys = pack_keys(self.feature_keys), pack_keys(self.partition_keys)
             features, partitions = (codes.tolist() for codes in self.cell_codes())
-            query_keys = (
-                list(zip(map(fkeys.__getitem__, features), map(pkeys.__getitem__, partitions))),
-                list(map(fkeys.__getitem__, self.features.tolist())),
-                list(map(pkeys.__getitem__, self.partitions.tolist())),
+            messages = (
+                map(bytes.__add__, map(fkeys.__getitem__, features),
+                    map(pkeys.__getitem__, partitions)),
+                map(fkeys.__getitem__, self.features.tolist()),
+                map(pkeys.__getitem__, self.partitions.tolist()),
             )
             self._draws[key] = [
-                keyed_uniforms(seed, (digest, label_prefix + q), keys)
-                for q, keys in zip(QUERIES, query_keys)
+                packed_uniforms(seed, (digest, label_prefix + q), cells)
+                for q, cells in zip(QUERIES, messages)
             ]
         return self._draws[key]
 

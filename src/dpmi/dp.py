@@ -7,21 +7,26 @@ under censor_threshold's threshold a cell that exists only because of one
 user is released with probability at most delta.
 
 All randomness derives from a 64-bit seed through one keyed hash,
-keyed_u64s. Release noise is keyed by (seed, table digest, query label,
-cell key), so it never depends on the order the cells are visited in, and
-a rerun on changed data has another digest and draws fresh noise. Bounding
-works the same way on the input columns: each row of a user over the
-contribution limit gets a priority mixed from the (seed, "bound", id) hash
-and the row's place among the user's canonical rows, so the survivors
-depend only on the seed and the user's own rows, never on the input order.
+packed_u64s, over key parts packed as length-prefixed bytes: callers pack
+each distinct key once and join the packed bytes per cell, and keyed_u64s
+packs arbitrary keys for them. Release noise is keyed by (seed, table
+digest, query label, cell key), so it never depends on the order the cells
+are visited in, and a rerun on changed data has another digest and draws
+fresh noise. Bounding works the same way on the input columns and touches
+only the users over the contribution limit: each of their rows gets a
+priority mixed from the (seed, "bound", id) hash and the row's place among
+the user's canonical rows, so the survivors depend only on the seed and the
+user's own rows, never on the input order. Every other row survives where
+it stands.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+import struct
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,33 +41,67 @@ class BudgetExceededError(RuntimeError):
     """A charge would push cumulative spend past the configured budget."""
 
 
-def keyed_u64s(seed: int, prefix: tuple, keys: Iterable) -> Iterator[int]:
-    """The 64-bit keyed hash of (seed, *prefix, *key) for each key in turn.
+# A packed part's 4-byte little-endian length prefix.
+_LENGTH = struct.Struct("<I").pack
 
-    A key is one part or a tuple of parts. Each part (bytes, or else its str()
-    in UTF-8) is hashed after its 4-byte length. (seed, *prefix) is hashed
-    once, and that state is copied for every key.
+
+def pack_part(part) -> bytes:
+    """One key part as the keyed hash reads it: its bytes (bytes, or else its
+    str() in UTF-8) after their 4-byte little-endian length."""
+    data = part if isinstance(part, bytes) else str(part).encode("utf-8")
+    return _LENGTH(len(data)) + data
+
+
+def pack_keys(keys: Iterable[str]) -> list[bytes]:
+    """pack_part of each str key, in order."""
+    return [_LENGTH(len(data)) + data for data in map(str.encode, keys)]
+
+
+def packed_u64s(seed: int, prefix: tuple, messages: Iterable[bytes]) -> np.ndarray:
+    """The 64-bit keyed hash of (seed, *prefix) and then each message, as a uint64 array.
+
+    A message is the concatenation of its key's packed parts (pack_part), so
+    callers pack each distinct key once and join the packed bytes per cell.
+    (seed, *prefix) is hashed once; each message copies that state, adds its
+    bytes and takes the digest, and the digests are read as one array.
     """
-
-    def update(h, parts) -> None:
-        for part in parts:
-            data = part if isinstance(part, bytes) else str(part).encode("utf-8")
-            h.update(len(data).to_bytes(4, "little"))
-            h.update(data)
-
     base = hashlib.blake2b(seed.to_bytes(8, "little", signed=True), digest_size=8)
-    update(base, prefix)
+    base.update(b"".join(map(pack_part, prefix)))
+    copy, digests = base.copy, []
+    for message in messages:
+        h = copy()
+        h.update(message)
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), "<u8")
+
+
+def packed_uniforms(seed: int, prefix: tuple, messages: Iterable[bytes]) -> np.ndarray:
+    """Each packed message's uniform draw in (0, 1): the top 53 bits of its
+    packed_u64s hash, centred in their interval."""
+    x = packed_u64s(seed, prefix, messages)
+    return ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _messages(keys: Iterable) -> Iterator[bytes]:
+    """Each key, one part or a tuple of parts, as one packed message."""
     for key in keys:
-        h = base.copy()
-        update(h, key if isinstance(key, tuple) else (key,))
-        yield int.from_bytes(h.digest(), "little")
+        yield b"".join(map(pack_part, key)) if isinstance(key, tuple) else pack_part(key)
 
 
-def keyed_uniforms(seed: int, prefix: tuple, keys: Sequence) -> np.ndarray:
+def keyed_u64s(seed: int, prefix: tuple, keys: Iterable) -> np.ndarray:
+    """The 64-bit keyed hash of (seed, *prefix, *key) for each key, as a uint64 array.
+
+    A key is one part or a tuple of parts; each part is hashed as pack_part
+    packs it. This packs every key afresh; a caller that hashes many cells
+    of few distinct keys packs the keys once and calls packed_u64s.
+    """
+    return packed_u64s(seed, prefix, _messages(keys))
+
+
+def keyed_uniforms(seed: int, prefix: tuple, keys: Iterable) -> np.ndarray:
     """Each key's uniform draw in (0, 1), in the order of ``keys``; a draw
     depends only on (seed, *prefix, *key)."""
-    x = np.fromiter(keyed_u64s(seed, prefix, keys), np.uint64, len(keys))
-    return ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return packed_uniforms(seed, prefix, _messages(keys))
 
 
 def laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
@@ -138,58 +177,63 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _bounded_order(cols: Columns, limit: int, seed: int) -> np.ndarray:
-    """Indices of the rows that survive bounding, in output order."""
-    user, obs = cols.ids, cols.observations
-    # Canonical order: by user, then by the user's own rows. Codes follow
-    # string order, and the sign bit orders -0.0 after 0.0, so no tie
-    # depends on the input order.
-    order = np.lexsort((np.signbit(obs), obs, cols.partitions, cols.features, user))
+def _bounded_order(cols: Columns, limit: int, seed: int) -> np.ndarray | None:
+    """Indices of the rows that survive bounding, in input order; None when
+    no user is over the limit, so that every row survives."""
+    user = cols.ids
     counts = np.bincount(user, minlength=len(cols.id_keys))
     is_over = counts > limit
     over = np.flatnonzero(is_over)
     if not len(over):
-        return order
-    # Positions (in canonical order) of the rows of over-limit users, grouped
-    # by user; j is a row's index among its user's canonical rows.
-    rows = np.flatnonzero(is_over[user[order]])
+        return None
+    # The rows of over-limit users in canonical order: by user, then by the
+    # user's own rows. Codes follow string order, so the cell code orders
+    # rows as their (feature, partition) keys, and the sign bit orders -0.0
+    # after 0.0, so no tie depends on the input order.
+    rows = np.flatnonzero(is_over[user])
+    obs = cols.observations[rows]
+    cell = cols.features[rows] * max(1, len(cols.partition_keys)) + cols.partitions[rows]
+    rows = rows[np.lexsort((np.signbit(obs), obs, cell, user[rows]))]
+    # j is a row's index among its user's canonical rows.
     sizes = counts[over]
     j = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    ids = map(cols.id_keys.__getitem__, over.tolist())
-    keys = np.fromiter(keyed_u64s(seed, ("bound",), ids), np.uint64)
+    keys = packed_u64s(seed, ("bound",), pack_keys(map(cols.id_keys.__getitem__, over.tolist())))
     counter = (j.astype(np.uint64) + np.uint64(1)) * _GOLDEN_GAMMA
     priority = _splitmix64(np.repeat(keys, sizes) + counter)
     # Within each user, lowest priority first (ties keep canonical order), so
     # the first `limit` of every user's block are its survivors.
-    ranked = np.lexsort((priority, np.repeat(np.arange(len(over)), sizes)))
-    keep = np.ones(len(order), dtype=bool)
-    keep[rows] = False
+    ranked = np.lexsort((priority, user[rows]))
+    keep = ~is_over[user]
     keep[rows[ranked[j < limit]]] = True
-    return order[keep]
+    return np.flatnonzero(keep)
 
 
 def bound_contributions(cols: Columns, limit: int, seed: int) -> Columns:
     """Cap each user id at ``limit`` rows, chosen by a keyed per-row priority.
 
-    A user's rows are put in canonical order (feature, partition,
-    observation). Row j of a user with more than ``limit`` rows gets the
-    priority splitmix64(key + (j + 1) * gamma), where key hashes (seed, id),
-    and the ``limit`` rows of lowest priority survive: a uniformly random
-    subset that depends only on the seed and the user's own rows, never on
-    their order or on other users. The survivors are an index take of the
-    columns, sorted by (id, feature, partition, observation) so downstream
-    stages see a reproducible order.
+    Only the rows of users with more than ``limit`` rows are sorted: each
+    such user's rows are put in canonical order (feature, partition,
+    observation), row j gets the priority splitmix64(key + (j + 1) * gamma),
+    where key hashes (seed, id), and the ``limit`` rows of lowest priority
+    survive: a uniformly random subset that depends only on the seed and the
+    user's own rows, never on their order or on other users. The survivors,
+    every row of the other users among them, are an index take of the
+    columns in input order; with no user over the limit, the columns are
+    returned as they are. Every later stage sums with math.fsum and reads no
+    row order, so outputs do not depend on the input order either.
     """
     if limit < 1:
         raise ValueError(f"contribution limit must be >= 1, got {limit}")
-    return cols.take(_bounded_order(cols, limit, seed))
+    order = _bounded_order(cols, limit, seed)
+    return cols if order is None else cols.take(order)
 
 
 def prepare_records(cols: Columns, privacy: PrivacyConfig | None) -> Columns:
     """Contribution-bound and clamp the columns; with privacy None, return them as they are.
 
-    The survivors are an index take and the clamp writes their observation
-    array, so no row is rebuilt.
+    The result is new columns that share the bounded code arrays and carry a
+    new clamped observation array, so no row is rebuilt and no array of
+    ``cols`` is written.
     """
     if privacy is None:
         return cols
@@ -198,8 +242,7 @@ def prepare_records(cols: Columns, privacy: PrivacyConfig | None) -> Columns:
     obs = bounded.observations
     # min(hi, max(lo, x)) on a column: unlike np.clip, a value equal to a
     # bound becomes that bound, so the sign of a zero is the bound's.
-    bounded.observations = np.where(obs > lo, np.where(obs < hi, obs, hi), lo)
-    return bounded
+    return replace(bounded, observations=np.where(obs > lo, np.where(obs < hi, obs, hi), lo))
 
 
 @dataclass(frozen=True, eq=False)

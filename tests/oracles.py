@@ -424,27 +424,28 @@ def _row_key(r):
 
 
 def bound_contributions_oracle(records, limit, seed):
-    """Bounding survivors, one user at a time.
+    """Bounding survivors, one user at a time, in input order.
 
-    A user's rows are sorted by ``_row_key``. A user with more than ``limit``
-    rows keeps the ``limit`` rows of lowest priority, where row j's priority
-    is splitmix64(key + (j + 1) * 0x9E3779B97F4A7C15) with key the keyed
-    hash of (seed, "bound", id); equal priorities keep the lower j.
+    A user's rows are sorted by ``_row_key``, rows with equal keys in input
+    order. A user with more than ``limit`` rows keeps the ``limit`` rows of
+    lowest priority, where row j's priority is
+    splitmix64(key + (j + 1) * 0x9E3779B97F4A7C15) with key the keyed hash
+    of (seed, "bound", id); equal priorities keep the lower j. Every row of
+    the other users survives.
     """
     by_user = {}
-    for r in records:
-        by_user.setdefault(r.id, []).append(r)
-    survivors = []
+    for i, r in enumerate(records):
+        by_user.setdefault(r.id, []).append(i)
+    kept = []
     for uid, rows in by_user.items():
-        rows = sorted(rows, key=_row_key)
         if len(rows) > limit:
+            rows = sorted(rows, key=lambda i: _row_key(records[i]))
             key = keyed_u64(seed, ("bound", uid))
             priority = [
                 _splitmix64((key + (j + 1) * 0x9E3779B97F4A7C15) & _U64)
                 for j in range(len(rows))
             ]
             chosen = sorted(range(len(rows)), key=lambda j: (priority[j], j))[:limit]
-            rows = [rows[j] for j in sorted(chosen)]
-        survivors.extend(rows)
-    survivors.sort(key=lambda r: (r.id, *_row_key(r)))
-    return survivors
+            rows = [rows[j] for j in chosen]
+        kept.extend(rows)
+    return [records[i] for i in sorted(kept)]

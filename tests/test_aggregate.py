@@ -16,7 +16,7 @@ from dpmi.aggregate import (
     release_aggregate_table,
     table_digest,
 )
-from dpmi.dp import BudgetAccountant, keyed_uniforms, prepare_records
+from dpmi.dp import BudgetAccountant, packed_uniforms, prepare_records
 from dpmi.mi import rank_records
 from dpmi.model import AggregateTable, Columns, PrivacyConfig, Record
 
@@ -299,9 +299,9 @@ class TestReleaseAggregateTable:
 
         def counted(*args):
             calls.append(args[1])
-            return keyed_uniforms(*args)
+            return packed_uniforms(*args)
 
-        monkeypatch.setattr(aggregate, "keyed_uniforms", counted)
+        monkeypatch.setattr(aggregate, "packed_uniforms", counted)
         base = [Record(f"u{i}", f"f{i % 5}", f"p{i % 3}", 1.0) for i in range(3000)]
         acc = _accumulate(base)
         for epsilon in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0):

@@ -230,10 +230,14 @@ class TestBoundContributions:
         mixed = [r for r in _bound(interleaved, 7, seed=42) if r.id == "u1"]
         assert solo == mixed
 
-    def test_output_sorted(self):
+    def test_survivors_keep_input_order(self):
         recs = [Record("b", "f", "p", 1.0), Record("a", "f", "p", 1.0)]
-        out = _bound(recs, 5, seed=0)
-        assert [r.id for r in out] == ["a", "b"]
+        assert _bound(recs, 5, seed=0) == recs
+        over = _user_records("u", 6)
+        mixed = [over[3], recs[0], over[0], over[5], recs[1], over[1], over[2], over[4]]
+        kept = set(_bound(over, 2, seed=0))
+        assert len(kept) == 2
+        assert _bound(mixed, 2, seed=0) == [r for r in mixed if r.id != "u" or r in kept]
 
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):
@@ -278,6 +282,39 @@ class TestBoundContributions:
         )
         assert len(counts) == 15
         assert all(300 <= n <= 500 for n in counts.values()), sorted(counts.values())
+
+
+def _arrays(cols):
+    """Every array of a Columns table as (dtype, bytes), and its key lists."""
+    arrays = (cols.ids, cols.features, cols.partitions, cols.observations)
+    return ([(a.dtype.str, a.tobytes()) for a in arrays],
+            [list(cols.id_keys), list(cols.feature_keys), list(cols.partition_keys)])
+
+
+class TestPrepareRecords:
+    # three users with two rows each, values on both sides of the clamp
+    # range and on its bounds, signed zeros among them
+    RECORDS = [Record(f"u{i % 3}", f"f{i % 4}", f"p{i % 2}", v)
+               for i, v in enumerate([-0.0, 0.0, 0.25, 2.0, 7.5, 1.0])]
+
+    @pytest.mark.parametrize("limit", [1, 2])  # every user over the limit; none
+    def test_leaves_the_callers_columns_unchanged(self, limit):
+        cols = Columns.from_records(self.RECORDS)
+        before = _arrays(cols)
+        privacy = PrivacyConfig(epsilon=1.0, clamp_lo=0.25, clamp_hi=2.0,
+                                contribution_limit=limit, seed=3)
+        prepared = prepare_records(cols, privacy)
+        assert len(prepared) == 3 * limit
+        assert _arrays(cols) == before
+
+    def test_no_user_over_the_limit_keeps_every_row_in_input_order(self):
+        records = self.RECORDS[::-1]
+        privacy = PrivacyConfig(epsilon=1.0, clamp_lo=0.25, clamp_hi=2.0,
+                                contribution_limit=2, seed=3)
+        assert _bound(records, 2, seed=3) == records
+        assert _bits(_prepare(records, privacy)) == _bits(
+            [Record(r.id, r.feature, r.partition, clamp(r.observation, 0.25, 2.0))
+             for r in records])
 
 
 _IDS = ["u", "u\x00", "v", "w"]

@@ -86,8 +86,8 @@ def test_output_bytes_match_the_pinned_digests(tmp_path, command, mode):
 def test_dp_rank_of_shuffled_lines_matches_the_pinned_digests(tmp_path):
     # bounding must not read the input order: the body lines in a fixed
     # shuffled order give the pinned DP rank bytes
-    lines = open(_seeded_tsv(tmp_path / "in.tsv"), encoding="utf-8").read().splitlines()
-    head, body = lines[0], lines[1:]
+    _seeded_tsv(tmp_path / "in.tsv")
+    head, *body = (tmp_path / "in.tsv").read_text(encoding="utf-8").splitlines()
     draw = _lcg(20241021)
     for i in range(len(body) - 1, 0, -1):  # Fisher-Yates
         j = draw(i + 1)

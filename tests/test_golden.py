@@ -2,8 +2,9 @@
 
 Each case runs one subcommand through ``cli.main`` on a seeded TSV and
 compares the sha256 of the output file and of its manifest with the digests
-below; a DP rank of the same lines in a shuffled order must match them too.
-The later cases pin the paths no single command covers: JSON-lines
+below; a DP rank of the same lines in a shuffled order, and each command on
+the same rows as JSON lines, must match them too. A small JSON-lines file
+pins the reason ingest gives each kind of line. The later cases pin the paths no single command covers: JSON-lines
 output (with ``--top-k`` on one case), ranking a saved DP aggregate file, a
 two-stage DP fold, ``eval``'s two files (once with a stability epsilon outside
 the sweep's, once with one inside it and repeated), and a ragged input that
@@ -14,7 +15,11 @@ regression.
 """
 
 import hashlib
+import json
+import os
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from dpmi.cli import main, read_records
@@ -97,6 +102,80 @@ def test_dp_rank_of_shuffled_lines_matches_the_pinned_digests(tmp_path):
     out = str(tmp_path / "rank.out")
     assert main(["rank", "--input", str(inp), "--output", out, *DP]) == 0
     assert (_sha256(out), _sha256(out + ".manifest.jsonl")) == GOLDEN[("rank", "dp")]
+
+
+def _seeded_jsonl(path):
+    """``_seeded_tsv``'s rows as JSON lines, observations as JSON numbers: about 446 kB."""
+    head, *body = open(_seeded_tsv(path.with_suffix(".tsv")), encoding="utf-8").read().splitlines()
+    names = head.split("\t")
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in body:
+            *keys, obs = line.split("\t")
+            fh.write(json.dumps(dict(zip(names, (*keys, float(obs))))) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command,mode", sorted(GOLDEN))
+def test_jsonl_input_matches_the_pinned_digests(tmp_path, command, mode):
+    # the same rows as JSON lines, over several 64 KiB reads, write the same bytes
+    inp = _seeded_jsonl(tmp_path / "in.jsonl")
+    assert os.path.getsize(inp) > 6 * 65536
+    out = str(tmp_path / f"{command}.out")
+    flags = ("--no-dp",) if mode == "nodp" else DP
+    assert main([command, "--input", inp, "--output", out, *flags]) == 0
+    got = (_sha256(out), _sha256(out + ".manifest.jsonl"))
+    assert got == GOLDEN[(command, mode)]
+
+
+def U3(observation):
+    """A JSON line of a row whose keys are valid, holding the ``observation`` text."""
+    return '{"id": "u3", "feature": "f1", "partition": "p1", "observation": %s}' % observation
+
+# (the reason ingest rejects the line for, or None if it is not rejected; a
+# JSON line), covering every kind of line JSON-lines ingest tells apart
+JSONL_LINES = (
+    (None, '{"id": "u1", "feature": "f1", "partition": "p1", "observation": 0.5}'),
+    (None, '{"id": 7, "feature": 1.5, "partition": "p1", "observation": "2"}'),
+    (None, '{"observation": -0.0, "partition": "p2", "feature": "f1", "id": "u2", "x": [1]}'),
+    (None, ""),
+    ("parse", "   "),
+    ("parse", '{"id": "u1", '),
+    ("fields", '["u1", "f1", "p1", 1]'),
+    ("fields", '"u1"'),
+    ("fields", '{"id": "u1", "feature": "f1", "partition": "p1"}'),
+    ("empty_key", '{"id": null, "feature": "f1", "partition": "p1", "observation": 1}'),
+    ("empty_key", '{"id": "u3", "feature": "", "partition": "p1", "observation": 1}'),
+    ("reserved", '{"id": "u3", "feature": "__other__", "partition": "p1", "observation": 1}'),
+    ("parse", '{"id": "u3", "feature": "f1", "partition": true, "observation": 1}'),
+    ("parse", '{"id": ["u3"], "feature": "f1", "partition": "p1", "observation": 1}'),
+    ("parse", '{"id": "u3", "feature": {}, "partition": "p1", "observation": 1}'),
+    ("parse", U3("false")),
+    ("parse", U3("null")),
+    ("parse", U3("[1]")),
+    ("parse", U3('"n/a"')),
+    ("parse", U3("1" + "0" * 5000)),  # past the integer digit limit
+    ("non_finite", U3("1e400")),
+    ("non_finite", U3("1" + "0" * 400)),  # past the float range
+    ("non_finite", U3("NaN")),
+    ("non_finite", U3('"inf"')),
+    ("negative", U3("-0.25")),
+    ("negative", U3('"-1"')),
+)
+
+
+def test_jsonl_input_rejects_match_the_pinned_counts(tmp_path):
+    # after a BOM, every other line ends in CRLF
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(("\ufeff" + "".join(line + ("\r\n" if i % 2 else "\n")
+                                    for i, (_, line) in enumerate(JSONL_LINES))).encode())
+    cols, rejects, rows_read = read_records(str(path), ("id", "feature", "partition",
+                                                        "observation"))
+    assert rejects == Counter(reason for reason, _ in JSONL_LINES if reason) == Counter(
+        parse=10, fields=3, empty_key=2, reserved=1, non_finite=4, negative=2)
+    assert rows_read == 25
+    assert (cols.id_keys, cols.feature_keys, cols.partition_keys) == (
+        ["7", "u1", "u2"], ["1.5", "f1"], ["p1", "p2"])
+    assert cols.observations.tobytes() == np.array([0.5, 2.0, -0.0]).tobytes()
 
 
 # command -> (its flags, sha256 of the output, sha256 of <output>.manifest.jsonl),

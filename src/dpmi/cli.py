@@ -41,7 +41,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_COLUMNS = ("id", "feature", "partition", "observation")
 SYNTH_KEYS = ("users", "features", "partitions", "strength", "zipf")
-# Characters per read of a delimited body.
+# Characters per read of an input file.
 _BLOCK_CHARS = 1 << 16
 
 
@@ -49,107 +49,49 @@ _BLOCK_CHARS = 1 << 16
 # ingestion
 
 
-def _jsonl_rows(fh, columns):
-    """Each line's mapped values, or the reason the line already fails.
+def _jsonl_format(columns, rejects: Counter):
+    """JSON lines' row width, mapped field indices, and block-to-fields function.
 
-    JSON values are typed, so the ones that str() or float() would misread
-    are refused here: a null key is empty, and a boolean, array or object
-    key, or a boolean observation, does not parse.
+    A block's fields are four per non-blank line: the mapped keys as their
+    str() and the observation as JSON typed it. The values that str() or
+    float() would misread are refused here: a null key is empty, and a
+    boolean, array or object key, or a boolean observation, does not parse.
     """
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError:  # malformed, or an integer past int's digit limit
-            yield "parse"
-            continue
-        try:
-            row = [obj[c] for c in columns]
-        except (KeyError, TypeError):
-            yield "fields"
-            continue
-        if any(v is None for v in row[:3]):
-            yield "empty_key"
-        elif any(isinstance(v, (bool, list, dict)) for v in row[:3]) or isinstance(row[3], bool):
-            yield "parse"
-        else:
-            yield row
+    def fields(lines: list[str]) -> list:
+        flat: list = []
+        for line in filter(None, lines):
+            try:
+                obj = json.loads(line)
+            except ValueError:  # malformed, or an integer past int's digit limit
+                rejects["parse"] += 1
+                continue
+            try:
+                *keys, observation = [obj[name] for name in columns]
+            except (KeyError, TypeError):  # a mapped field missing, or not an object
+                rejects["fields"] += 1
+                continue
+            if any(key is None for key in keys):
+                rejects["empty_key"] += 1
+            elif (any(isinstance(key, (bool, list, dict)) for key in keys)
+                  or isinstance(observation, bool)):
+                rejects["parse"] += 1
+            else:
+                flat += map(str, keys)
+                flat.append(observation)
+        return flat
+
+    return 4, range(4), fields
 
 
-def _valid_columns(rows, coders, rejects: Counter):
-    """The valid JSON rows among ``rows``: (id, feature, partition codes, observations).
-
-    A row is a list of raw (id, feature, partition, observation) fields, or
-    the reason it already fails; each rejected row counts its reason, and
-    only the valid rows' keys are coded.
-    """
-    valid = []
-    for row in rows:
-        parsed = row if isinstance(row, str) else validate_record(row)
-        if isinstance(parsed, str):
-            rejects[parsed] += 1
-        else:
-            valid.append(parsed)
-    *keys, observations = zip(*valid) if valid else ((),) * 4
-    return (*(coder.code(column) for coder, column in zip(coders, keys)),
-            np.array(observations, np.float64))
-
-
-def _float_or_nan(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
-
-
-def _block_columns(lines: list[str], delim: str, width: int, indices: list[int],
-                   coders, rejects: Counter):
-    """The valid rows among one block's lines, as ``_valid_columns`` gives them.
-
-    A blank line is skipped. A line with another field count than the
-    header's ``width`` is a "fields" reject if it is too short for the
-    mapped columns; otherwise it is cut or padded with empty fields to
-    ``width``, which keeps every mapped field. The lines are then joined and
-    split once, and each mapped column is a stride slice of the fields,
-    coded whole. model.valid_mask checks the rows whole; only a row that
-    fails goes through validate_record, which names its reason, and its
-    codes are dropped.
-    """
-    last = max(indices)
-    counts = list(map(str.count, lines, repeat(delim)))
-    if counts.count(width - 1) < len(lines):
-        even = []
-        for line, n in zip(lines, counts):
-            if n == width - 1:
-                even.append(line)
-            elif line:
-                fields = line.split(delim)
-                if len(fields) > last:
-                    even.append(delim.join((fields + [""] * width)[:width]))
-                else:
-                    rejects["fields"] += 1
-        lines = even
-    fields = delim.join(lines).split(delim) if lines else []
-    observations = np.array([_float_or_nan(text) for text in fields[indices[3]::width]],
-                            np.float64)
-    codes = [coder.code(fields[i::width]) for coder, i in zip(coders, indices)]
-    ok = valid_mask(coders, codes, observations)
-    for row in np.flatnonzero(~ok).tolist():
-        rejects[validate_record([fields[row * width + i] for i in indices])] += 1
-    return (*(column[ok] for column in codes), observations[ok])
-
-
-def _delimited_blocks(fh, header_line: str, path: str, columns, coders, rejects: Counter):
-    """Each block's valid rows, as ``_block_columns`` gives them, in file order.
+def _delimited_format(header_line: str, path: str, columns, rejects: Counter):
+    """Delimited input's row width, mapped field indices, and block-to-fields function.
 
     A mapped column that the header lacks, or names more than once, is an
-    error naming the column. The body is read _BLOCK_CHARS characters at a
-    time, and each read's partial last line is carried into the next. Lines
-    are split on "\\n" alone: text mode has already turned "\\r\\n" and a bare
-    "\\r" into it, and str.splitlines would also break on form feeds and other
-    separators.
+    error naming the column. A block's fields are the header's count per
+    non-blank line. A line with another count is a "fields" reject if it is
+    too short for the mapped columns; otherwise it is cut or padded with
+    empty fields to the header's count, which keeps every mapped field. The
+    lines are then joined and split once.
     """
     delim = "\t" if "\t" in header_line else ","
     header = header_line.split(delim)
@@ -158,39 +100,86 @@ def _delimited_blocks(fh, header_line: str, path: str, columns, coders, rejects:
             problem = "not found in" if name not in header else "named more than once in"
             raise ValueError(f"{path}: column {name!r} {problem} header {header}")
     width, indices = len(header), [header.index(name) for name in columns]
-    tail = ""
-    while True:
-        chunk = fh.read(_BLOCK_CHARS)
-        lines = (tail + chunk).split("\n")
-        tail = lines.pop() if chunk else ""
-        yield _block_columns(lines, delim, width, indices, coders, rejects)
-        if not chunk:
-            return
+    last = max(indices)
+
+    def fields(lines: list[str]) -> list[str]:
+        counts = list(map(str.count, lines, repeat(delim)))
+        if counts.count(width - 1) < len(lines):
+            even = []
+            for line, n in zip(lines, counts):
+                if n == width - 1:
+                    even.append(line)
+                elif line:
+                    split = line.split(delim)
+                    if len(split) > last:
+                        even.append(delim.join((split + [""] * width)[:width]))
+                    else:
+                        rejects["fields"] += 1
+            lines = even
+        return delim.join(lines).split(delim) if lines else []
+
+    return width, indices, fields
+
+
+def _float_or_nan(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):  # a JSON null or array, an integer past 1e308
+        return math.nan
+
+
+def _check_block(fields: list, width: int, indices, coders, rejects: Counter):
+    """The valid rows among a block's flat fields: (id, feature, partition codes, observations).
+
+    Each mapped column is a stride slice of ``fields``, ``width`` per row,
+    coded whole; an observation that float() refuses reads NaN.
+    model.valid_mask checks the rows whole; only a row that fails goes
+    through validate_record, which names its reason, and its codes are
+    dropped.
+    """
+    observations = np.array([_float_or_nan(value) for value in fields[indices[3]::width]],
+                            np.float64)
+    codes = [coder.code(fields[i::width]) for coder, i in zip(coders, indices)]
+    ok = valid_mask(coders, codes, observations)
+    for row in np.flatnonzero(~ok).tolist():
+        rejects[validate_record([fields[row * width + i] for i in indices])] += 1
+    return (*(column[ok] for column in codes), observations[ok])
 
 
 def read_records(path: str, columns) -> tuple[Columns, Counter, int]:
     """Read and validate one input file.
 
-    A file whose first non-empty line starts with ``{`` is JSON lines, read
-    line by line; any other is delimited, its header is that first
-    non-empty line, and its body is read in blocks (``_delimited_blocks``).
+    A file whose first non-empty line starts with ``{`` is JSON lines; any
+    other is delimited, and its header is that first non-empty line. Either
+    is read _BLOCK_CHARS characters at a time, each read's partial last line
+    carried into the next, and split on "\\n" alone: text mode has already
+    turned "\\r\\n" and a bare "\\r" into it, and str.splitlines would also
+    break on form feeds and other separators. The format turns each block's
+    lines into flat fields, and ``_check_block`` codes and checks them.
     Returns (the valid rows as coded columns, rejection counts by reason,
     rows read). Keys are coded in first-seen order as blocks arrive, and no
-    Record is built. A missing or repeated mapped column is a hard error
-    naming the column.
+    Record is built.
     """
     rejects: Counter = Counter()
     coders = KeyCoder(), KeyCoder(), KeyCoder()
+    blocks = []
     with open(path, "r", encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
         first = next(filter(str.strip, fh), "")
         if first.startswith("{"):
             fh.seek(0)
-            blocks = [_valid_columns(_jsonl_rows(fh, columns), coders, rejects)]
+            width, indices, fields = _jsonl_format(columns, rejects)
         elif first:
-            blocks = list(_delimited_blocks(fh, first.rstrip("\n"), path, columns, coders,
-                                            rejects))
+            width, indices, fields = _delimited_format(first.rstrip("\n"), path, columns, rejects)
         else:
             raise ValueError(f"{path}: empty input, expected a header line")
+        tail = ""
+        while True:
+            chunk = fh.read(_BLOCK_CHARS)
+            lines = (tail + chunk).split("\n")
+            tail = lines.pop() if chunk else ""
+            blocks.append(_check_block(fields(lines), width, indices, coders, rejects))
+            if not chunk:
+                break
     *codes, observations = (np.concatenate(column) for column in zip(*blocks))
     (id_keys, ids), (feature_keys, features), (partition_keys, partitions) = (
         coder.finish(column) for coder, column in zip(coders, codes))
@@ -580,6 +569,8 @@ def cmd_eval(args, privacy, accountant) -> list[dict]:
     """
     if args.no_dp and not args.runtime:
         raise ValueError("eval sweeps measure DP noise and refuse --no-dp; only --runtime takes it")
+    if args.synth is not None and args.input:
+        raise ValueError(f"eval --synth reads no --input, got {len(args.input)}")
     events = []
     if args.synth is not None:
         records = _build_synth_records(args.synth, args.seed or 0)

@@ -10,10 +10,11 @@ scalar reference for the column clamp in ``prepare_records``, and
 reference for ``dp.keyed_u64s`` and ``dp.keyed_uniforms``. ``calc_single_mi``,
 ``calc_mi`` and ``direction`` are the scalar references for the array
 versions in ``dpmi.mi``, and ``binary_rank_oracle`` relabels Records by hand
-before ``rank_records``. ``read_records_oracle`` is the per-line reader of
-delimited input that ``cli.read_records`` replaced: each line is split and
-validated on its own, and each key column is encoded at the end by sorting
-its distinct keys (``encode_oracle``). ``rank_oracle`` is the per-pair ranking that
+before ``rank_records``. ``read_records_oracle`` is the per-line reader
+that ``cli.read_records`` replaced: each delimited line is split, or each
+JSON line loaded and type-checked, and validated on its own, and each key
+column is encoded at the end by sorting its distinct keys
+(``encode_oracle``). ``rank_oracle`` is the per-pair ranking that
 ``mi.rank`` replaced: it scores the pairs on arrays as ``rank`` does, then
 builds one ``RankedResult`` per pair, in rank order. ``ListAccumulator`` is
 the reference group-by for ``aggregate.accumulate``: one list of values per
@@ -32,10 +33,12 @@ key.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 from statistics import fmean
 
@@ -138,30 +141,60 @@ def encode_oracle(keys):
     return distinct, np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
 
 
-def read_records_oracle(path, columns):
-    """``cli.read_records`` on delimited input, one line at a time.
+def _jsonl_row_oracle(line, columns):
+    """One JSON line's validate_record result, after JSON's typed checks.
 
-    The header is the first non-blank line. Each later non-empty line is
-    split on the delimiter; a line too short for the mapped columns is a
-    "fields" reject, and any other goes through validate_record. Returns
-    (the valid rows as Columns, rejection counts by reason, rows read).
+    A line that does not load is "parse", and one that is not an object
+    holding every mapped field is "fields". A null key is "empty_key", and
+    a boolean, array or object key, or a boolean observation, is "parse".
+    """
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        return "parse"
+    try:
+        row = [obj[name] for name in columns]
+    except (KeyError, TypeError):
+        return "fields"
+    if any(value is None for value in row[:3]):
+        return "empty_key"
+    if any(isinstance(value, (bool, list, dict)) for value in row[:3]) or isinstance(row[3], bool):
+        return "parse"
+    return validate_record(row)
+
+
+def _delimited_row_oracle(line, delim, indices):
+    """One delimited line's validate_record result; a line too short is "fields"."""
+    fields = line.split(delim)
+    return validate_record([fields[i] for i in indices]) if max(indices) < len(fields) else "fields"
+
+
+def read_records_oracle(path, columns):
+    """``cli.read_records``, one line at a time.
+
+    A file whose first non-blank line starts with ``{`` is JSON lines, and
+    each of its non-empty lines goes through ``_jsonl_row_oracle``. Any other
+    file is delimited: its header is the first non-blank line, and each later
+    non-empty line goes through ``_delimited_row_oracle``. Returns (the valid
+    rows as Columns, rejection counts by reason, rows read).
     """
     rows, rejects, rows_read = [], Counter(), 0
     with open(path, "r", encoding="utf-8-sig") as fh:
-        header_line = next(line for line in fh if line.strip()).rstrip("\r\n")
-        delim = "\t" if "\t" in header_line else ","
-        header = header_line.split(delim)
-        indices = [header.index(name) for name in columns]
+        first = next(line for line in fh if line.strip()).rstrip("\r\n")
+        if first.startswith("{"):
+            fh.seek(0)
+            parse = partial(_jsonl_row_oracle, columns=columns)
+        else:
+            delim = "\t" if "\t" in first else ","
+            header = first.split(delim)
+            parse = partial(_delimited_row_oracle, delim=delim,
+                            indices=[header.index(name) for name in columns])
         for line in fh:
             line = line.rstrip("\r\n")
             if not line:
                 continue
             rows_read += 1
-            fields = line.split(delim)
-            if max(indices) < len(fields):
-                parsed = validate_record([fields[i] for i in indices])
-            else:
-                parsed = "fields"
+            parsed = parse(line)
             if isinstance(parsed, str):
                 rejects[parsed] += 1
             else:

@@ -258,16 +258,52 @@ def delimited_texts(draw):
     return text[:-1] if draw(st.booleans()) and text.endswith("\n") else text
 
 
+# JSON key values: strings, and the typed values that are taken as their
+# str() or refused
+JSON_KEYS = st.one_of(KEYS, KEYS, st.integers(-3, 3), st.sampled_from(
+    [1.5, -0.0, math.nan, math.inf, None, True, False, [], ["u"], {}, {"u": 1}]))
+# JSON observation texts: numbers, strings, null, booleans, arrays, objects, and
+# integers past the float range and past int's digit limit
+JSON_OBSERVATIONS = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "-0.0", '"2"']),
+    st.sampled_from(["-1", "1e400", "NaN", "-Infinity", "null", "true", "false", "[1]", "{}",
+                     "1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 4300]),
+    st.floats().map(json.dumps), NUMBERS.map(json.dumps))
+# lines that are not an object holding the mapped fields, or are not JSON
+JSON_OTHER_LINES = st.sampled_from(
+    ['["u", "f", "p", 1]', '"u"', "5", "null", '{"id": ', "{", "}", " ", "\x0c", "{} {}"])
+
+
+@st.composite
+def jsonl_texts(draw):
+    """A JSON-lines file's text: typed keys, string, null and huge-integer
+    observations, missing, extra and reordered fields, non-object, malformed
+    and blank lines, LF, CRLF and bare CR endings, a BOM, a missing final
+    newline. The first non-blank line starts with "{", so the file is JSON lines."""
+    ensure_ascii = draw(st.booleans())
+    lines = []
+    for i in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["other", "blank"]))
+        if kind == "row" or i == 0:
+            names = ["id", "feature", "partition", "observation", "x"]
+            del names[draw(st.sampled_from([4] * 6 + [0, 1, 2, 3, -1]))]
+            values = {name: draw(JSON_OBSERVATIONS) if name == "observation"
+                      else json.dumps(draw(JSON_KEYS), ensure_ascii=ensure_ascii)
+                      for name in draw(st.permutations(names))}
+            lines.append("{" + ", ".join(f'"{k}": {v}' for k, v in values.items()) + "}")
+        else:
+            lines.append(draw(JSON_OTHER_LINES) if kind == "other" else "")
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = draw(st.sampled_from(["", "\ufeff"])) + draw(st.sampled_from(["", "\n", " \r\n\n"]))
+    text += "".join(line + draw(ends) for line in lines)
+    return text[:-1] if draw(st.booleans()) and text.endswith("\n") else text
+
+
 class TestBlockReader:
     COLUMNS = ("id", "feature", "partition", "observation")
 
-    @settings(deadline=None, max_examples=300,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=delimited_texts(), block=st.integers(1, 40))
-    @example(text="id\tfeature\tpartition\tobservation\r\n" + "u" * 90 + "\tf\tp\t-0.0\r\n"
-             "u\tf\tp\t1\t\n\nu\tf\n\tf\tp\t1\n", block=8)
-    def test_block_reader_matches_the_per_line_oracle(self, tmp_path, monkeypatch, text, block):
-        path = tmp_path / "in.tsv"
+    def _check(self, tmp_path, monkeypatch, text, block):
+        path = tmp_path / "in.txt"
         path.write_bytes(text.encode("utf-8"))
         monkeypatch.setattr(cli, "_BLOCK_CHARS", block)  # lines straddle reads
         cols, rejects, read = read_records(str(path), self.COLUMNS)
@@ -280,6 +316,24 @@ class TestBlockReader:
         assert cols.observations.dtype == np.float64
         assert cols.observations.tobytes() == want.observations.tobytes()  # -0.0 stays
         assert rejects == want_rejects and read == want_read
+
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=delimited_texts(), block=st.integers(1, 40))
+    @example(text="id\tfeature\tpartition\tobservation\r\n" + "u" * 90 + "\tf\tp\t-0.0\r\n"
+             "u\tf\tp\t1\t\n\nu\tf\n\tf\tp\t1\n", block=8)
+    def test_block_reader_matches_the_per_line_oracle(self, tmp_path, monkeypatch, text, block):
+        self._check(tmp_path, monkeypatch, text, block)
+
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=jsonl_texts(), block=st.integers(1, 40))
+    @example(text='\ufeff{"id": 7, "feature": "f", "partition": 1.5, "observation": null}\r\n'
+             '{"id": "u", "feature": "f", "partition": "p", "observation": 1' + "0" * 400 + "}\n"
+             '{"id": "u", "feature": "f", "partition": "p", "observation": "-0.0"}', block=8)
+    def test_jsonl_block_reader_matches_the_per_line_oracle(self, tmp_path, monkeypatch, text,
+                                                            block):
+        self._check(tmp_path, monkeypatch, text, block)
 
 
 class TestRankCommand:
@@ -1138,6 +1192,20 @@ class TestEvalCommand:
         payload = json.loads(err)
         assert payload["error"] == "ValueError" and "partition" in payload["message"]
         assert not os.path.exists(tmp_path / "d")
+
+    @pytest.mark.parametrize("runtime", [("--runtime", "--no-dp"), ("--delta", "0.2")])
+    def test_synth_with_an_input_errors_before_ranking(self, tmp_path, capsys, runtime):
+        # --synth replaces the input, so an --input beside it is refused, not ignored
+        inp = _write(tmp_path / "a.tsv", TOY)
+        rc = main(["eval", "--synth", "users=500,features=20,partitions=4", "--input", inp,
+                   "--input", str(tmp_path / "missing.tsv"), *runtime, "--seed", "1",
+                   "--output", str(tmp_path / "d")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "eval --synth reads no --input, got 2"}
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["a.tsv"]
 
 
 def _run_cli(*argv):

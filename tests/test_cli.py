@@ -1193,12 +1193,12 @@ class TestEvalCommand:
         assert payload["error"] == "ValueError" and "partition" in payload["message"]
         assert not os.path.exists(tmp_path / "d")
 
-    @pytest.mark.parametrize("runtime", [("--runtime", "--no-dp"), ("--delta", "0.2")])
-    def test_synth_with_an_input_errors_before_ranking(self, tmp_path, capsys, runtime):
+    @pytest.mark.parametrize("mode", [("--runtime", "--no-dp"), ("--delta", "0.2")])
+    def test_synth_with_an_input_errors_before_ranking(self, tmp_path, capsys, mode):
         # --synth replaces the input, so an --input beside it is refused, not ignored
         inp = _write(tmp_path / "a.tsv", TOY)
         rc = main(["eval", "--synth", "users=500,features=20,partitions=4", "--input", inp,
-                   "--input", str(tmp_path / "missing.tsv"), *runtime, "--seed", "1",
+                   "--input", str(tmp_path / "missing.tsv"), *mode, "--seed", "1",
                    "--output", str(tmp_path / "d")])
         assert rc == 1
         err = capsys.readouterr().err

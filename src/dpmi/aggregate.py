@@ -2,9 +2,17 @@
 
 The group-by sorts the rows once by their (feature, partition) cell code,
 so each joint cell's rows, and each feature's, form one slice of the
-sorted observations. Every sum is one math.fsum over its rows, and fsum is
-exactly rounded: its result depends only on the multiset of values, so it
-is bit-identical for any order of the input rows and any sort kind.
+sorted observations. Every sum is the exactly rounded sum of its rows, the
+bits math.fsum gives, so it depends only on the multiset of values and is
+bit-identical for any order of the input rows and any sort kind. Two
+reducers give it. When the observations lie on a binary grid (_on_grid:
+every nonzero one a multiple of 2**e_min and below 2**e_max in magnitude,
+with e_max - e_min + n_rows.bit_length() <= 53), every partial sum of any
+subset of rows is an exact multiple of 2**e_min below 2**53 units, so
+numpy's sums in any order are exact: cell sums come from one
+np.add.reduceat over the sorted rows and the marginals from np.bincount
+over the cell sums. Otherwise each sum is one math.fsum over its slice,
+and each partition's over the rows of a second sort by partition.
 
 Every table between the group-by and the probability tables is a set of
 code arrays with their sums, indexing the columns' sorted key lists: the
@@ -46,11 +54,12 @@ class Accumulator:
     ``cells`` holds each (feature, partition) cell that has rows, as the
     code feature * P + partition with P = max(1, len(partition_keys)),
     ascending, so in (feature, partition) key order; ``partial_joint``
-    holds each cell's fsum and ``cell_rows`` its row count. ``features``
-    and ``partitions`` hold each code that has rows, ascending, with their
-    fsums in ``feature_totals`` and ``partition_totals``. Codes index the
-    columns' sorted key lists, which may hold keys that no row uses. No
-    array changes once ``uniforms`` has drawn.
+    holds each cell's exactly rounded sum (the bits math.fsum gives, from
+    either reducer) and ``cell_rows`` its row count. ``features`` and
+    ``partitions`` hold each code that has rows, ascending, with their
+    exactly rounded sums in ``feature_totals`` and ``partition_totals``.
+    Codes index the columns' sorted key lists, which may hold keys that no
+    row uses. No array changes once ``uniforms`` has drawn.
     """
 
     cells: np.ndarray
@@ -96,6 +105,34 @@ class Accumulator:
         return self._draws[key]
 
 
+# math.fsum of rows that are all -0.0: +0.0 on some CPython versions and
+# -0.0 on others; the grid reducer gives such a group this running value.
+_NEGATIVE_ZERO_SUM = math.fsum([-0.0])
+
+
+def _on_grid(values: np.ndarray) -> bool:
+    """Whether every partial sum of ``values``, in any order, is exact in float64.
+
+    Let 2**e_min be the lowest set bit of any nonzero value and every
+    |value| be below 2**e_max. Every partial sum is then a multiple of
+    2**e_min below n * 2**(e_max - e_min) units, so it is exact when
+    e_max - e_min + n.bit_length() <= 53 and below the float range when
+    e_max + n.bit_length() <= 1024. The check reads the frexp mantissas as
+    53-bit integers and adds no floats. A non-finite value fails it.
+    """
+    if not np.isfinite(values).all():
+        return False
+    mantissas, exponents = np.frexp(values[values != 0])
+    if not len(mantissas):
+        return True
+    units = np.ldexp(mantissas, 53).astype(np.int64)
+    # the lowest set bit of each value is 2**(exponent - 53 + trailing zeros)
+    trailing = np.frexp((units & -units).astype(np.float64))[1] - 1
+    e_min, e_max = int((exponents + trailing).min()) - 53, int(exponents.max())
+    width = len(values).bit_length()
+    return e_max - e_min + width <= 53 and e_max + width <= 1024
+
+
 def _groups(codes: np.ndarray, values: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each run of equal sorted ``codes``: the code, its ``values``' fsum and the run length."""
     if not len(codes):
@@ -105,26 +142,79 @@ def _groups(codes: np.ndarray, values: list[float]) -> tuple[np.ndarray, np.ndar
     return codes[bounds[:-1]], np.fromiter(sums, np.float64, len(bounds) - 1), np.diff(bounds)
 
 
-def accumulate(cols: Columns) -> Accumulator:
-    """Group the rows of the columns by one sort of their cell codes.
+def _fsum_reducer(cell: np.ndarray, observations: np.ndarray, cols: Columns,
+                  n_partitions: int) -> tuple[np.ndarray, ...]:
+    """The group-by's seven arrays as fsums over slices, for any observations.
 
-    The cell code feature * P + partition orders cells as their (feature,
-    partition) keys, and a feature's cells are contiguous in that order, so
-    each joint cell and each feature marginal is an fsum over one slice of
-    the sorted observations. Each partition marginal is an fsum over its
-    own rows. The columns must already be contribution-bounded and clamped.
+    ``cell`` and ``observations`` are sorted by cell code; the partition
+    marginals come from a second sort of the columns by partition.
     """
-    n_partitions = max(1, len(cols.partition_keys))
-    cell = cols.features * n_partitions + cols.partitions
-    order = np.argsort(cell)
-    cell, values = cell[order], cols.observations[order].tolist()
+    values = observations.tolist()
     cells, sums, counts = _groups(cell, values)
     features, feature_sums, _ = _groups(cell // n_partitions, values)
     order = np.argsort(cols.partitions)
     partitions, partition_sums, _ = _groups(
         cols.partitions[order], cols.observations[order].tolist()
     )
-    return Accumulator(cells, sums, counts, features, feature_sums, partitions, partition_sums,
+    return cells, sums, counts, features, feature_sums, partitions, partition_sums
+
+
+def _grid_reducer(cell: np.ndarray, observations: np.ndarray, cols: Columns,
+                  n_partitions: int) -> tuple[np.ndarray, ...]:
+    """The group-by's seven arrays from numpy sums, for observations _on_grid.
+
+    Cell sums are one np.add.reduceat over the sorted rows and row counts
+    the run lengths; each marginal is an np.bincount over its cells' sums.
+    Every sum is exact, and a group of rows that are all -0.0 takes fsum's
+    value for them.
+    """
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    cells = cell[starts]
+    sums = np.add.reduceat(observations, starts)
+    counts = np.diff(starts, append=len(cell))
+    # the sign of a zero sum depends on numpy's summation, so the cells whose
+    # rows are all -0.0 are read from the rows; such a cell's sum is zero
+    negative_zero = np.zeros(len(cells), bool)
+    if not sums.all():
+        negative_zero = np.logical_and.reduceat(
+            (observations == 0) & np.signbit(observations), starts)
+    features, feature_sums = _totals(cells // n_partitions, sums, negative_zero)
+    partitions, partition_sums = _totals(cells % n_partitions, sums, negative_zero)
+    sums[negative_zero] = _NEGATIVE_ZERO_SUM
+    return cells, sums, counts, features, feature_sums, partitions, partition_sums
+
+
+def _totals(codes: np.ndarray, sums: np.ndarray,
+            negative_zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each code that has cells, ascending, and the sum of its cells' ``sums``;
+    a code whose cells are all ``negative_zero`` takes fsum's value for -0.0."""
+    cells_per_code = np.bincount(codes)
+    present = np.flatnonzero(cells_per_code)
+    totals = np.bincount(codes, weights=sums)[present]
+    if negative_zero.any():
+        all_negative = np.bincount(codes, weights=negative_zero) == cells_per_code
+        totals[all_negative[present]] = _NEGATIVE_ZERO_SUM
+    return present, totals
+
+
+def accumulate(cols: Columns) -> Accumulator:
+    """Group the rows of the columns by one sort of their cell codes.
+
+    The cell code feature * P + partition orders cells as their (feature,
+    partition) keys, and a feature's cells are contiguous in that order, so
+    each joint cell and each feature marginal is a sum over one slice of
+    the sorted observations. When the observations are _on_grid the sums
+    are numpy's, which are exact; otherwise each is an fsum, and each
+    partition marginal an fsum over its own rows. Both give the same bits.
+    The columns must already be contribution-bounded and clamped.
+    """
+    n_partitions = max(1, len(cols.partition_keys))
+    cell = cols.features * n_partitions + cols.partitions
+    order = np.argsort(cell)
+    # an empty table takes the fsum path, whose empty sums are float64
+    grid = len(cols) and _on_grid(cols.observations)
+    reducer = _grid_reducer if grid else _fsum_reducer
+    return Accumulator(*reducer(cell[order], cols.observations[order], cols, n_partitions),
                        cols.feature_keys, cols.partition_keys, len(cols))
 
 

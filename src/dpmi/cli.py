@@ -43,6 +43,8 @@ DEFAULT_COLUMNS = ("id", "feature", "partition", "observation")
 SYNTH_KEYS = ("users", "features", "partitions", "strength", "zipf")
 # Characters per read of an input file.
 _BLOCK_CHARS = 1 << 16
+# The whitespace JSON allows before a value.
+_JSON_SPACE = " \t\r\n"
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +151,14 @@ def _check_block(fields: list, width: int, indices, coders, rejects: Counter):
 def read_records(path: str, columns) -> tuple[Columns, Counter, int]:
     """Read and validate one input file.
 
-    A file whose first non-empty line starts with ``{`` is JSON lines; any
-    other is delimited, and its header is that first non-empty line. Either
-    is read _BLOCK_CHARS characters at a time, each read's partial last line
-    carried into the next, and split on "\\n" alone: text mode has already
-    turned "\\r\\n" and a bare "\\r" into it, and str.splitlines would also
-    break on form feeds and other separators. The format turns each block's
-    lines into flat fields, and ``_check_block`` codes and checks them.
+    A file whose first non-empty line starts with ``{`` after the whitespace
+    JSON allows is JSON lines; any other is delimited, and its header is that
+    first non-empty line. Either is read _BLOCK_CHARS characters at a time,
+    each read's partial last line carried into the next, and split on "\\n"
+    alone: text mode has already turned "\\r\\n" and a bare "\\r" into it,
+    and str.splitlines would also break on form feeds and other separators.
+    The format turns each block's lines into flat fields, and
+    ``_check_block`` codes and checks them.
     Returns (the valid rows as coded columns, rejection counts by reason,
     rows read). Keys are coded in first-seen order as blocks arrive, and no
     Record is built.
@@ -165,7 +168,7 @@ def read_records(path: str, columns) -> tuple[Columns, Counter, int]:
     blocks = []
     with open(path, "r", encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
         first = next(filter(str.strip, fh), "")
-        if first.startswith("{"):
+        if first.lstrip(_JSON_SPACE).startswith("{"):
             fh.seek(0)
             width, indices, fields = _jsonl_format(columns, rejects)
         elif first:

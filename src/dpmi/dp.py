@@ -8,12 +8,11 @@ user is released with probability at most delta.
 
 All randomness derives from a 64-bit seed through one keyed hash,
 packed_u64s, over key parts packed as length-prefixed bytes: callers pack
-each distinct key once and join the packed bytes per cell, and keyed_u64s
-packs arbitrary keys for them. Release noise is keyed by (seed, table
-digest, query label, cell key), so it never depends on the order the cells
-are visited in, and a rerun on changed data has another digest and draws
-fresh noise. Bounding works the same way on the input columns and touches
-only the users over the contribution limit: each of their rows gets a
+each distinct key once and join the packed bytes per cell. Release noise
+is keyed by (seed, table digest, query label, cell key), so it never
+depends on the order the cells are visited in, and a rerun on changed data
+has another digest and draws fresh noise. Bounding works the same way on
+the input columns and touches only the users over the contribution limit: each of their rows gets a
 priority mixed from the (seed, "bound", id) hash and the row's place among
 the user's canonical rows, so the survivors depend only on the seed and the
 user's own rows, never on the input order. Every other row survives where
@@ -26,7 +25,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -80,28 +79,6 @@ def packed_uniforms(seed: int, prefix: tuple, messages: Iterable[bytes]) -> np.n
     packed_u64s hash, centred in their interval."""
     x = packed_u64s(seed, prefix, messages)
     return ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-
-def _messages(keys: Iterable) -> Iterator[bytes]:
-    """Each key, one part or a tuple of parts, as one packed message."""
-    for key in keys:
-        yield b"".join(map(pack_part, key)) if isinstance(key, tuple) else pack_part(key)
-
-
-def keyed_u64s(seed: int, prefix: tuple, keys: Iterable) -> np.ndarray:
-    """The 64-bit keyed hash of (seed, *prefix, *key) for each key, as a uint64 array.
-
-    A key is one part or a tuple of parts; each part is hashed as pack_part
-    packs it. This packs every key afresh; a caller that hashes many cells
-    of few distinct keys packs the keys once and calls packed_u64s.
-    """
-    return packed_u64s(seed, prefix, _messages(keys))
-
-
-def keyed_uniforms(seed: int, prefix: tuple, keys: Iterable) -> np.ndarray:
-    """Each key's uniform draw in (0, 1), in the order of ``keys``; a draw
-    depends only on (seed, *prefix, *key)."""
-    return packed_uniforms(seed, prefix, _messages(keys))
 
 
 def laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
@@ -219,8 +196,8 @@ def bound_contributions(cols: Columns, limit: int, seed: int) -> Columns:
     user's own rows, never on their order or on other users. The survivors,
     every row of the other users among them, are an index take of the
     columns in input order; with no user over the limit, the columns are
-    returned as they are. Every later stage sums with math.fsum and reads no
-    row order, so outputs do not depend on the input order either.
+    returned as they are. Every later stage sums exactly rounded and reads
+    no row order, so outputs do not depend on the input order either.
     """
     if limit < 1:
         raise ValueError(f"contribution limit must be >= 1, got {limit}")

@@ -7,7 +7,8 @@ loops: one full ``rank_records`` run for every (epsilon, trial) pair. The
 bounding oracle is a per-user loop over Python integers, ``clamp`` is the
 scalar reference for the column clamp in ``prepare_records``, and
 ``keyed_u64``/``keyed_uniform`` hash one key at a time from scratch, the
-reference for ``dp.keyed_u64s`` and ``dp.keyed_uniforms``. ``calc_single_mi``,
+reference for ``keyed_u64s`` and ``keyed_uniforms``, which pack arbitrary
+keys for ``dp.packed_u64s`` and ``dp.packed_uniforms``. ``calc_single_mi``,
 ``calc_mi`` and ``direction`` are the scalar references for the array
 versions in ``dpmi.mi``, and ``binary_rank_oracle`` relabels Records by hand
 before ``rank_records``. ``read_records_oracle`` is the per-line reader
@@ -19,6 +20,8 @@ column is encoded at the end by sorting its distinct keys
 builds one ``RankedResult`` per pair, in rank order. ``ListAccumulator`` is
 the reference group-by for ``aggregate.accumulate``: one list of values per
 joint cell, and each marginal the fsum over its cells' lists.
+``on_grid_oracle`` is ``aggregate._on_grid``'s exactness rule on Python
+integers, from each value's ``as_integer_ratio``.
 ``release_oracle`` is the release that ``aggregate.release_aggregate_table``
 replaced, one dict per query keyed by key strings: ``table_digest_oracle``
 packs each cell with ``struct``, each key draws ``keyed_uniform`` on its
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain
 from statistics import fmean
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,7 +56,7 @@ from dpmi.evaluation import (
     nearest_rank_percentile,
 )
 from dpmi import mi
-from dpmi.dp import censor_threshold
+from dpmi.dp import censor_threshold, pack_part, packed_u64s, packed_uniforms
 from dpmi.mi import REST_LABEL, TOL, rank_records
 from dpmi.model import Columns, Direction, RankedResult, Record, validate_record
 
@@ -181,7 +185,7 @@ def read_records_oracle(path, columns):
     rows, rejects, rows_read = [], Counter(), 0
     with open(path, "r", encoding="utf-8-sig") as fh:
         first = next(line for line in fh if line.strip()).rstrip("\r\n")
-        if first.startswith("{"):
+        if first.lstrip(" \t\r\n").startswith("{"):
             fh.seek(0)
             parse = partial(_jsonl_row_oracle, columns=columns)
         else:
@@ -246,6 +250,24 @@ class ListAccumulator:
         for key, vals in self.partial_joint.items():
             cells.setdefault(key[axis], []).append(vals)
         return {key: math.fsum(chain.from_iterable(lists)) for key, lists in sorted(cells.items())}
+
+
+def on_grid_oracle(values: list[float]) -> bool:
+    """Whether e_max - e_min + n.bit_length() <= 53 and e_max + n.bit_length()
+    <= 1024, where 2**e_min is the lowest set bit of any nonzero value and
+    every |value| is below 2**e_max; False for a non-finite value."""
+    if not all(map(math.isfinite, values)):
+        return False
+    lows, highs = [], []
+    for value in filter(None, values):
+        numerator, denominator = abs(value).as_integer_ratio()  # a power of two
+        shift = denominator.bit_length() - 1
+        lows.append((numerator & -numerator).bit_length() - 1 - shift)
+        highs.append(numerator.bit_length() - shift)
+    if not lows:
+        return True
+    width = len(values).bit_length()
+    return max(highs) - min(lows) + width <= 53 and max(highs) + width <= 1024
 
 
 def laplace_oracle(u: float, scale: float) -> float:
@@ -381,6 +403,28 @@ def keyed_u64(seed: int, parts: tuple) -> int:
 def keyed_uniform(seed: int, *parts) -> float:
     """Uniform draw in (0, 1) that depends only on (seed, *parts)."""
     return ((keyed_u64(seed, parts) >> 11) + 0.5) * 2.0**-53
+
+
+def _messages(keys: Iterable) -> Iterator[bytes]:
+    """Each key, one part or a tuple of parts, as one packed message."""
+    for key in keys:
+        yield b"".join(map(pack_part, key)) if isinstance(key, tuple) else pack_part(key)
+
+
+def keyed_u64s(seed: int, prefix: tuple, keys: Iterable) -> np.ndarray:
+    """The 64-bit keyed hash of (seed, *prefix, *key) for each key, as a uint64 array.
+
+    A key is one part or a tuple of parts; each part is hashed as pack_part
+    packs it. This packs every key afresh; a caller that hashes many cells
+    of few distinct keys packs the keys once and calls packed_u64s.
+    """
+    return packed_u64s(seed, prefix, _messages(keys))
+
+
+def keyed_uniforms(seed: int, prefix: tuple, keys: Iterable) -> np.ndarray:
+    """Each key's uniform draw in (0, 1), in the order of ``keys``; a draw
+    depends only on (seed, *prefix, *key)."""
+    return packed_uniforms(seed, prefix, _messages(keys))
 
 
 def random_valid_triple(rng, lo: float = 0.01, hi: float = 0.99):

@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from dpmi.dp import (BudgetAccountant, censor_threshold, keyed_uniforms, laplace_from_uniform,
-                     release_sums)
+from dpmi.dp import BudgetAccountant, censor_threshold, laplace_from_uniform, release_sums
 from dpmi.evaluation import epsilon_sweep, head_tail_stability, runtime_compare, synth_generate
 from dpmi.mi import FoldSpec, binary_rank, calc_mi, nfold, rank_records
 from dpmi.model import PrivacyConfig, Record
 from dpmi.cli import main as cli_main
 
 from nfold_synth import two_stage_dataset
-from oracles import keyed_uniform, mi_2x2, random_valid_triple
+from oracles import keyed_uniform, keyed_uniforms, mi_2x2, random_valid_triple
 
 NO_DP = None
 

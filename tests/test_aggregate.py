@@ -3,6 +3,7 @@
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from dpmi.dp import BudgetAccountant, packed_uniforms, prepare_records
 from dpmi.mi import rank_records
 from dpmi.model import AggregateTable, Columns, PrivacyConfig, Record
 
-from oracles import (ListAccumulator, accumulator_mappings, records_of, release_oracle,
-                     table_digest_oracle, table_mappings)
+from oracles import (ListAccumulator, accumulator_mappings, on_grid_oracle, records_of,
+                     release_oracle, table_digest_oracle, table_mappings)
 
 
 def _accumulate(records):
@@ -118,6 +119,120 @@ class TestAccumulate:
                 ]
             assert list(got_rows.items()) == list(want.cell_rows().items())
             assert got.row_count == want.row_count == len(table)
+
+
+_ACCUMULATOR_ARRAYS = ("cells", "partial_joint", "cell_rows", "features", "feature_totals",
+                       "partitions", "partition_totals")
+
+
+def _fsum_accumulate(cols):
+    """``accumulate`` with the grid check failing, so every sum is an fsum."""
+    with mock.patch.object(aggregate, "_on_grid", return_value=False):
+        return accumulate(cols)
+
+
+def _columns(rows):
+    """The columns of (feature, partition, observation) rows, all of one user."""
+    return Columns.from_records([Record("u", f, p, x) for f, p, x in rows])
+
+
+@st.composite
+def _negative_zero_rows(draw):
+    """Rows of -0.0, with feature "n" and partition "n" holding nothing else,
+    so their cells and marginals are made only of -0.0."""
+    keys = st.tuples(st.sampled_from(["a", "n"]), st.sampled_from(["p", "n"]))
+    return [(f, p, -0.0) for f, p in draw(st.lists(keys, max_size=6))]
+
+
+@st.composite
+def _mixed_tables(draw):
+    """Rows with zeros of both signs, multiples of one power of two, and any
+    floats, so some tables are on the grid and some are not."""
+    scale = draw(st.integers(-60, 60))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.builds(lambda k, s: math.ldexp(k, scale + s), st.integers(-999, 999),
+                  st.integers(0, 12)),
+        st.floats(-1e300, 1e300),
+    )
+    rows = draw(st.lists(st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(["p", "q"]),
+                                   value), max_size=40))
+    return draw(st.permutations(rows + draw(_negative_zero_rows())))
+
+
+@st.composite
+def _edge_tables(draw):
+    """Rows whose grid bound, e_max - e_min + n_rows.bit_length(), is 53 or
+    54, with that bound. One value has the widest magnitude and one is an odd
+    multiple of the grid; with ``full``, all nonzero values sit near the
+    widest magnitude with one sign, so the sums come close to 2**bound units."""
+    bits, bound = draw(st.integers(1, 8)), draw(st.sampled_from([53, 54]))
+    full, scale = draw(st.booleans()), draw(st.integers(-60, 60))
+    n = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    width = bound - bits
+    top = 2**width - 1
+    units = draw(st.lists(st.integers(top - 2**20 if full else -top, top), min_size=n, max_size=n))
+    sign = 1 if full else draw(st.sampled_from([1, -1]))
+    units[0] = draw(st.integers(2 ** (width - 1), top)) * sign
+    units[-1] = (abs(units[-1]) | 1) * (-1 if units[-1] < 0 else 1)
+    rows = [(draw(st.sampled_from(["a", "b"])), draw(st.sampled_from(["p", "q"])),
+             math.ldexp(k, scale)) for k in units]
+    # zeros keep the bound, since only nonzero values set it
+    for i in draw(st.sets(st.integers(1, n - 2), max_size=n - 2)) if n > 2 else ():
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        rows[i] = ("n", "n", -0.0) if sign < 0 else (rows[i][0], rows[i][1], 0.0)
+    return draw(st.permutations(rows)), bound
+
+
+class TestGridReducer:
+    """The numpy reducer for observations on a binary grid gives the fsum
+    path's bits for every array, and the check picks the path the rule says."""
+
+    def _assert_same_bits(self, cols):
+        got, want = accumulate(cols), _fsum_accumulate(cols)
+        for name in _ACCUMULATOR_ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.row_count == want.row_count
+
+    @settings(deadline=None, max_examples=300)
+    @given(_mixed_tables())
+    def test_mixed_tables_match_the_fsum_path(self, rows):
+        cols = _columns(rows)
+        assert aggregate._on_grid(cols.observations) == on_grid_oracle(cols.observations.tolist())
+        self._assert_same_bits(cols)
+
+    @settings(deadline=None, max_examples=200)
+    @given(_edge_tables())
+    def test_the_2_53_edge(self, table):
+        rows, bound = table
+        cols = _columns(rows)
+        assert aggregate._on_grid(cols.observations) is (bound == 53)
+        assert on_grid_oracle(cols.observations.tolist()) is (bound == 53)
+        self._assert_same_bits(cols)
+
+    def test_groups_of_negative_zeros_take_fsums_value(self):
+        rows = [("a", "p", 1.0), ("a", "n", -0.0), ("n", "p", -0.0), ("n", "n", -0.0),
+                ("n", "n", -0.0), ("a", "p", -0.0), ("b", "q", 0.0), ("b", "q", -0.0)]
+        cols = _columns(rows)
+        assert aggregate._on_grid(cols.observations)
+        self._assert_same_bits(cols)
+        joint, features, partitions, _ = accumulator_mappings(accumulate(cols))
+        zero = math.fsum([-0.0]).hex()
+        assert joint[("a", "n")].hex() == joint[("n", "n")].hex() == zero
+        assert features["n"].hex() == partitions["n"].hex() == zero
+        assert joint[("b", "q")].hex() == features["b"].hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("values", [[1.0, math.inf], [math.nan], [-math.inf, 0.5]])
+    def test_non_finite_values_are_off_the_grid(self, values):
+        assert not aggregate._on_grid(np.array(values))
+
+    def test_sums_past_the_float_range_keep_fsums_error(self):
+        # the grid bound holds (width 1 + 2 bits), but the sum is 2**1024
+        cols = _columns([("a", "p", 2.0**1023), ("a", "p", 2.0**1023)])
+        assert not aggregate._on_grid(cols.observations)
+        with pytest.raises(OverflowError):
+            accumulate(cols)
 
 
 class TestBuildProbabilityTables:

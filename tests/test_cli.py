@@ -182,6 +182,19 @@ class TestAggregateCommand:
         _, rejects, read = read_records(broken, ("id", "feature", "partition", "observation"))
         assert read == 8 and rejects == {"parse": 1}
 
+    def test_jsonl_first_line_indented_is_detected(self, tmp_path):
+        # JSON allows whitespace before the first "{", so an indented first
+        # line still marks the file as JSON lines
+        header, *rows = TOY.splitlines()
+        names = header.split("\t")
+        lines = [json.dumps(dict(zip(names, row.split("\t")))) for row in rows]
+        tsv = _write(tmp_path / "toy.tsv", TOY)
+        indented = _write(tmp_path / "indented.jsonl", "\n \t" + "\n".join(lines) + "\n")
+        outs = [str(tmp_path / f"{name}.tsv") for name in ("tsv", "indented")]
+        for inp, out in zip((tsv, indented), outs):
+            assert main(["rank", "--input", inp, "--output", out, "--no-dp"]) == 0
+        assert open(outs[0]).read() == open(outs[1]).read()
+
     def test_leading_byte_order_mark_is_skipped(self, tmp_path):
         columns = ("id", "feature", "partition", "observation")
         tsv = _write(tmp_path / "bom.tsv", "\ufeff" + TOY)

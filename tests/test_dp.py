@@ -15,8 +15,6 @@ from dpmi.dp import (
     BudgetExceededError,
     bound_contributions,
     censor_threshold,
-    keyed_u64s,
-    keyed_uniforms,
     laplace_from_uniform,
     prepare_records,
     release_sums,
@@ -24,8 +22,8 @@ from dpmi.dp import (
 from dpmi.mi import rank_records
 from dpmi.model import Columns, PrivacyConfig, Record
 
-from oracles import (bound_contributions_oracle, clamp, keyed_u64, keyed_uniform, laplace_oracle,
-                     records_of)
+from oracles import (bound_contributions_oracle, clamp, keyed_u64, keyed_u64s, keyed_uniform,
+                     keyed_uniforms, laplace_oracle, records_of)
 
 
 # Key parts as the release and bounding pass them: strings (empty and

@@ -5,14 +5,9 @@ so each joint cell's rows, and each feature's, form one slice of the
 sorted observations. Every sum is the exactly rounded sum of its rows, the
 bits math.fsum gives, so it depends only on the multiset of values and is
 bit-identical for any order of the input rows and any sort kind. Two
-reducers give it. When the observations lie on a binary grid (_on_grid:
-every nonzero one a multiple of 2**e_min and below 2**e_max in magnitude,
-with e_max - e_min + n_rows.bit_length() <= 53), every partial sum of any
-subset of rows is an exact multiple of 2**e_min below 2**53 units, so
-numpy's sums in any order are exact: cell sums come from one
-np.add.reduceat over the sorted rows and the marginals from np.bincount
-over the cell sums. Otherwise each sum is one math.fsum over its slice,
-and each partition's over the rows of a second sort by partition.
+reducers give it: numpy sums when the observations lie on a binary grid
+fine enough that every partial sum is exact (_on_grid), and otherwise one
+math.fsum per slice, with a second sort for the partition marginals.
 
 Every table between the group-by and the probability tables is a set of
 code arrays with their sums, indexing the columns' sorted key lists: the

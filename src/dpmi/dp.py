@@ -12,11 +12,11 @@ each distinct key once and join the packed bytes per cell. Release noise
 is keyed by (seed, table digest, query label, cell key), so it never
 depends on the order the cells are visited in, and a rerun on changed data
 has another digest and draws fresh noise. Bounding works the same way on
-the input columns and touches only the users over the contribution limit: each of their rows gets a
-priority mixed from the (seed, "bound", id) hash and the row's place among
-the user's canonical rows, so the survivors depend only on the seed and the
-user's own rows, never on the input order. Every other row survives where
-it stands.
+the input columns and touches only the users over the contribution limit:
+each of their rows gets a priority mixed from the (seed, "bound", id) hash
+and the row's place among the user's canonical rows, so the survivors
+depend only on the seed and the user's own rows, never on the input order.
+Every other row survives where it stands.
 """
 
 from __future__ import annotations
